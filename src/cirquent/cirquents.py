@@ -5,12 +5,15 @@ that every overgroup spans a branching-copy dimension shared by its members.
 A move has the form `a;u1,...,un.rest`: oformula index, one address bitstring
 per overgroup, and a move of the indexed oformula's game.  Bitstrings for
 overgroups not containing the oformula must be empty.
+Legality is prefix-closed, and a new move changes only its own oformula's
+copies whose addresses it covers, so `legal_extensions` re-judges just those.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import product
 from typing import Mapping
 
 from . import formulas as fm
@@ -204,48 +207,65 @@ def respects_membership(c: Cirquent, mv: CirquentMove) -> bool:
     )
 
 
+def parse_moves(c: Cirquent, run: Run) -> list[CirquentMove | None]:
+    """Each move of `run` parsed, or None where its shape or membership is bad."""
+    n = len(c.overgroups)
+    out: list[CirquentMove | None] = []
+    for lm in run:
+        mv = parse_move(n, lm.move)
+        out.append(mv if mv is not None and respects_membership(c, mv) else None)
+    return out
+
+
+def project_parsed(
+    run: Run, moves: list[CirquentMove | None], index: int, stems: tuple[str, ...]
+) -> Run:
+    """`project_member` over the moves of `run` already parsed."""
+    return tuple(
+        Labmove(lm.label, mv.inner)
+        for lm, mv in zip(run, moves)
+        if mv is not None and mv.index == index
+        and all(gm.covers(s, u) for s, u in zip(stems, mv.slots))
+    )
+
+
 def project_member(c: Cirquent, run: Run, index: int, stems: tuple[str, ...]) -> Run:
     """The run seen by oformula `index` on the copy addressed by `stems`."""
     n = len(c.overgroups)
-    out = []
-    for lm in run:
-        mv = parse_move(n, lm.move)
-        if mv is None or mv.index != index:
-            continue
-        if all(gm.covers(stems[j], mv.slots[j]) for j in range(n)):
-            out.append(Labmove(lm.label, mv.inner))
-    return tuple(out)
+    return project_parsed(run, [parse_move(n, lm.move) for lm in run], index, stems)
 
 
 # -------------------------------------------------------- legality, winner
 
 
-def _games_of(c: Cirquent, interp: Mapping[str, gm.GameNode]) -> list[gm.Game]:
+def member_games(c: Cirquent, interp: Mapping[str, gm.GameNode]) -> list[gm.Game]:
     return [gm.of_formula(f, interp) for f in c.oformulas]
 
 
-def _class_vectors(c: Cirquent, run: Run, cap: int) -> list[tuple[str, ...]]:
-    from itertools import product
+def _used(c: Cirquent, moves: list[CirquentMove]) -> list[set[str]]:
+    used: list[set[str]] = [set() for _ in c.overgroups]
+    for mv in moves:
+        for j, u in enumerate(mv.slots):
+            used[j].add(u)
+    return used
 
-    n = len(c.overgroups)
-    used: list[set[str]] = [set() for _ in range(n)]
-    for lm in run:
-        mv = parse_move(n, lm.move)
-        if mv is not None:
-            for j in range(n):
-                used[j].add(mv.slots[j])
+
+def _slot_classes(used: list[set[str]], cap: int) -> list[list[str]]:
     per_slot = [gm.thread_classes(u) for u in used]
     total = 1
     for cl in per_slot:
         total *= len(cl)
     if total > cap:
         raise ClassCapExceeded(f"{total} copy-address classes exceed cap {cap}")
-    return list(product(*per_slot))
+    return per_slot
 
 
-def _shape_ok(c: Cirquent, move: str) -> bool:
-    mv = parse_move(len(c.overgroups), move)
-    return mv is not None and respects_membership(c, mv)
+def _member_vectors(c: Cirquent, index: int, per_slot: list[list[str]]):
+    """Class vectors that can tell apart the copies of oformula `index`; its
+    address in an overgroup it is not in is always empty."""
+    return product(*(
+        cl if index in group else [""] for cl, group in zip(per_slot, c.overgroups)
+    ))
 
 
 def legal(
@@ -253,15 +273,19 @@ def legal(
     interp: Mapping[str, gm.GameNode],
     run: Run,
     cap: int = 100_000,
+    *,
+    games: list[gm.Game] | None = None,
 ) -> bool:
-    if not all(_shape_ok(c, lm.move) for lm in run):
+    """`games` are the member games, built from `interp` when not given."""
+    moves = parse_moves(c, run)
+    if None in moves:
         return False
-    games = _games_of(c, interp)
-    vectors = _class_vectors(c, run, cap)
+    games = games if games is not None else member_games(c, interp)
+    per_slot = _slot_classes(_used(c, moves), cap)
     for a in range(1, c.width + 1):
         seen: set[Run] = set()
-        for vec in vectors:
-            proj = project_member(c, run, a, vec)
+        for vec in _member_vectors(c, a, per_slot):
+            proj = project_parsed(run, moves, a, vec)
             if proj in seen:
                 continue
             seen.add(proj)
@@ -270,18 +294,86 @@ def legal(
     return True
 
 
+def _covering_projections(
+    c: Cirquent,
+    run: Run,
+    moves: list[CirquentMove],
+    used: list[set[str]],
+    mv: CirquentMove,
+    cap: int,
+) -> set[Run]:
+    """What oformula `mv.index` saw of the legal `run` (parsed into `moves`,
+    addresses `used`) on each copy whose addresses cover `mv.slots`.  A move
+    `mv` can change only these runs; every other copy's run stays legal."""
+    per_slot = _slot_classes([u | {w} for u, w in zip(used, mv.slots)], cap)
+    covering = [
+        [s for s in cl if gm.covers(s, w)] for cl, w in zip(per_slot, mv.slots)
+    ]
+    return {
+        project_parsed(run, moves, mv.index, vec)
+        for vec in _member_vectors(c, mv.index, covering)
+    }
+
+
+def _extends(games: list[gm.Game], projections: set[Run], lm: Labmove,
+             mv: CirquentMove) -> bool:
+    game = games[mv.index - 1]
+    inner = Labmove(lm.label, mv.inner)
+    return all(gm.legal_extension(game, proj, inner) for proj in projections)
+
+
+def legal_extensions(
+    c: Cirquent,
+    interp: Mapping[str, gm.GameNode],
+    run: Run,
+    player: Player,
+    candidates: list[str],
+    cap: int = 100_000,
+    *,
+    games: list[gm.Game] | None = None,
+) -> list[str]:
+    """The candidate moves `player` can add to the legal `run` keeping it
+    legal, in the order given."""
+    moves = parse_moves(c, run)
+    if None in moves:
+        return []
+    games = games if games is not None else member_games(c, interp)
+    used = _used(c, moves)
+    n = len(c.overgroups)
+    # candidates sharing an oformula and addresses share their projections
+    projections: dict[tuple[int, tuple[str, ...]], set[Run]] = {}
+    out = []
+    for m in candidates:
+        mv = parse_move(n, m)
+        if mv is None or not respects_membership(c, mv):
+            continue
+        key = (mv.index, mv.slots)
+        if key not in projections:
+            projections[key] = _covering_projections(c, run, moves, used, mv, cap)
+        if _extends(games, projections[key], Labmove(player, m), mv):
+            out.append(m)
+    return out
+
+
 def first_offender(
     c: Cirquent,
     interp: Mapping[str, gm.GameNode],
     run: Run,
     cap: int = 100_000,
+    *,
+    games: list[gm.Game] | None = None,
 ) -> Player | None:
-    if legal(c, interp, run, cap):
-        return None
-    for i in range(len(run)):
-        if not legal(c, interp, run[: i + 1], cap):
-            return run[i].label
-    raise AssertionError("empty run must be legal")
+    games = games if games is not None else member_games(c, interp)
+    moves = parse_moves(c, run)
+    used: list[set[str]] = [set() for _ in c.overgroups]
+    for i, (lm, mv) in enumerate(zip(run, moves)):
+        if mv is None or not _extends(
+            games, _covering_projections(c, run[:i], moves[:i], used, mv, cap), lm, mv
+        ):
+            return lm.label
+        for u, w in zip(used, mv.slots):
+            u.add(w)
+    return None
 
 
 def winner(
@@ -289,23 +381,31 @@ def winner(
     interp: Mapping[str, gm.GameNode],
     run: Run,
     cap: int = 100_000,
+    *,
+    games: list[gm.Game] | None = None,
 ) -> Player:
-    off = first_offender(c, interp, run, cap)
+    games = games if games is not None else member_games(c, interp)
+    off = first_offender(c, interp, run, cap, games=games)
     if off is not None:
         return off.other
-    games = _games_of(c, interp)
-    vectors = _class_vectors(c, run, cap)
-    memo: dict[tuple[int, Run], Player] = {}
+    moves = parse_moves(c, run)
+    per_slot = _slot_classes(_used(c, moves), cap)
+    members = [
+        [j for j, group in enumerate(c.overgroups) if a in group]
+        for a in range(1, c.width + 1)
+    ]
+    memo: dict[tuple[int, tuple[str, ...]], Player] = {}
 
     def member_winner(a: int, vec: tuple[str, ...]) -> Player:
-        proj = project_member(c, run, a, vec)
-        key = (a, proj)
+        # oformula a sees only the addresses of its own overgroups
+        key = (a, tuple(vec[j] for j in members[a - 1]))
         if key not in memo:
+            proj = project_parsed(run, moves, a, vec)
             memo[key] = gm.winner(games[a - 1], proj)
         return memo[key]
 
     for group in c.undergroups:
-        for vec in vectors:
+        for vec in product(*per_slot):
             if not any(member_winner(a, vec) is TOP for a in group):
                 return BOT
     return TOP

@@ -33,20 +33,29 @@ class CliError(Exception):
         self.code = code
 
 
-def _read_proof(path: str) -> rl.Proof:
+# what a malformed proof text raises, cirquents and formulas inside it included
+PARSE_ERRORS = (rl.RuleError, cq.CirquentError, fm.FormulaError)
+
+
+def _read_text(path: str) -> str:
     try:
-        return rl.parse_proof(Path(path).read_text())
-    except OSError as e:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
         raise CliError(f"cannot read {path}: {e}")
-    except (rl.RuleError, cq.CirquentError, fm.FormulaError) as e:
+
+
+def _read_proof(path: str) -> rl.Proof:
+    text = _read_text(path)
+    try:
+        return rl.parse_proof(text)
+    except PARSE_ERRORS as e:
         raise CliError(f"{path}: {e}")
 
 
 def _read_library(path: str) -> dict[str, gm.GameNode]:
+    text = _read_text(path)
     try:
-        return gm.parse_game_library(Path(path).read_text())
-    except OSError as e:
-        raise CliError(f"cannot read {path}: {e}")
+        return gm.parse_game_library(text)
     except gm.GameError as e:
         raise CliError(f"{path}: {e}")
 
@@ -134,10 +143,7 @@ def cmd_eval(args) -> int:
             # a literal always starts with the keyword; anything else is a path
             text = args.cirquent
             if not text.lstrip().startswith("cirquent"):
-                try:
-                    text = Path(text).read_text()
-                except OSError as e:
-                    raise CliError(f"cannot read {args.cirquent}: {e}")
+                text = _read_text(text)
             c = cq.parse_cirquent(text)
             for f in c.oformulas:
                 _interp_for(f, lib)
@@ -146,8 +152,6 @@ def cmd_eval(args) -> int:
             won_by = cq.winner(c, lib, run)
     except (fm.FormulaError, cq.CirquentError) as e:
         raise CliError(str(e))
-    except cq.ClassCapExceeded as e:
-        raise CliError(str(e), EXIT_CAP)
     if offender is None:
         print("run: legal")
     else:
@@ -162,8 +166,6 @@ def cmd_fuse(args) -> int:
             print(z)
     except ValueError as e:
         raise CliError(str(e))
-    except FusionCapExceeded as e:
-        raise CliError(str(e), EXIT_CAP)
     return EXIT_OK
 
 
@@ -180,7 +182,11 @@ def cmd_corpus(args) -> int:
     root = Path(args.root or os.environ.get("CIRQUENT_CORPUS", "corpus"))
     if not root.is_dir():
         raise CliError(f"no corpus directory at {root}")
-    reports = hn.run_corpus(root, budget=args.budget)
+    try:
+        reports = hn.run_corpus(root, budget=args.budget)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, gm.GameError,
+            *PARSE_ERRORS) as e:
+        raise CliError(f"{root}: {e}")
     for r in reports:
         print(r.line())
     bad = sum(not r.ok for r in reports)
@@ -200,7 +206,10 @@ commands:
 
 
 def cmd_repl(args) -> int:
-    f = fm.parse_formula(args.formula)
+    try:
+        f = fm.parse_formula(args.formula)
+    except fm.FormulaError as e:
+        raise CliError(str(e))
     lib = _interp_for(f, _read_library(args.atoms))
     arena = hn.FormulaArena(gm.of_formula(f, lib))
     run: list[gm.Labmove] = []
@@ -310,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except hn.CapExceeded as e:
+    except (hn.CapExceeded, FusionCapExceeded, cq.ClassCapExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAP
     except BrokenPipeError:

@@ -5,6 +5,8 @@ are finite rooted trees whose nodes carry the winner of the run ending there.
 Compound games are built with negation, the two parallel connectives, and the
 two branching-repetition operations, where a move prefixed with a bitstring
 acts in every copy whose address extends that bitstring.
+Legality is prefix-closed, and a new move changes only the threads whose
+addresses it covers, so `legal_extension` re-judges just those threads.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Union
+
+from . import formulas as fm
 
 
 class Player(Enum):
@@ -250,8 +254,6 @@ Game = Union[Tree, Neg, Conj, Disj, Rep, Corep]
 
 
 def of_formula(f, interp: Mapping[str, GameNode]) -> Game:
-    from . import formulas as fm
-
     if isinstance(f, fm.PosLiteral):
         if f.atom not in interp:
             raise KeyError(f"no game assigned to atom {f.atom!r}")
@@ -375,13 +377,45 @@ def legal(g: Game, run: Run) -> bool:
     return _structure_ok(g, run)
 
 
+def legal_extension(g: Game, run: Run, lm: Labmove) -> bool:
+    """`legal(g, run + (lm,))` for a run already known to be legal.
+
+    Only the subgames the new move reaches are judged again: one side of a
+    parallel connective, and the thread classes covering a copy address.
+    """
+    if isinstance(g, Tree):
+        node = walk(g.root, run)
+        return node is not None and node.child(lm.label, lm.move) is not None
+    if isinstance(g, Neg):
+        return legal_extension(g.sub, negate_run(run), Labmove(lm.label.other, lm.move))
+    if isinstance(g, (Conj, Disj)):
+        m = lm.move
+        if len(m) < 2 or m[0] not in "01" or m[1] != ".":
+            return False
+        side = g.left if m[0] == "0" else g.right
+        return legal_extension(side, project_prefix(run, m[:2]), Labmove(lm.label, m[2:]))
+    if isinstance(g, (Rep, Corep)):
+        parts = split_address(lm.move)
+        if parts is None:
+            return False
+        w, rest = parts
+        used = [split_address(x.move)[0] for x in run] + [w]
+        inner = Labmove(lm.label, rest)
+        return all(
+            legal_extension(g.sub, project_thread(run, stem), inner)
+            for stem in thread_classes(used)
+            if covers(stem, w)
+        )
+    raise TypeError(f"not a game: {g!r}")
+
+
 def first_offender(g: Game, run: Run) -> Player | None:
     """Label of the last move of the shortest illegal prefix, if any."""
-    if _structure_ok(g, run):
+    if _structure_ok(g, run):  # one whole-run check settles the common case
         return None
-    for i in range(len(run)):
-        if not _structure_ok(g, run[: i + 1]):
-            return run[i].label
+    for i, lm in enumerate(run):
+        if not legal_extension(g, run[:i], lm):
+            return lm.label
     raise AssertionError("empty run must be legal")
 
 
@@ -489,9 +523,9 @@ def _legal_runs(g: Game, alphabet: list[str], maxlen: int) -> list[Run]:
         for run in frontier:
             for m in alphabet:
                 for lab in (TOP, BOT):
-                    cand = run + (Labmove(lab, m),)
-                    if _structure_ok(g, cand):
-                        nxt.append(cand)
+                    lm = Labmove(lab, m)
+                    if legal_extension(g, run, lm):
+                        nxt.append(run + (lm,))
         out.extend(nxt)
         frontier = nxt
     return out

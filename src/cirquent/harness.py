@@ -73,9 +73,11 @@ class FormulaArena:
         return gm.legal(self.game, run)
 
     def frontier(self, run: Run, player: Player, limit: int = 2) -> list[str]:
+        if not self.legal(run):
+            return []
         cands = _game_candidates(self.game, run, player, limit)
         return sorted(
-            m for m in cands if gm.legal(self.game, run + (Labmove(player, m),))
+            m for m in cands if gm.legal_extension(self.game, run, Labmove(player, m))
         )
 
 
@@ -84,37 +86,39 @@ class CirquentArena:
     cirquent: cq.Cirquent
     interp: Mapping[str, gm.GameNode]
     cap: int = 100_000
+    games: list[gm.Game] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.games = cq.member_games(self.cirquent, self.interp)
 
     def winner(self, run: Run) -> Player:
-        return cq.winner(self.cirquent, self.interp, run, self.cap)
+        return cq.winner(self.cirquent, self.interp, run, self.cap, games=self.games)
 
     def offender(self, run: Run) -> Player | None:
-        return cq.first_offender(self.cirquent, self.interp, run, self.cap)
+        return cq.first_offender(self.cirquent, self.interp, run, self.cap,
+                                 games=self.games)
 
     def legal(self, run: Run) -> bool:
-        return cq.legal(self.cirquent, self.interp, run, self.cap)
+        return cq.legal(self.cirquent, self.interp, run, self.cap, games=self.games)
 
     def frontier(self, run: Run, player: Player, limit: int = 1) -> list[str]:
         from itertools import product
 
         c = self.cirquent
-        n = len(c.overgroups)
-        games = [gm.of_formula(f, self.interp) for f in c.oformulas]
+        if not self.legal(run):
+            return []
+        moves = cq.parse_moves(c, run)
         cands: set[str] = set()
         for a in range(1, c.width + 1):
             slot_options = [
-                _addresses(limit) if a in c.overgroups[j] else [""]
-                for j in range(n)
+                _addresses(limit) if a in group else [""] for group in c.overgroups
             ]
             for slots in product(*slot_options):
-                proj = cq.project_member(c, run, a, slots)
-                for m in _game_candidates(games[a - 1], proj, player, limit):
+                proj = cq.project_parsed(run, moves, a, slots)
+                for m in _game_candidates(self.games[a - 1], proj, player, limit):
                     cands.add(cq.format_move(cq.CirquentMove(a, slots, m)))
-        return sorted(
-            m
-            for m in cands
-            if cq.legal(self.cirquent, self.interp, run + (Labmove(player, m),), self.cap)
-        )
+        return cq.legal_extensions(c, self.interp, run, player, sorted(cands),
+                                   self.cap, games=self.games)
 
 
 # ------------------------------------------------------------ environments
@@ -355,7 +359,7 @@ def load_interpretation(path: Path, atoms: set[str]) -> dict[str, gm.GameNode]:
     missing = atoms - set(lib)
     if missing:
         raise KeyError(f"{path} assigns no game to atoms {sorted(missing)}")
-    return {a: lib[a] for a in atoms} | {k: v for k, v in lib.items()}
+    return lib
 
 
 def run_case(case_dir: Path, budget: int | None = None) -> CaseReport:

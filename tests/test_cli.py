@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 PROOF = CORPUS / "brec_elim" / "proof.cl15"
@@ -162,3 +164,56 @@ def test_repl_session():
     assert r.returncode == 0
     assert "winner if play stops here: T" in r.stdout
     assert "unknown command" in r.stdout
+
+
+# Each subcommand given malformed input: (arguments, expected exit code).
+# Paths are relative to the repository root, where `cli` runs. `{bin}` is a
+# file that is not UTF-8, `{bad_proof}` a proof with a syntax error,
+# `{bad_lib}` a broken game library, `{bad_corpus}` a corpus whose one case
+# has an unreadable expect.json.
+ELIM = ["corpus/brec_elim/proof.cl15", "--atoms", "corpus/brec_elim/atoms.game"]
+MALFORMED = [
+    (["check", "{bin}"], 2),
+    (["check", "{bad_proof}"], 2),
+    (["compile", "{bin}"], 2),
+    (["compile", "{bad_proof}"], 2),
+    (["play", ELIM[0], "--atoms", "{bin}"], 2),
+    (["play", ELIM[0], "--atoms", "{bad_lib}"], 2),
+    (["play", "corpus/brec_nest/proof.cl15", "--atoms", "corpus/brec_nest/atoms.game",
+      "--moves", "0.00000000000000000000.q"], 3),
+    (["eval", "--formula", "F &", *ELIM[1:]], 2),
+    (["eval", "--formula", "Q", *ELIM[1:]], 2),
+    (["eval", "--formula", "F", *ELIM[1:], "--run", "X:1"], 2),
+    (["eval", "--cirquent", "{bin}", *ELIM[1:]], 2),
+    (["eval", "--formula", "F", "--atoms", "{bad_lib}"], 2),
+    (["fuse", "012"], 2),
+    (["fuse", "0", "1" * 20], 3),
+    (["defuse", "012", "--n", "2"], 2),
+    (["defuse", "0101", "--n", "0"], 2),
+    (["corpus", "{bad_corpus}"], 2),
+    (["repl", "--formula", "F &", *ELIM[1:]], 2),
+    (["repl", "--formula", "F", "--atoms", "{bad_lib}"], 2),
+]
+
+
+@pytest.fixture(scope="module")
+def malformed_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("malformed")
+    (d / "bin").write_bytes(b"\xff\xfe not utf-8")
+    (d / "bad.cl15").write_text("garbage {\n")
+    (d / "bad.game").write_text("game = node\n")
+    case = d / "corpus" / "case"
+    case.mkdir(parents=True)
+    (case / "proof.cl15").write_text(PROOF.read_text())
+    (case / "expect.json").write_text("{bad")
+    return {"bin": d / "bin", "bad_proof": d / "bad.cl15",
+            "bad_lib": d / "bad.game", "bad_corpus": d / "corpus"}
+
+
+@pytest.mark.parametrize("args, code", MALFORMED,
+                         ids=[" ".join(args) for args, _ in MALFORMED])
+def test_malformed_input_exit_codes(malformed_files, args, code):
+    r = cli(*(a.format(**malformed_files) for a in args))
+    assert r.returncode == code, r.stderr
+    assert "error:" in r.stderr
+    assert "Traceback" not in r.stderr

@@ -1,0 +1,175 @@
+"""Differential tests: each incremental referee path against the whole-run
+path it replaces.
+
+The oracles below judge every run whole, never extending a run already known
+to be legal; they are the slow reference the fast paths must agree with.
+"""
+
+import random
+from itertools import product
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cirquent import cirquents as cq
+from cirquent import games as gm
+from cirquent.games import BOT, TOP, Labmove
+from cirquent.harness import CirquentArena, RandomEnv, _addresses, _game_candidates, play
+from cirquent.strategies import cirquent_strategy_factories
+from test_acceptance import CASES, STANDARD, _random_game, _random_run, load_proof
+
+# criterion 7's interpretation
+GRID_INTERP = {
+    "E": STANDARD["relay"], "F": STANDARD["ladder"],
+    "G": STANDARD["choice"], "H": STANDARD["relay"],
+}
+JUNK = ["zz", "0.zz", ".q", "1.", "x.q", ""]
+
+
+# ------------------------------------------------------------ formula games
+
+
+def oracle_first_offender(g, run):
+    for i in range(len(run)):
+        if not gm.legal(g, run[: i + 1]):
+            return run[i].label
+    return None
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_legal_extension_matches_whole_run_legality(seed):
+    rng = random.Random(seed)
+    g = _random_game(rng, rng.randrange(1, 4))
+    run = _random_run(rng, g)
+    for i in range(len(run) + 1):
+        prefix = run[:i]
+        if not gm.legal(g, prefix):
+            break
+        for player in (TOP, BOT):
+            for m in sorted(_game_candidates(g, prefix, player, limit=2)) + JUNK:
+                lm = Labmove(player, m)
+                assert gm.legal_extension(g, prefix, lm) == gm.legal(g, prefix + (lm,)), (
+                    g, prefix, lm)
+
+
+def test_first_offender_matches_prefix_scan():
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        g = _random_game(rng, rng.randrange(1, 4))
+        run = _random_run(rng, g)
+        assert gm.first_offender(g, run) == oracle_first_offender(g, run), (g, run)
+
+
+# ---------------------------------------------------------------- cirquents
+
+
+def oracle_cirquent_legal(c, interp, run, cap=100_000):
+    """Every member on every class vector of every overgroup's addresses."""
+    n = len(c.overgroups)
+    parsed = [cq.parse_move(n, lm.move) for lm in run]
+    if any(mv is None or not cq.respects_membership(c, mv) for mv in parsed):
+        return False
+    used = [{mv.slots[j] for mv in parsed} for j in range(n)]
+    vectors = list(product(*(gm.thread_classes(u) for u in used)))
+    assert len(vectors) <= cap
+    games = [gm.of_formula(f, interp) for f in c.oformulas]
+    return all(
+        gm.legal(games[a - 1], cq.project_member(c, run, a, vec))
+        for a in range(1, c.width + 1)
+        for vec in vectors
+    )
+
+
+def oracle_candidates(c, interp, run, player, limit=1):
+    games = [gm.of_formula(f, interp) for f in c.oformulas]
+    cands = set()
+    for a in range(1, c.width + 1):
+        options = [_addresses(limit) if a in group else [""] for group in c.overgroups]
+        for slots in product(*options):
+            proj = cq.project_member(c, run, a, slots)
+            for m in _game_candidates(games[a - 1], proj, player, limit):
+                cands.add(cq.format_move(cq.CirquentMove(a, slots, m)))
+    return sorted(cands)
+
+
+def oracle_frontier(c, interp, run, player, limit=1):
+    """The candidate filter that judges `run + (lm,)` whole for each move."""
+    return [
+        m for m in oracle_candidates(c, interp, run, player, limit)
+        if oracle_cirquent_legal(c, interp, run + (Labmove(player, m),))
+    ]
+
+
+def oracle_cirquent_offender(c, interp, run):
+    for i in range(len(run)):
+        if not oracle_cirquent_legal(c, interp, run[: i + 1]):
+            return run[i].label
+    return None
+
+
+def oracle_cirquent_winner(c, interp, run):
+    off = oracle_cirquent_offender(c, interp, run)
+    if off is not None:
+        return off.other
+    n = len(c.overgroups)
+    parsed = [cq.parse_move(n, lm.move) for lm in run]
+    used = [{mv.slots[j] for mv in parsed} for j in range(n)]
+    games = [gm.of_formula(f, interp) for f in c.oformulas]
+    for group in c.undergroups:
+        for vec in product(*(gm.thread_classes(u) for u in used)):
+            if not any(
+                gm.winner(games[a - 1], cq.project_member(c, run, a, vec)) is TOP
+                for a in group
+            ):
+                return BOT
+    return TOP
+
+
+def _grid_runs(seeds=2):
+    """(step, cirquent, arena, run) for criterion 7's plays on every proof
+    step of the corpus."""
+    for name in CASES:
+        pairs = cirquent_strategy_factories(load_proof(name))
+        for k, (c, factory) in enumerate(pairs, start=1):
+            arena = CirquentArena(c, GRID_INTERP)
+            for seed in range(seeds):
+                env = RandomEnv(seed=seed, max_moves=4)
+                yield (name, k), c, arena, play(factory(), env, arena, budget=48).run
+
+
+def test_cirquent_frontier_matches_whole_run_filter():
+    steps, checked = set(), 0
+    for step, c, arena, run in _grid_runs():
+        steps.add(step)
+        for i in range(len(run) + 1):
+            prefix = run[:i]
+            legal = oracle_cirquent_legal(c, GRID_INTERP, prefix)
+            assert cq.legal(c, GRID_INTERP, prefix) == legal, (c, prefix)
+            for player in (TOP, BOT):
+                want = oracle_frontier(c, GRID_INTERP, prefix, player)
+                assert arena.frontier(prefix, player) == want, (c, prefix, player)
+                if legal:
+                    cands = oracle_candidates(c, GRID_INTERP, prefix, player) + ["junk"]
+                    got = cq.legal_extensions(c, GRID_INTERP, prefix, player, cands)
+                    assert got == want, (c, prefix, player)
+                    checked += 1
+    assert len(steps) == 69
+    assert checked > 1000
+
+
+def test_cirquent_offender_and_winner_match_whole_run_oracles():
+    rng = random.Random(7)
+    for _, c, arena, run in _grid_runs():
+        runs = [run]
+        if run:
+            # the same run with one move handed to the other player
+            i = rng.randrange(len(run))
+            runs.append(run[:i] + (Labmove(run[i].label.other, run[i].move),) + run[i + 1:])
+        for r in runs:
+            for i in range(len(r) + 1):
+                prefix = r[:i]
+                assert arena.offender(prefix) == oracle_cirquent_offender(
+                    c, GRID_INTERP, prefix), (c, prefix)
+                assert arena.winner(prefix) == oracle_cirquent_winner(
+                    c, GRID_INTERP, prefix), (c, prefix)
