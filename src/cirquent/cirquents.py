@@ -6,7 +6,8 @@ A move has the form `a;u1,...,un.rest`: oformula index, one address bitstring
 per overgroup, and a move of the indexed oformula's game.  Bitstrings for
 overgroups not containing the oformula must be empty.
 Legality is prefix-closed, and a new move changes only its own oformula's
-copies whose addresses it covers, so `legal_extensions` re-judges just those.
+copies whose addresses it covers, so `first_offender` re-judges just those,
+and `legal_moves` intersects the legal moves of just those copies.
 """
 
 from __future__ import annotations
@@ -299,19 +300,20 @@ def _covering_projections(
     run: Run,
     moves: list[CirquentMove],
     used: list[set[str]],
-    mv: CirquentMove,
+    index: int,
+    slots: tuple[str, ...],
     cap: int,
 ) -> set[Run]:
-    """What oformula `mv.index` saw of the legal `run` (parsed into `moves`,
-    addresses `used`) on each copy whose addresses cover `mv.slots`.  A move
-    `mv` can change only these runs; every other copy's run stays legal."""
-    per_slot = _slot_classes([u | {w} for u, w in zip(used, mv.slots)], cap)
+    """What oformula `index` saw of the legal `run` (parsed into `moves`,
+    addresses `used`) on each copy whose addresses cover `slots`.  A move
+    there can change only these runs; every other copy's run stays legal."""
+    per_slot = _slot_classes([u | {w} for u, w in zip(used, slots)], cap)
     covering = [
-        [s for s in cl if gm.covers(s, w)] for cl, w in zip(per_slot, mv.slots)
+        [s for s in cl if gm.covers(s, w)] for cl, w in zip(per_slot, slots)
     ]
     return {
-        project_parsed(run, moves, mv.index, vec)
-        for vec in _member_vectors(c, mv.index, covering)
+        project_parsed(run, moves, index, vec)
+        for vec in _member_vectors(c, index, covering)
     }
 
 
@@ -322,36 +324,39 @@ def _extends(games: list[gm.Game], projections: set[Run], lm: Labmove,
     return all(gm.legal_extension(game, proj, inner) for proj in projections)
 
 
-def legal_extensions(
+def legal_moves(
     c: Cirquent,
     interp: Mapping[str, gm.GameNode],
     run: Run,
     player: Player,
-    candidates: list[str],
+    limit: int,
     cap: int = 100_000,
     *,
     games: list[gm.Game] | None = None,
-) -> list[str]:
-    """The candidate moves `player` can add to the legal `run` keeping it
-    legal, in the order given."""
+) -> set[str]:
+    """The moves `player` can add to the legal `run`, with copy addresses of
+    at most `limit` bits in every overgroup and inside every oformula."""
     moves = parse_moves(c, run)
-    if None in moves:
-        return []
     games = games if games is not None else member_games(c, interp)
     used = _used(c, moves)
-    n = len(c.overgroups)
-    # candidates sharing an oformula and addresses share their projections
-    projections: dict[tuple[int, tuple[str, ...]], set[Run]] = {}
-    out = []
-    for m in candidates:
-        mv = parse_move(n, m)
-        if mv is None or not respects_membership(c, mv):
-            continue
-        key = (mv.index, mv.slots)
-        if key not in projections:
-            projections[key] = _covering_projections(c, run, moves, used, mv, cap)
-        if _extends(games, projections[key], Labmove(player, m), mv):
-            out.append(m)
+    addresses = gm.addresses(limit)
+    memo: dict[tuple[int, Run], set[str]] = {}
+
+    def copy_moves(a: int, proj: Run) -> set[str]:
+        if (a, proj) not in memo:
+            memo[a, proj] = gm.legal_moves(games[a - 1], proj, player, limit)
+        return memo[a, proj]
+
+    out: set[str] = set()
+    for a in range(1, c.width + 1):
+        slot_options = [addresses if a in group else [""] for group in c.overgroups]
+        for slots in product(*slot_options):
+            # as in games.legal_moves: start from the copy the slots name
+            found = copy_moves(a, project_parsed(run, moves, a, slots))
+            if found:
+                for proj in _covering_projections(c, run, moves, used, a, slots, cap):
+                    found = found & copy_moves(a, proj)
+                out.update(format_move(CirquentMove(a, slots, m)) for m in found)
     return out
 
 
@@ -368,7 +373,9 @@ def first_offender(
     used: list[set[str]] = [set() for _ in c.overgroups]
     for i, (lm, mv) in enumerate(zip(run, moves)):
         if mv is None or not _extends(
-            games, _covering_projections(c, run[:i], moves[:i], used, mv, cap), lm, mv
+            games,
+            _covering_projections(c, run[:i], moves[:i], used, mv.index, mv.slots, cap),
+            lm, mv,
         ):
             return lm.label
         for u, w in zip(used, mv.slots):

@@ -187,6 +187,8 @@ def cmd_corpus(args) -> int:
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, gm.GameError,
             *PARSE_ERRORS) as e:
         raise CliError(f"{root}: {e}")
+    if not reports:
+        raise CliError(f"no corpus cases under {root}")
     for r in reports:
         print(r.line())
     bad = sum(not r.ok for r in reports)

@@ -30,18 +30,16 @@ def fusions(parts: list[str] | tuple[str, ...], cap: int = 4096) -> tuple[str, .
         _check_bits(p, "fusion input")
     # minimal length covering the last forced position of every input
     length = max((n * (len(p) - 1) + i + 1 for i, p in enumerate(parts) if p), default=0)
-    forced: list[str | None] = []
-    for pos in range(length):
-        i, j = pos % n, pos // n
-        forced.append(parts[i][j] if j < len(parts[i]) else None)
-    free = forced.count(None)
+    # a template with one %s per free position
+    template = "".join(
+        parts[pos % n][pos // n] if pos // n < len(parts[pos % n]) else "%s"
+        for pos in range(length)
+    )
+    free = template.count("%s")
     if 2 ** free > cap:
         raise FusionCapExceeded(f"{free} free positions exceed cap {cap}")
-    out = []
-    for bits in product("01", repeat=free):
-        it = iter(bits)
-        out.append("".join(c if c is not None else next(it) for c in forced))
-    return tuple(sorted(out))
+    # product() counts up in binary, so the words come out sorted
+    return tuple(template % bits for bits in product("01", repeat=free))
 
 
 def defusion(z: str, n: int) -> tuple[str, ...]:

@@ -7,6 +7,9 @@ two branching-repetition operations, where a move prefixed with a bitstring
 acts in every copy whose address extends that bitstring.
 Legality is prefix-closed, and a new move changes only the threads whose
 addresses it covers, so `legal_extension` re-judges just those threads.
+For the same reason a move at copy address w is legal exactly when it is
+legal in every thread through w, so `legal_moves` finds the whole frontier
+in one walk, intersecting the moves of those threads.
 """
 
 from __future__ import annotations
@@ -322,6 +325,17 @@ def thread_classes(used: Iterable[str]) -> list[str]:
     return list(_thread_classes(tuple(sorted(set(used)))))
 
 
+def threads_through(used: Iterable[str], w: str) -> list[str]:
+    """One stem per class of the copies whose addresses extend w.
+
+    Those copies all contain the used addresses that are prefixes of w, so
+    they differ only in the used addresses that extend w.
+    """
+    n = len(w)
+    below = [u[n:] for u in used if len(u) > n and u.startswith(w)]
+    return [w + stem for stem in thread_classes(below)]
+
+
 @lru_cache(maxsize=65536)
 def _thread_classes(used: tuple[str, ...]) -> tuple[str, ...]:
     closure = {""}
@@ -399,13 +413,57 @@ def legal_extension(g: Game, run: Run, lm: Labmove) -> bool:
         if parts is None:
             return False
         w, rest = parts
-        used = [split_address(x.move)[0] for x in run] + [w]
+        used = [split_address(x.move)[0] for x in run]
         inner = Labmove(lm.label, rest)
         return all(
             legal_extension(g.sub, project_thread(run, stem), inner)
-            for stem in thread_classes(used)
-            if covers(stem, w)
+            for stem in threads_through(used, w)
         )
+    raise TypeError(f"not a game: {g!r}")
+
+
+def addresses(limit: int) -> list[str]:
+    """Every bitstring of at most `limit` bits, shortest first."""
+    out = [""]
+    frontier = [""]
+    for _ in range(limit):
+        frontier = [w + b for w in frontier for b in "01"]
+        out.extend(frontier)
+    return out
+
+
+def legal_moves(g: Game, run: Run, player: Player, limit: int) -> set[str]:
+    """The moves `player` can add to the legal `run`, with copy addresses of
+    at most `limit` bits at every level."""
+    if isinstance(g, Tree):
+        node = walk(g.root, run)
+        return {m for lab, m, _ in node.edges if lab is player}
+    if isinstance(g, Neg):
+        return legal_moves(g.sub, negate_run(run), player.other, limit)
+    if isinstance(g, (Conj, Disj)):
+        left = legal_moves(g.left, project_prefix(run, "0."), player, limit)
+        right = legal_moves(g.right, project_prefix(run, "1."), player, limit)
+        return {"0." + m for m in left} | {"1." + m for m in right}
+    if isinstance(g, (Rep, Corep)):
+        used = [split_address(lm.move)[0] for lm in run]
+        memo: dict[Run, set[str]] = {}
+
+        def thread_moves(stem: str) -> set[str]:
+            proj = project_thread(run, stem)
+            if proj not in memo:
+                memo[proj] = legal_moves(g.sub, proj, player, limit)
+            return memo[proj]
+
+        out: set[str] = set()
+        for w in addresses(limit):
+            # the copy w000... is one thread through w; the others are
+            # looked up only when it leaves some move to check
+            moves = thread_moves(w)
+            if moves:
+                for stem in threads_through(used, w):
+                    moves = moves & thread_moves(stem)
+                out.update(w + "." + m for m in moves)
+        return out
     raise TypeError(f"not a game: {g!r}")
 
 

@@ -29,36 +29,6 @@ class CapExceeded(RuntimeError):
     pass
 
 
-def _addresses(limit: int) -> list[str]:
-    out = [""]
-    frontier = [""]
-    for _ in range(limit):
-        frontier = [w + b for w in frontier for b in "01"]
-        out.extend(frontier)
-    return out
-
-
-def _game_candidates(g: gm.Game, run: Run, player: Player, limit: int) -> set[str]:
-    if isinstance(g, gm.Tree):
-        node = gm.walk(g.root, run)
-        if node is None:
-            return set()
-        return {m for lab, m, _ in node.edges if lab is player}
-    if isinstance(g, gm.Neg):
-        return _game_candidates(g.sub, gm.negate_run(run), player.other, limit)
-    if isinstance(g, (gm.Conj, gm.Disj)):
-        left = _game_candidates(g.left, gm.project_prefix(run, "0."), player, limit)
-        right = _game_candidates(g.right, gm.project_prefix(run, "1."), player, limit)
-        return {"0." + m for m in left} | {"1." + m for m in right}
-    if isinstance(g, (gm.Rep, gm.Corep)):
-        out: set[str] = set()
-        for w in _addresses(limit):
-            sub = _game_candidates(g.sub, gm.project_thread(run, w), player, limit)
-            out.update(w + "." + m for m in sub)
-        return out
-    raise TypeError(f"not a game: {g!r}")
-
-
 @dataclass
 class FormulaArena:
     game: gm.Game
@@ -75,10 +45,7 @@ class FormulaArena:
     def frontier(self, run: Run, player: Player, limit: int = 2) -> list[str]:
         if not self.legal(run):
             return []
-        cands = _game_candidates(self.game, run, player, limit)
-        return sorted(
-            m for m in cands if gm.legal_extension(self.game, run, Labmove(player, m))
-        )
+        return sorted(gm.legal_moves(self.game, run, player, limit))
 
 
 @dataclass
@@ -102,23 +69,10 @@ class CirquentArena:
         return cq.legal(self.cirquent, self.interp, run, self.cap, games=self.games)
 
     def frontier(self, run: Run, player: Player, limit: int = 1) -> list[str]:
-        from itertools import product
-
-        c = self.cirquent
         if not self.legal(run):
             return []
-        moves = cq.parse_moves(c, run)
-        cands: set[str] = set()
-        for a in range(1, c.width + 1):
-            slot_options = [
-                _addresses(limit) if a in group else [""] for group in c.overgroups
-            ]
-            for slots in product(*slot_options):
-                proj = cq.project_parsed(run, moves, a, slots)
-                for m in _game_candidates(self.games[a - 1], proj, player, limit):
-                    cands.add(cq.format_move(cq.CirquentMove(a, slots, m)))
-        return cq.legal_extensions(c, self.interp, run, player, sorted(cands),
-                                   self.cap, games=self.games)
+        return sorted(cq.legal_moves(self.cirquent, self.interp, run, player, limit,
+                                     self.cap, games=self.games))
 
 
 # ------------------------------------------------------------ environments

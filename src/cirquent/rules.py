@@ -11,7 +11,7 @@ building direction); each is written independently of the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Union, get_args
 
 from . import formulas as fm
 from .cirquents import (
@@ -118,22 +118,7 @@ RuleApp = Union[
     CorecIntro,
 ]
 
-RULE_NAMES: dict[type, str] = {
-    Axiom: "Axiom",
-    UnderExchange: "UnderExchange",
-    OformulaExchange: "OformulaExchange",
-    OverExchange: "OverExchange",
-    Weakening: "Weakening",
-    Contraction: "Contraction",
-    UnderDuplication: "UnderDuplication",
-    OverDuplication: "OverDuplication",
-    Merging: "Merging",
-    DisjIntro: "DisjIntro",
-    ConjIntro: "ConjIntro",
-    RecIntro: "RecIntro",
-    CorecIntro: "CorecIntro",
-}
-RULES_BY_NAME = {name: cls for cls, name in RULE_NAMES.items()}
+RULES_BY_NAME = {cls.__name__: cls for cls in get_args(RuleApp)}
 
 
 def axiom_conclusion(formulas: tuple[fm.Formula, ...]) -> Cirquent:
@@ -166,6 +151,13 @@ def _shift_up(group: frozenset[int], at: int) -> frozenset[int]:
 def _shift_down(group: frozenset[int], removed: int) -> frozenset[int]:
     """Renumber after deleting the oformula at index `removed`."""
     return frozenset(i - 1 if i > removed else i for i in group)
+
+
+def _expand(group: frozenset[int], a: int) -> frozenset[int]:
+    """Renumber after oformula `a` becomes the two oformulas `a`, `a + 1`,
+    both in every group that held `a`."""
+    base = _shift_up(group, a + 1)
+    return base | {a, a + 1} if a in group else base
 
 
 def _oformula(c: Cirquent, a: int) -> fm.Formula:
@@ -235,14 +227,10 @@ def premise_of(conclusion: Cirquent, app: RuleApp) -> Cirquent:
             raise RuleError(f"contraction needs a '?' oformula at {a}")
         ofs = c.oformulas[: a - 1] + (f, f) + c.oformulas[a:]
 
-        def expand(g: frozenset[int]) -> frozenset[int]:
-            base = _shift_up(g, a + 1)
-            return base | {a, a + 1} if a in g else base
-
         p = Cirquent(
             ofs,
-            tuple(expand(g) for g in c.undergroups),
-            tuple(expand(g) for g in c.overgroups),
+            tuple(_expand(g, a) for g in c.undergroups),
+            tuple(_expand(g, a) for g in c.overgroups),
         )
 
     elif isinstance(app, UnderDuplication):
@@ -292,14 +280,10 @@ def premise_of(conclusion: Cirquent, app: RuleApp) -> Cirquent:
             raise RuleError(f"disjunction introduction needs a '|' oformula at {a}")
         ofs = c.oformulas[: a - 1] + (f.left, f.right) + c.oformulas[a:]
 
-        def expand(g: frozenset[int]) -> frozenset[int]:
-            base = _shift_up(g, a + 1)
-            return base | {a, a + 1} if a in g else base
-
         p = Cirquent(
             ofs,
-            tuple(expand(g) for g in c.undergroups),
-            tuple(expand(g) for g in c.overgroups),
+            tuple(_expand(g, a) for g in c.undergroups),
+            tuple(_expand(g, a) for g in c.overgroups),
         )
 
     elif isinstance(app, ConjIntro):
@@ -309,10 +293,6 @@ def premise_of(conclusion: Cirquent, app: RuleApp) -> Cirquent:
             raise RuleError(f"conjunction introduction needs a '&' oformula at {a}")
         ofs = c.oformulas[: a - 1] + (f.left, f.right) + c.oformulas[a:]
 
-        def expand(g: frozenset[int]) -> frozenset[int]:
-            base = _shift_up(g, a + 1)
-            return base | {a, a + 1} if a in g else base
-
         under: list[frozenset[int]] = []
         for g in c.undergroups:
             if a in g:
@@ -321,7 +301,7 @@ def premise_of(conclusion: Cirquent, app: RuleApp) -> Cirquent:
                 under.append(base | {a + 1})
             else:
                 under.append(_shift_up(g, a + 1))
-        p = Cirquent(ofs, tuple(under), tuple(expand(g) for g in c.overgroups))
+        p = Cirquent(ofs, tuple(under), tuple(_expand(g, a) for g in c.overgroups))
 
     elif isinstance(app, RecIntro):
         a = app.oformula
@@ -674,7 +654,7 @@ def _app_from_fields(name: str, params: dict) -> RuleApp:
 def format_proof(proof: Proof) -> str:
     lines = []
     for i, step in enumerate(proof, start=1):
-        name = RULE_NAMES[type(step.app)]
+        name = type(step.app).__name__
         lines.append(f"step {i} {{")
         lines.append(f"  rule: {name};")
         lines.append(f"  params: {_format_params(step.app)};")

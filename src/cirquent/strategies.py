@@ -123,50 +123,38 @@ def _split_inner(mv: CirquentMove) -> tuple[str, str] | None:
     return split_address(mv.inner)
 
 
-class _Identity(Translated):
-    pass
+class _Swap(Translated):
+    """Exchanges two adjacent positions of a move; the exchange is its own
+    inverse, so both directions apply `_map`."""
 
-
-class _OformulaSwap(Translated):
     def __init__(self, inner: Transducer, n: int, pos: int):
         super().__init__(inner)
         self.n, self.pos = n, pos
 
-    def _map(self, move: str) -> list[str]:
+    def _map(self, mv: CirquentMove) -> str:
+        raise NotImplementedError
+
+    def env_to_sim(self, move: str) -> list[str]:
         mv = parse_move(self.n, move)
-        if mv is None:
-            return []
+        return [] if mv is None else [self._map(mv)]
+
+    def sim_to_real(self, move: str) -> list[str]:
+        mv = parse_move(self.n, move)
+        return [move] if mv is None else [self._map(mv)]
+
+
+class _OformulaSwap(_Swap):
+    def _map(self, mv: CirquentMove) -> str:
         a = mv.index
         b = self.pos + 1 if a == self.pos else self.pos if a == self.pos + 1 else a
-        return [_reslot(mv, mv.slots, index=b)]
-
-    def env_to_sim(self, move: str) -> list[str]:
-        return self._map(move)
-
-    def sim_to_real(self, move: str) -> list[str]:
-        out = self._map(move)
-        return out if out else [move]
+        return _reslot(mv, mv.slots, index=b)
 
 
-class _OverSwap(Translated):
-    def __init__(self, inner: Transducer, n: int, pos: int):
-        super().__init__(inner)
-        self.n, self.pos = n, pos
-
-    def _map(self, move: str) -> list[str]:
-        mv = parse_move(self.n, move)
-        if mv is None:
-            return []
+class _OverSwap(_Swap):
+    def _map(self, mv: CirquentMove) -> str:
         s = list(mv.slots)
         s[self.pos - 1], s[self.pos] = s[self.pos], s[self.pos - 1]
-        return [_reslot(mv, tuple(s))]
-
-    def env_to_sim(self, move: str) -> list[str]:
-        return self._map(move)
-
-    def sim_to_real(self, move: str) -> list[str]:
-        out = self._map(move)
-        return out if out else [move]
+        return _reslot(mv, tuple(s))
 
 
 class _WeakeningDrop(Translated):
@@ -523,14 +511,14 @@ def transform(app: RuleApp, conclusion: Cirquent, inner: Transducer) -> Transduc
     n = len(conclusion.overgroups)
 
     if isinstance(app, (rl.UnderExchange, rl.UnderDuplication)):
-        return _Identity(inner)
+        return Translated(inner)
     if isinstance(app, rl.OformulaExchange):
         return _OformulaSwap(inner, n, app.pos)
     if isinstance(app, rl.OverExchange):
         return _OverSwap(inner, n, app.pos)
     if isinstance(app, rl.Weakening):
         if premise.width == conclusion.width:
-            return _Identity(inner)
+            return Translated(inner)
         a = app.oformula
         dropped_slots = tuple(
             j for j, g in enumerate(conclusion.overgroups) if g == frozenset({a})
@@ -608,7 +596,7 @@ def compile_proof(proof: rl.Proof) -> CompiledStrategy:
             "formula": fm.format_formula(formula),
             "steps": [
                 {
-                    "rule": rl.RULE_NAMES[type(s.app)],
+                    "rule": type(s.app).__name__,
                     "params": rl._format_params(s.app),
                 }
                 for s in proof

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from cirquent import cirquents as cqm
+from cirquent import games as gm
 from cirquent import rules as R
 from cirquent.cirquents import CirquentMove, format_move
 from cirquent.formulas import atoms_of, format_formula, parse_formula
@@ -27,7 +28,9 @@ from cirquent.games import (
     Disj,
     Labmove,
     Neg,
+    Player,
     Rep,
+    Run,
     Tree,
     first_offender,
     is_static_bounded,
@@ -45,7 +48,6 @@ from cirquent.harness import (
     FormulaArena,
     RandomEnv,
     SpoilerEnv,
-    _game_candidates,
     exhaustive_env_check,
     play,
 )
@@ -213,6 +215,7 @@ def test_criterion_02_fusion_examples_and_oracle():
         for b in words(6):
             got = fusions((a, b))
             assert set(got) == _interleaving_oracle((a, b)), (a, b)
+            assert list(got) == sorted(got), (a, b)
             for w in got:
                 back = defusion(w, 2)
                 assert back[0].startswith(a) and back[1].startswith(b)
@@ -222,9 +225,12 @@ def test_criterion_02_fusion_examples_and_oracle():
             for c in words(4):
                 got = fusions((a, b, c))
                 assert set(got) == _interleaving_oracle((a, b, c)), (a, b, c)
+                assert list(got) == sorted(got), (a, b, c)
                 checked += 1
     for parts in itertools.product(words(3), repeat=4):
-        assert set(fusions(parts)) == _interleaving_oracle(parts), parts
+        got = fusions(parts)
+        assert set(got) == _interleaving_oracle(parts), parts
+        assert list(got) == sorted(got), parts
         checked += 1
     elapsed = time.monotonic() - t0
     assert checked > 90_000
@@ -268,6 +274,29 @@ def _random_game(rng: random.Random, depth: int):
     if op == 4:
         return Rep(_random_game(rng, depth - 1))
     return Corep(_random_game(rng, depth - 1))
+
+
+def _game_candidates(g: gm.Game, run: Run, player: Player, limit: int) -> set[str]:
+    """Every move the game trees offer `player` after `run`, whether legal or
+    not: the candidates the legal-move oracles filter."""
+    if isinstance(g, gm.Tree):
+        node = gm.walk(g.root, run)
+        if node is None:
+            return set()
+        return {m for lab, m, _ in node.edges if lab is player}
+    if isinstance(g, gm.Neg):
+        return _game_candidates(g.sub, gm.negate_run(run), player.other, limit)
+    if isinstance(g, (gm.Conj, gm.Disj)):
+        left = _game_candidates(g.left, gm.project_prefix(run, "0."), player, limit)
+        right = _game_candidates(g.right, gm.project_prefix(run, "1."), player, limit)
+        return {"0." + m for m in left} | {"1." + m for m in right}
+    if isinstance(g, (gm.Rep, gm.Corep)):
+        out: set[str] = set()
+        for w in gm.addresses(limit):
+            sub = _game_candidates(g.sub, gm.project_thread(run, w), player, limit)
+            out.update(w + "." + m for m in sub)
+        return out
+    raise TypeError(f"not a game: {g!r}")
 
 
 def _random_run(rng: random.Random, g) -> tuple:

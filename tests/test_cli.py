@@ -170,7 +170,7 @@ def test_repl_session():
 # Paths are relative to the repository root, where `cli` runs. `{bin}` is a
 # file that is not UTF-8, `{bad_proof}` a proof with a syntax error,
 # `{bad_lib}` a broken game library, `{bad_corpus}` a corpus whose one case
-# has an unreadable expect.json.
+# has an unreadable expect.json, `{empty}` an empty directory.
 ELIM = ["corpus/brec_elim/proof.cl15", "--atoms", "corpus/brec_elim/atoms.game"]
 MALFORMED = [
     (["check", "{bin}"], 2),
@@ -191,6 +191,8 @@ MALFORMED = [
     (["defuse", "012", "--n", "2"], 2),
     (["defuse", "0101", "--n", "0"], 2),
     (["corpus", "{bad_corpus}"], 2),
+    (["corpus", "{empty}"], 2),
+    (["corpus", "corpus/atoms"], 2),
     (["repl", "--formula", "F &", *ELIM[1:]], 2),
     (["repl", "--formula", "F", "--atoms", "{bad_lib}"], 2),
 ]
@@ -206,8 +208,9 @@ def malformed_files(tmp_path_factory):
     case.mkdir(parents=True)
     (case / "proof.cl15").write_text(PROOF.read_text())
     (case / "expect.json").write_text("{bad")
+    (d / "empty").mkdir()
     return {"bin": d / "bin", "bad_proof": d / "bad.cl15",
-            "bad_lib": d / "bad.game", "bad_corpus": d / "corpus"}
+            "bad_lib": d / "bad.game", "bad_corpus": d / "corpus", "empty": d / "empty"}
 
 
 @pytest.mark.parametrize("args, code", MALFORMED,

@@ -14,9 +14,16 @@ from hypothesis import strategies as st
 from cirquent import cirquents as cq
 from cirquent import games as gm
 from cirquent.games import BOT, TOP, Labmove
-from cirquent.harness import CirquentArena, RandomEnv, _addresses, _game_candidates, play
+from cirquent.harness import CirquentArena, FormulaArena, RandomEnv, play
 from cirquent.strategies import cirquent_strategy_factories
-from test_acceptance import CASES, STANDARD, _random_game, _random_run, load_proof
+from test_acceptance import (
+    CASES,
+    STANDARD,
+    _game_candidates,
+    _random_game,
+    _random_run,
+    load_proof,
+)
 
 # criterion 7's interpretation
 GRID_INTERP = {
@@ -53,6 +60,35 @@ def test_legal_extension_matches_whole_run_legality(seed):
                     g, prefix, lm)
 
 
+def oracle_legal_moves(g, run, player, limit):
+    """The candidate filter that judges `run + (lm,)` whole for each move."""
+    return sorted(
+        m for m in _game_candidates(g, run, player, limit)
+        if gm.legal(g, run + (Labmove(player, m),))
+    )
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_formula_frontier_matches_candidate_filter(seed):
+    rng = random.Random(seed)
+    g = _random_game(rng, rng.randrange(1, 4))
+    arena = FormulaArena(g)
+    run = _random_run(rng, g)
+    for i in range(len(run) + 1):
+        prefix = run[:i]
+        legal = gm.legal(g, prefix)
+        for player, limit in product((TOP, BOT), (1, 2)):
+            got = arena.frontier(prefix, player, limit)
+            if not legal:
+                assert got == [], (g, prefix, player, limit)
+                continue
+            want = oracle_legal_moves(g, prefix, player, limit)
+            assert sorted(gm.legal_moves(g, prefix, player, limit)) == want, (
+                g, prefix, player, limit)
+            assert got == want, (g, prefix, player, limit)
+
+
 def test_first_offender_matches_prefix_scan():
     rng = random.Random(20261018)
     for _ in range(3000):
@@ -85,7 +121,7 @@ def oracle_candidates(c, interp, run, player, limit=1):
     games = [gm.of_formula(f, interp) for f in c.oformulas]
     cands = set()
     for a in range(1, c.width + 1):
-        options = [_addresses(limit) if a in group else [""] for group in c.overgroups]
+        options = [gm.addresses(limit) if a in group else [""] for group in c.overgroups]
         for slots in product(*options):
             proj = cq.project_member(c, run, a, slots)
             for m in _game_candidates(games[a - 1], proj, player, limit):
@@ -149,11 +185,7 @@ def test_cirquent_frontier_matches_whole_run_filter():
             for player in (TOP, BOT):
                 want = oracle_frontier(c, GRID_INTERP, prefix, player)
                 assert arena.frontier(prefix, player) == want, (c, prefix, player)
-                if legal:
-                    cands = oracle_candidates(c, GRID_INTERP, prefix, player) + ["junk"]
-                    got = cq.legal_extensions(c, GRID_INTERP, prefix, player, cands)
-                    assert got == want, (c, prefix, player)
-                    checked += 1
+                checked += bool(want)
     assert len(steps) == 69
     assert checked > 1000
 

@@ -6,6 +6,7 @@ written against the rule definitions separately, so the round-trip tests over
 the corpus proofs cross-validate them.
 """
 
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -185,3 +186,19 @@ def test_conclusion_formula_requires_a_club():
     assert R.conclusion_formula(proof) == parse_formula("(~F | ~F) | F")
     with pytest.raises(R.RuleError):
         R.conclusion_formula(proof[:-1])
+
+
+def test_build_corpus_reproduces_the_committed_corpus(tmp_path, monkeypatch):
+    # format_proof output feeds the corpus, so a change to the proof text
+    # (a rule name, a parameter layout) shows up here as drift
+    script = CORPUS.parent / "scripts" / "build_corpus.py"
+    spec = importlib.util.spec_from_file_location("build_corpus", script)
+    build_corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(build_corpus)
+    monkeypatch.setattr(build_corpus, "CORPUS", tmp_path)
+    build_corpus.main()
+    built = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
+    committed = sorted(p.relative_to(CORPUS) for p in CORPUS.rglob("*") if p.is_file())
+    assert built == committed
+    for rel in built:
+        assert (tmp_path / rel).read_bytes() == (CORPUS / rel).read_bytes(), rel
