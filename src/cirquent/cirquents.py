@@ -15,11 +15,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Mapping
 
 from . import formulas as fm
 from . import games as gm
 from .games import BOT, TOP, Labmove, Player, Run
+from .reader import Reader
 
 
 class CirquentError(ValueError):
@@ -69,72 +71,45 @@ def club(f: fm.Formula) -> Cirquent:
 #
 # cirquent { oformulas: ["~F", "F"]; under: [[1, 2]]; over: [[1, 2]] }
 #
-# The reader below also serves the proof file format, so it handles nested
-# blocks, lists, strings, integers, and bare words generically.
-
-_BLOCK_TOKEN = re.compile(r'\s*("[^"\n]*"|-?\d+|[A-Za-z_][A-Za-z0-9_]*|[{}\[\]:;,])')
+# `value` and `mapping_body` also read the proof file format, so they handle
+# nested blocks, lists, strings, integers, and bare words generically.
 
 
-def tokenize_blocks(text: str) -> list[str]:
-    text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-    toks, i = [], 0
-    while i < len(text):
-        m = _BLOCK_TOKEN.match(text, i)
-        if m is None:
-            if text[i:].strip():
-                raise CirquentError(f"bad character near {text[i:i+20]!r}")
-            break
-        toks.append(m.group(1))
-        i = m.end()
-    return toks
+def value(r: Reader):
+    """A list, a `{ ... }` mapping, a string, an integer or a bare word."""
+    tok, name, num, string = r.take()
+    if tok == "[":
+        items = []
+        while r.peek() != "]":
+            items.append(value(r))
+            if r.peek() == ",":
+                r.take()
+        r.take("]")
+        return items
+    if tok == "{":
+        return mapping_body(r)
+    if string:
+        return string[1:-1]
+    if num:
+        return int(num)
+    if name:
+        return name
+    raise CirquentError(f"unexpected token {tok!r}")
 
 
-class BlockReader:
-    def __init__(self, toks: list[str]):
-        self.toks = toks
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self, expect: str | None = None) -> str:
-        if self.pos >= len(self.toks):
-            raise CirquentError("unexpected end of input")
-        tok = self.toks[self.pos]
-        self.pos += 1
-        if expect is not None and tok != expect:
-            raise CirquentError(f"expected {expect!r}, got {tok!r}")
-        return tok
-
-    def value(self):
-        tok = self.take()
-        if tok == "[":
-            items = []
-            while self.peek() != "]":
-                items.append(self.value())
-                if self.peek() == ",":
-                    self.take()
-            self.take("]")
-            return items
-        if tok == "{":
-            return self.mapping_body()
-        if tok.startswith('"'):
-            return tok[1:-1]
-        if re.fullmatch(r"-?\d+", tok):
-            return int(tok)
-        return tok  # bare word
-
-    def mapping_body(self) -> dict:
-        # reads `key: value; ...` until the closing brace
-        out: dict = {}
-        while self.peek() != "}":
-            key = self.take()
-            self.take(":")
-            out[key] = self.value()
-            if self.peek() == ";":
-                self.take()
-        self.take("}")
-        return out
+def mapping_body(r: Reader) -> dict:
+    """`key: value; ...` up to and including the closing brace."""
+    out: dict = {}
+    while r.peek() != "}":
+        tok, key, _, _ = r.take()
+        if not key:
+            raise CirquentError(f"expected a field name, got {tok!r}")
+        r.take(":")
+        out[key] = value(r)
+        if r.peek() == ";":
+            r.take()
+    r.take("}")
+    return out
 
 
 def _cirquent_from_fields(fields: dict) -> Cirquent:
@@ -144,18 +119,19 @@ def _cirquent_from_fields(fields: dict) -> Cirquent:
         over = tuple(frozenset(g) for g in fields["over"])
     except (KeyError, TypeError) as e:
         raise CirquentError(f"malformed cirquent fields: {e}") from e
+    if not all(type(i) is int for g in under + over for i in g):
+        raise CirquentError("groups must list oformula indices")
     c = Cirquent(ofs, under, over)
     validate_cirquent(c)
     return c
 
 
 def parse_cirquent(text: str) -> Cirquent:
-    r = BlockReader(tokenize_blocks(text))
+    r = Reader(text, CirquentError)
     r.take("cirquent")
     r.take("{")
-    c = _cirquent_from_fields(r.mapping_body())
-    if r.peek() is not None:
-        raise CirquentError(f"trailing tokens: {r.toks[r.pos:]}")
+    c = _cirquent_from_fields(mapping_body(r))
+    r.end()
     return c
 
 
@@ -251,14 +227,17 @@ def _used(c: Cirquent, moves: list[CirquentMove]) -> list[set[str]]:
     return used
 
 
-def _slot_classes(used: list[set[str]], cap: int) -> list[list[str]]:
-    per_slot = [gm.thread_classes(u) for u in used]
-    total = 1
-    for cl in per_slot:
-        total *= len(cl)
+def _capped(options: list[list[str]], cap: int) -> list[list[str]]:
+    """`options`, one list per overgroup, once the vectors taking one entry
+    from each are known to number at most `cap`."""
+    total = prod(len(o) for o in options)
     if total > cap:
         raise ClassCapExceeded(f"{total} copy-address classes exceed cap {cap}")
-    return per_slot
+    return options
+
+
+def _slot_classes(used: list[set[str]], cap: int) -> list[list[str]]:
+    return _capped([gm.thread_classes(u) for u in used], cap)
 
 
 def _member_vectors(c: Cirquent, index: int, per_slot: list[list[str]]):
@@ -307,13 +286,13 @@ def _covering_projections(
     """What oformula `index` saw of the legal `run` (parsed into `moves`,
     addresses `used`) on each copy whose addresses cover `slots`.  A move
     there can change only these runs; every other copy's run stays legal."""
-    per_slot = _slot_classes([u | {w} for u, w in zip(used, slots)], cap)
     covering = [
-        [s for s in cl if gm.covers(s, w)] for cl, w in zip(per_slot, slots)
+        gm.threads_through(u, w) if index in group else [""]
+        for u, w, group in zip(used, slots, c.overgroups)
     ]
     return {
         project_parsed(run, moves, index, vec)
-        for vec in _member_vectors(c, index, covering)
+        for vec in product(*_capped(covering, cap))
     }
 
 

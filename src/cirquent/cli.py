@@ -60,11 +60,10 @@ def _read_library(path: str) -> dict[str, gm.GameNode]:
         raise CliError(f"{path}: {e}")
 
 
-def _interp_for(formula: fm.Formula, lib: dict[str, gm.GameNode]):
+def _require_atoms(formula: fm.Formula, lib: dict[str, gm.GameNode]) -> None:
     missing = sorted(fm.atoms_of(formula) - set(lib))
     if missing:
         raise CliError(f"library assigns no game to atoms: {', '.join(missing)}")
-    return lib
 
 
 def cmd_check(args) -> int:
@@ -100,7 +99,8 @@ def cmd_play(args) -> int:
         print(f"step {verdict.step}: {verdict.message}", file=sys.stderr)
         return EXIT_FAIL
     compiled = compile_proof(proof)
-    lib = _interp_for(compiled.formula, _read_library(args.atoms))
+    lib = _read_library(args.atoms)
+    _require_atoms(compiled.formula, lib)
     arena = hn.FormulaArena(gm.of_formula(compiled.formula, lib))
     if args.moves is not None:
         script = [m if m else None for m in args.moves.split(",")]
@@ -136,7 +136,8 @@ def cmd_eval(args) -> int:
     try:
         if args.formula is not None:
             f = fm.parse_formula(args.formula)
-            game = gm.of_formula(f, _interp_for(f, lib))
+            _require_atoms(f, lib)
+            game = gm.of_formula(f, lib)
             offender = gm.first_offender(game, run)
             won_by = gm.winner(game, run)
         else:
@@ -146,7 +147,7 @@ def cmd_eval(args) -> int:
                 text = _read_text(text)
             c = cq.parse_cirquent(text)
             for f in c.oformulas:
-                _interp_for(f, lib)
+                _require_atoms(f, lib)
             print(cq.diagram(c))
             offender = cq.first_offender(c, lib, run)
             won_by = cq.winner(c, lib, run)
@@ -212,7 +213,8 @@ def cmd_repl(args) -> int:
         f = fm.parse_formula(args.formula)
     except fm.FormulaError as e:
         raise CliError(str(e))
-    lib = _interp_for(f, _read_library(args.atoms))
+    lib = _read_library(args.atoms)
+    _require_atoms(f, lib)
     arena = hn.FormulaArena(gm.of_formula(f, lib))
     run: list[gm.Labmove] = []
 

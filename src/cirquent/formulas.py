@@ -8,9 +8,10 @@ binaries associate to the left.  Negation is stored on atoms only.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Union
+
+from .reader import Reader
 
 
 @dataclass(frozen=True)
@@ -71,87 +72,56 @@ def negate(f: Formula) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-_TOKEN = re.compile(r"\s*(->|[~!?&|()]|[A-Za-z_][A-Za-z0-9_]*)")
+def _implication(r: Reader) -> Formula:
+    f = _disjunction(r)
+    while r.peek() == "->":
+        r.take()
+        f = Or(negate(f), _disjunction(r))
+    return f
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    toks = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN.match(text, i)
-        if m is None:
-            # only whitespace may remain unmatched
-            if text[i:].strip():
-                bad = len(text) - len(text[i:].lstrip())
-                raise FormulaError(f"unexpected character {text[bad]!r} at {bad}")
-            break
-        toks.append((m.group(1), m.start(1)))
-        i = m.end()
-    return toks
+def _disjunction(r: Reader) -> Formula:
+    f = _conjunction(r)
+    while r.peek() == "|":
+        r.take()
+        f = Or(f, _conjunction(r))
+    return f
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.toks = _tokenize(text)
-        self.pos = 0
+def _conjunction(r: Reader) -> Formula:
+    f = _prefixed(r)
+    while r.peek() == "&":
+        r.take()
+        f = And(f, _prefixed(r))
+    return f
 
-    def peek(self) -> str | None:
-        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
 
-    def take(self) -> tuple[str, int]:
-        if self.pos >= len(self.toks):
-            raise FormulaError(f"unexpected end of input in {self.text!r}")
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def implication(self) -> Formula:
-        f = self.disjunction()
-        while self.peek() == "->":
-            self.take()
-            f = Or(negate(f), self.disjunction())
+def _prefixed(r: Reader) -> Formula:
+    tok, name, _, _ = r.take()
+    if tok == "~":
+        return negate(_prefixed(r))
+    if tok == "!":
+        return Brec(_prefixed(r))
+    if tok == "?":
+        return Cobrec(_prefixed(r))
+    if tok == "(":
+        f = _implication(r)
+        r.take(")")
         return f
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.peek() == "|":
-            self.take()
-            f = Or(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
-        f = self.prefixed()
-        while self.peek() == "&":
-            self.take()
-            f = And(f, self.prefixed())
-        return f
-
-    def prefixed(self) -> Formula:
-        tok, at = self.take()
-        if tok == "~":
-            return negate(self.prefixed())
-        if tok == "!":
-            return Brec(self.prefixed())
-        if tok == "?":
-            return Cobrec(self.prefixed())
-        if tok == "(":
-            f = self.implication()
-            tok2, at2 = self.take()
-            if tok2 != ")":
-                raise FormulaError(f"expected ')' at {at2} in {self.text!r}")
-            return f
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
-            return PosLiteral(tok)
-        raise FormulaError(f"unexpected token {tok!r} at {at} in {self.text!r}")
+    if name:
+        return PosLiteral(name)
+    raise FormulaError(f"unexpected token {tok!r}")
 
 
 def parse_formula(text: str) -> Formula:
-    p = _Parser(text)
-    f = p.implication()
-    if p.pos != len(p.toks):
-        tok, at = p.toks[p.pos]
-        raise FormulaError(f"trailing token {tok!r} at {at} in {text!r}")
+    if "#" in text:
+        raise FormulaError(f"formulas have no comments: {text!r}")
+    r = Reader(text, FormulaError)
+    try:
+        f = _implication(r)
+        r.end()
+    except FormulaError as e:
+        raise FormulaError(f"{e} in {text!r}") from None
     return f
 
 

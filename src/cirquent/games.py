@@ -21,6 +21,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from . import formulas as fm
+from .reader import Reader
 
 
 class Player(Enum):
@@ -108,24 +109,6 @@ def walk(node: GameNode, run: Run) -> GameNode | None:
     return node
 
 
-_GAME_TOKEN = re.compile(r'\s*(game|node|winner|->|[={}]|"[^"\n]*"|[⊤⊥TB]|[A-Za-z_][A-Za-z0-9_]*)')
-
-
-def _game_tokens(text: str) -> list[str]:
-    toks, i = [], 0
-    # strip # comments line by line first
-    text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-    while i < len(text):
-        m = _GAME_TOKEN.match(text, i)
-        if m is None:
-            if text[i:].strip():
-                raise GameError(f"bad character in game text near {text[i:i+20]!r}")
-            break
-        toks.append(m.group(1))
-        i = m.end()
-    return toks
-
-
 def _parse_player(tok: str) -> Player:
     if tok in ("⊤", "T"):
         return TOP
@@ -134,69 +117,51 @@ def _parse_player(tok: str) -> Player:
     raise GameError(f"expected a player label, got {tok!r}")
 
 
-class _GameReader:
-    def __init__(self, text: str):
-        self.toks = _game_tokens(text)
-        self.pos = 0
-
-    def take(self, expect: str | None = None) -> str:
-        if self.pos >= len(self.toks):
-            raise GameError("unexpected end of game text")
-        tok = self.toks[self.pos]
-        self.pos += 1
-        if expect is not None and tok != expect:
-            raise GameError(f"expected {expect!r}, got {tok!r}")
-        return tok
-
-    def peek(self) -> str | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def node(self) -> GameNode:
-        self.take("node")
-        self.take("winner")
-        self.take("=")
-        winner = _parse_player(self.take())
-        self.take("{")
-        edges = []
-        seen = set()
-        while self.peek() != "}":
-            label = _parse_player(self.take())
-            move_tok = self.take()
-            if not (move_tok.startswith('"') and move_tok.endswith('"')):
-                raise GameError(f"expected a quoted move, got {move_tok!r}")
-            move = move_tok[1:-1]
-            if not move:
-                raise GameError("empty move string in game tree")
-            if (label, move) in seen:
-                raise GameError(f"duplicate edge {label.value}:{move!r}")
-            seen.add((label, move))
-            self.take("->")
-            edges.append((label, move, self.node()))
-        self.take("}")
-        return GameNode(winner, tuple(edges))
+def _node(r: Reader) -> GameNode:
+    r.take("node")
+    r.take("winner")
+    r.take("=")
+    winner = _parse_player(r.take()[0])
+    r.take("{")
+    edges = []
+    seen = set()
+    while r.peek() != "}":
+        label = _parse_player(r.take()[0])
+        tok, _, _, string = r.take()
+        if not string:
+            raise GameError(f"expected a quoted move, got {tok!r}")
+        move = string[1:-1]
+        if not move:
+            raise GameError("empty move string in game tree")
+        if (label, move) in seen:
+            raise GameError(f"duplicate edge {label.value}:{move!r}")
+        seen.add((label, move))
+        r.take("->")
+        edges.append((label, move, _node(r)))
+    r.take("}")
+    return GameNode(winner, tuple(edges))
 
 
 def parse_game(text: str) -> GameNode:
-    r = _GameReader(text)
-    node = r.node()
-    if r.pos != len(r.toks):
-        raise GameError(f"trailing tokens in game text: {r.toks[r.pos:]}")
+    r = Reader(text, GameError)
+    node = _node(r)
+    r.end()
     return node
 
 
 def parse_game_library(text: str) -> dict[str, GameNode]:
     """A library is a sequence of `game NAME = node ...` entries."""
-    r = _GameReader(text)
+    r = Reader(text, GameError)
     lib: dict[str, GameNode] = {}
     while r.peek() is not None:
         r.take("game")
-        name = r.take()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
-            raise GameError(f"bad game name {name!r}")
+        tok, name, _, _ = r.take()
+        if not name:
+            raise GameError(f"bad game name {tok!r}")
         if name in lib:
             raise GameError(f"duplicate game name {name!r}")
         r.take("=")
-        lib[name] = r.node()
+        lib[name] = _node(r)
     return lib
 
 

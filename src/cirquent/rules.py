@@ -11,18 +11,19 @@ building direction); each is written independently of the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union, get_args
+from typing import Union, get_args, get_type_hints
 
 from . import formulas as fm
 from .cirquents import (
-    BlockReader,
     Cirquent,
     CirquentError,
     _cirquent_from_fields,
     format_cirquent,
-    tokenize_blocks,
+    mapping_body,
     validate_cirquent,
+    value,
 )
+from .reader import Reader
 
 
 class RuleError(ValueError):
@@ -601,54 +602,45 @@ def infer_rule(prev: Cirquent, nxt: Cirquent) -> list[RuleApp]:
 # ------------------------------------------------------------- file format
 
 
-def _format_params(app: RuleApp) -> str:
-    def ints(xs) -> str:
-        return "[" + ", ".join(str(i) for i in sorted(xs)) + "]"
+def _list(items) -> str:
+    return "[" + ", ".join(items) + "]"
 
-    if isinstance(app, Axiom):
-        inner = ", ".join(f'"{fm.format_formula(f)}"' for f in app.formulas)
-        return f"{{ formulas: [{inner}] }}"
-    if isinstance(app, (UnderExchange, OformulaExchange, OverExchange)):
-        return f"{{ pos: {app.pos} }}"
-    if isinstance(app, Weakening):
-        return f"{{ undergroup: {app.undergroup}; oformula: {app.oformula} }}"
-    if isinstance(app, (Contraction, DisjIntro, ConjIntro)):
-        return f"{{ oformula: {app.oformula} }}"
-    if isinstance(app, (UnderDuplication, OverDuplication)):
-        return f"{{ pos: {app.pos} }}"
-    if isinstance(app, Merging):
-        return f"{{ pos: {app.pos}; left: {ints(app.left)}; right: {ints(app.right)} }}"
-    if isinstance(app, RecIntro):
-        return f"{{ oformula: {app.oformula}; overgroup: {app.overgroup} }}"
-    if isinstance(app, CorecIntro):
-        return f"{{ oformula: {app.oformula}; added: {ints(app.added)} }}"
-    raise RuleError(f"unknown rule application {app!r}")
+
+# How each type of rule field prints in, and reads back from, the proof format.
+_FIELD_TEXT = {
+    int: (str, int),
+    frozenset[int]: (
+        lambda s: _list(str(i) for i in sorted(s)),
+        lambda xs: frozenset(map(int, xs)),
+    ),
+    tuple[fm.Formula, ...]: (
+        lambda fs: _list(f'"{fm.format_formula(f)}"' for f in fs),
+        lambda xs: tuple(fm.parse_formula(x) for x in xs),
+    ),
+}
+
+# Per rule, its params in declaration order: (field name, format, parse).
+_PARAMS = {
+    cls: [(name, *_FIELD_TEXT[t]) for name, t in get_type_hints(cls).items()]
+    for cls in get_args(RuleApp)
+}
+
+
+def _format_params(app: RuleApp) -> str:
+    if type(app) not in _PARAMS:
+        raise RuleError(f"unknown rule application {app!r}")
+    fields = (f"{name}: {fmt(getattr(app, name))}" for name, fmt, _ in _PARAMS[type(app)])
+    return "{ " + "; ".join(fields) + " }"
 
 
 def _app_from_fields(name: str, params: dict) -> RuleApp:
+    if name not in RULES_BY_NAME:
+        raise RuleError(f"unknown rule name {name!r}")
+    cls = RULES_BY_NAME[name]
     try:
-        if name == "Axiom":
-            return Axiom(tuple(fm.parse_formula(s) for s in params["formulas"]))
-        if name in ("UnderExchange", "OformulaExchange", "OverExchange",
-                    "UnderDuplication", "OverDuplication"):
-            return RULES_BY_NAME[name](int(params["pos"]))
-        if name == "Weakening":
-            return Weakening(int(params["undergroup"]), int(params["oformula"]))
-        if name in ("Contraction", "DisjIntro", "ConjIntro"):
-            return RULES_BY_NAME[name](int(params["oformula"]))
-        if name == "Merging":
-            return Merging(
-                int(params["pos"]),
-                frozenset(params["left"]),
-                frozenset(params["right"]),
-            )
-        if name == "RecIntro":
-            return RecIntro(int(params["oformula"]), int(params["overgroup"]))
-        if name == "CorecIntro":
-            return CorecIntro(int(params["oformula"]), frozenset(params["added"]))
+        return cls(*(parse(params[field]) for field, _, parse in _PARAMS[cls]))
     except (KeyError, TypeError, ValueError) as e:
         raise RuleError(f"bad params for {name}: {e}") from e
-    raise RuleError(f"unknown rule name {name!r}")
 
 
 def format_proof(proof: Proof) -> str:
@@ -664,17 +656,15 @@ def format_proof(proof: Proof) -> str:
 
 
 def parse_proof(text: str) -> Proof:
-    r = BlockReader(tokenize_blocks(text))
+    r = Reader(text, CirquentError)
     steps: list[Step] = []
-    expected = 1
     while r.peek() is not None:
         r.take("step")
-        num = r.take()
-        if not num.isdigit() or int(num) != expected:
-            raise RuleError(f"expected step {expected}, found {num!r}")
-        expected += 1
+        num = value(r)
+        if num != len(steps) + 1:
+            raise RuleError(f"expected step {len(steps) + 1}, found {num!r}")
         r.take("{")
-        fields = r.mapping_body()
+        fields = mapping_body(r)
         if "rule" not in fields or "cirquent" not in fields:
             raise RuleError(f"step {num} needs rule and cirquent entries")
         app = _app_from_fields(str(fields["rule"]), fields.get("params", {}))

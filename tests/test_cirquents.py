@@ -17,7 +17,7 @@ from cirquent.cirquents import (
     validate_cirquent,
     winner,
 )
-from cirquent.formulas import parse_formula
+from cirquent.formulas import FormulaError, parse_formula
 from cirquent.games import BOT, TOP, parse_game, parse_run
 
 BEACON = parse_game("node winner=T {}")
@@ -48,6 +48,17 @@ def test_text_round_trip():
     assert parse_cirquent(text) == AXIOM_F
     c = cq(["~E", "E", "F"], [{1, 2}, {2, 3}], [{1, 2, 3}])
     assert parse_cirquent(format_cirquent(c)) == c
+
+
+def test_text_comments_stop_at_quoted_strings():
+    text = 'cirquent {  # the axiom\n oformulas: ["~F", "F"]; under: [[1, 2]]; over: [[1, 2]] }  # end'
+    assert parse_cirquent(text) == AXIOM_F
+    # inside a quoted formula `#` is formula text, and formulas have no comments
+    with pytest.raises(FormulaError):
+        parse_cirquent('cirquent { oformulas: ["F # x"]; under: [[1]]; over: [[1]] }')
+    for bad in ('cirquent { ~: 1 }', 'cirquent { oformulas: ; }', 'cirquent { over: [[1]] } @'):
+        with pytest.raises(CirquentError):
+            parse_cirquent(bad)
 
 
 def test_validation_rejects_malformed_groupings():

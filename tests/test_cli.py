@@ -14,6 +14,10 @@ ATOMS = CORPUS / "brec_elim" / "atoms.game"
 
 def cli(*args: str, stdin: str = "", env: dict | None = None):
     full_env = dict(os.environ)
+    # the child imports the package from this checkout, installed or not
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    )
     if env:
         full_env.update(env)
     return subprocess.run(
@@ -170,11 +174,14 @@ def test_repl_session():
 # Paths are relative to the repository root, where `cli` runs. `{bin}` is a
 # file that is not UTF-8, `{bad_proof}` a proof with a syntax error,
 # `{bad_lib}` a broken game library, `{bad_corpus}` a corpus whose one case
-# has an unreadable expect.json, `{empty}` an empty directory.
+# has an unreadable expect.json, `{empty}` an empty directory, `{name_group}`
+# and `{name_param}` proofs with a name where an index belongs.
 ELIM = ["corpus/brec_elim/proof.cl15", "--atoms", "corpus/brec_elim/atoms.game"]
 MALFORMED = [
     (["check", "{bin}"], 2),
     (["check", "{bad_proof}"], 2),
+    (["check", "{name_group}"], 2),
+    (["check", "{name_param}"], 2),
     (["compile", "{bin}"], 2),
     (["compile", "{bad_proof}"], 2),
     (["play", ELIM[0], "--atoms", "{bin}"], 2),
@@ -209,8 +216,11 @@ def malformed_files(tmp_path_factory):
     (case / "proof.cl15").write_text(PROOF.read_text())
     (case / "expect.json").write_text("{bad")
     (d / "empty").mkdir()
+    (d / "group.cl15").write_text(PROOF.read_text().replace("under: [[1, 2]]", "under: [[x, 2]]", 1))
+    (d / "param.cl15").write_text(PROOF.read_text().replace("added: []", "added: [x]", 1))
     return {"bin": d / "bin", "bad_proof": d / "bad.cl15",
-            "bad_lib": d / "bad.game", "bad_corpus": d / "corpus", "empty": d / "empty"}
+            "bad_lib": d / "bad.game", "bad_corpus": d / "corpus", "empty": d / "empty",
+            "name_group": d / "group.cl15", "name_param": d / "param.cl15"}
 
 
 @pytest.mark.parametrize("args, code", MALFORMED,

@@ -83,7 +83,7 @@ def test_minimal_parentheses():
 
 
 def test_parse_errors():
-    for bad in ("", "F |", "| F", "(F", "F)", "F G", "&", "~", "F ~ G"):
+    for bad in ("", "F |", "| F", "(F", "F)", "F G", "&", "~", "F ~ G", "F # c"):
         with pytest.raises(FormulaError):
             parse_formula(bad)
 

@@ -148,6 +148,20 @@ def test_game_text_round_trip():
     assert winner(Tree(lib["b"]), ()) is BOT
 
 
+def test_game_names_are_plain_identifiers():
+    # names starting like a keyword or a player label are still names
+    names = ["Top", "B2", "nodes", "game_a", "winner", "T"]
+    lib = parse_game_library("".join(f"game {n} = node winner=T {{}}\n" for n in names))
+    assert list(lib) == names
+
+
+def test_hash_inside_a_quoted_move_is_not_a_comment():
+    text = 'node winner=T {  # comment\n  B"q#1" -> node winner=B {}  # "x"\n}'
+    node = parse_game(text)
+    assert [(lab, m) for lab, m, _ in node.edges] == [(BOT, "q#1")]
+    assert parse_game(format_game(node)) == node
+
+
 def test_game_text_errors():
     for bad in (
         'node winner=X {}',

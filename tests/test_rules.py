@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 from cirquent import rules as R
-from cirquent.cirquents import Cirquent, club, validate_cirquent
+from cirquent.cirquents import Cirquent, CirquentError, club, validate_cirquent, value
 from cirquent.formulas import parse_formula
+from cirquent.reader import Reader
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 CASES = sorted(p.name for p in CORPUS.iterdir() if (p / "proof.cl15").exists())
@@ -179,6 +180,47 @@ def test_parse_proof_rejects_bad_numbering():
     text = R.format_proof(load("brec_elim"))
     with pytest.raises(R.RuleError):
         R.parse_proof(text.replace("step 2", "step 7", 1))
+
+
+# one instance of every rule, with its params as the proof format writes them
+PARAMS_TEXT = [
+    (R.Axiom((parse_formula("E"), parse_formula("F | G"))), '{ formulas: ["E", "F | G"] }'),
+    (R.UnderExchange(1), "{ pos: 1 }"),
+    (R.OformulaExchange(2), "{ pos: 2 }"),
+    (R.OverExchange(3), "{ pos: 3 }"),
+    (R.Weakening(1, 2), "{ undergroup: 1; oformula: 2 }"),
+    (R.Contraction(1), "{ oformula: 1 }"),
+    (R.UnderDuplication(1), "{ pos: 1 }"),
+    (R.OverDuplication(2), "{ pos: 2 }"),
+    (R.Merging(1, frozenset({3, 1}), frozenset({2})), "{ pos: 1; left: [1, 3]; right: [2] }"),
+    (R.DisjIntro(2), "{ oformula: 2 }"),
+    (R.ConjIntro(1), "{ oformula: 1 }"),
+    (R.RecIntro(1, 2), "{ oformula: 1; overgroup: 2 }"),
+    (R.CorecIntro(1, frozenset({2, 1})), "{ oformula: 1; added: [1, 2] }"),
+]
+
+
+def test_params_text_of_every_rule_round_trips():
+    assert {type(app) for app, _ in PARAMS_TEXT} == set(R.RULES_BY_NAME.values())
+    for app, text in PARAMS_TEXT:
+        assert R._format_params(app) == text
+        params = value(Reader(text, CirquentError))
+        assert R._app_from_fields(type(app).__name__, params) == app
+
+
+def test_bad_params_raise_rule_error():
+    for name, params in (
+        ("Weakening", {"undergroup": 1}),
+        ("Merging", {"pos": 1, "left": [1], "right": 2}),
+        ("RecIntro", {"oformula": "x", "overgroup": 1}),
+        ("CorecIntro", {"oformula": 1, "added": ["x"]}),
+        ("Axiom", {"formulas": ["F &"]}),
+        ("Axiom", {}),
+        ("Contraction", []),
+        ("Nope", {"pos": 1}),
+    ):
+        with pytest.raises(R.RuleError):
+            R._app_from_fields(name, params)
 
 
 def test_conclusion_formula_requires_a_club():
