@@ -49,17 +49,19 @@ def validate_cirquent(c: Cirquent) -> None:
         raise CirquentError("a cirquent needs at least one oformula")
     if not c.undergroups or not c.overgroups:
         raise CirquentError("a cirquent needs at least one group of each kind")
+    indices = set(range(1, k + 1))
     for kind, groups in (("undergroup", c.undergroups), ("overgroup", c.overgroups)):
         for g in groups:
             if not g:
                 raise CirquentError(f"empty {kind}")
-            if not all(1 <= i <= k for i in g):
+            if not g <= indices:
                 raise CirquentError(f"{kind} {sorted(g)} references a bad index")
-    for i in range(1, k + 1):
-        if not any(i in g for g in c.undergroups):
-            raise CirquentError(f"oformula {i} is in no undergroup")
-        if not any(i in g for g in c.overgroups):
-            raise CirquentError(f"oformula {i} is in no overgroup")
+    bare_under = indices.difference(*c.undergroups)
+    bare_over = indices.difference(*c.overgroups)
+    if bare_under or bare_over:
+        i = min(bare_under | bare_over)
+        kind = "undergroup" if i in bare_under else "overgroup"
+        raise CirquentError(f"oformula {i} is in no {kind}")
 
 
 def club(f: fm.Formula) -> Cirquent:
@@ -77,13 +79,17 @@ def club(f: fm.Formula) -> Cirquent:
 
 def value(r: Reader):
     """A list, a `{ ... }` mapping, a string, an integer or a bare word."""
-    tok, name, num, string = r.take()
+    toks = r.toks
+    tok, name, num, string = toks[r.pos]
+    if tok is None:
+        r.take()  # raises: the input ended
+    r.pos += 1
     if tok == "[":
         items = []
-        while r.peek() != "]":
+        while toks[r.pos][0] != "]":
             items.append(value(r))
-            if r.peek() == ",":
-                r.take()
+            if toks[r.pos][0] == ",":
+                r.pos += 1
         r.take("]")
         return items
     if tok == "{":
@@ -99,29 +105,38 @@ def value(r: Reader):
 
 def mapping_body(r: Reader) -> dict:
     """`key: value; ...` up to and including the closing brace."""
+    toks = r.toks
     out: dict = {}
-    while r.peek() != "}":
+    while toks[r.pos][0] != "}":
         tok, key, _, _ = r.take()
         if not key:
             raise CirquentError(f"expected a field name, got {tok!r}")
         r.take(":")
         out[key] = value(r)
-        if r.peek() == ";":
-            r.take()
+        if toks[r.pos][0] == ";":
+            r.pos += 1
     r.take("}")
     return out
 
 
-def _cirquent_from_fields(fields: dict) -> Cirquent:
+def _cirquent_from_fields(fields: dict, formulas: dict[str, fm.Formula]) -> Cirquent:
+    """`formulas` maps oformula text to its parse; texts missing from it are
+    parsed and added, so a caller reading many cirquents parses each once."""
     try:
-        ofs = tuple(fm.parse_formula(s) for s in fields["oformulas"])
+        ofs = []
+        for s in fields["oformulas"]:
+            # a non-string entry, hashable or not, goes on to parse_formula's error
+            f = formulas.get(s) if type(s) is str else None
+            if f is None:
+                f = formulas[s] = fm.parse_formula(s)
+            ofs.append(f)
         under = tuple(frozenset(g) for g in fields["under"])
         over = tuple(frozenset(g) for g in fields["over"])
     except (KeyError, TypeError) as e:
         raise CirquentError(f"malformed cirquent fields: {e}") from e
     if not all(type(i) is int for g in under + over for i in g):
         raise CirquentError("groups must list oformula indices")
-    c = Cirquent(ofs, under, over)
+    c = Cirquent(tuple(ofs), under, over)
     validate_cirquent(c)
     return c
 
@@ -130,7 +145,7 @@ def parse_cirquent(text: str) -> Cirquent:
     r = Reader(text, CirquentError)
     r.take("cirquent")
     r.take("{")
-    c = _cirquent_from_fields(mapping_body(r))
+    c = _cirquent_from_fields(mapping_body(r), {})
     r.end()
     return c
 

@@ -606,16 +606,31 @@ def _list(items) -> str:
     return "[" + ", ".join(items) + "]"
 
 
+def _int(x) -> int:
+    if type(x) is not int:
+        raise RuleError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _int_set(xs) -> frozenset[int]:
+    if type(xs) is not list or not all(type(x) is int for x in xs):
+        raise RuleError(f"expected a list of integers, got {xs!r}")
+    return frozenset(xs)
+
+
+def _formula_tuple(xs) -> tuple[fm.Formula, ...]:
+    if type(xs) is not list or not all(type(x) is str for x in xs):
+        raise RuleError(f"expected a list of formula strings, got {xs!r}")
+    return tuple(fm.parse_formula(x) for x in xs)
+
+
 # How each type of rule field prints in, and reads back from, the proof format.
 _FIELD_TEXT = {
-    int: (str, int),
-    frozenset[int]: (
-        lambda s: _list(str(i) for i in sorted(s)),
-        lambda xs: frozenset(map(int, xs)),
-    ),
+    int: (str, _int),
+    frozenset[int]: (lambda s: _list(str(i) for i in sorted(s)), _int_set),
     tuple[fm.Formula, ...]: (
         lambda fs: _list(f'"{fm.format_formula(f)}"' for f in fs),
-        lambda xs: tuple(fm.parse_formula(x) for x in xs),
+        _formula_tuple,
     ),
 }
 
@@ -658,6 +673,8 @@ def format_proof(proof: Proof) -> str:
 def parse_proof(text: str) -> Proof:
     r = Reader(text, CirquentError)
     steps: list[Step] = []
+    # every step restates the whole cirquent, so most oformula texts repeat
+    formulas: dict[str, fm.Formula] = {}
     while r.peek() is not None:
         r.take("step")
         num = value(r)
@@ -670,7 +687,7 @@ def parse_proof(text: str) -> Proof:
         app = _app_from_fields(str(fields["rule"]), fields.get("params", {}))
         if not isinstance(fields["cirquent"], dict):
             raise RuleError(f"step {num} cirquent must be a block")
-        cirq = _cirquent_from_fields(fields["cirquent"])
+        cirq = _cirquent_from_fields(fields["cirquent"], formulas)
         steps.append(Step(app, cirq))
     if not steps:
         raise RuleError("no steps found")

@@ -504,40 +504,44 @@ class RepToPlain(Translated):
         return [sp[1]] if not sp[0].strip("0") else []
 
 
-def transform(app: RuleApp, conclusion: Cirquent, inner: Transducer) -> Transducer:
-    """Lift a strategy for the premise of `app` (checked against
-    `conclusion`) to a strategy for the conclusion."""
+# A translation layer's class and the arguments it takes after the inner strategy.
+Layer = tuple[type[Translated], tuple]
+
+
+def transform(app: RuleApp, conclusion: Cirquent) -> Layer:
+    """The layer that lifts a strategy for the premise of `app` (checked
+    against `conclusion`) to a strategy for the conclusion."""
     premise = rl.premise_of(conclusion, app)
     n = len(conclusion.overgroups)
 
     if isinstance(app, (rl.UnderExchange, rl.UnderDuplication)):
-        return Translated(inner)
+        return Translated, ()
     if isinstance(app, rl.OformulaExchange):
-        return _OformulaSwap(inner, n, app.pos)
+        return _OformulaSwap, (n, app.pos)
     if isinstance(app, rl.OverExchange):
-        return _OverSwap(inner, n, app.pos)
+        return _OverSwap, (n, app.pos)
     if isinstance(app, rl.Weakening):
         if premise.width == conclusion.width:
-            return Translated(inner)
+            return Translated, ()
         a = app.oformula
         dropped_slots = tuple(
             j for j, g in enumerate(conclusion.overgroups) if g == frozenset({a})
         )
-        return _WeakeningDrop(inner, n, a, dropped_slots)
+        return _WeakeningDrop, (n, a, dropped_slots)
     if isinstance(app, rl.Contraction):
-        return _ContractionSplit(inner, n, app.oformula)
+        return _ContractionSplit, (n, app.oformula)
     if isinstance(app, rl.OverDuplication):
-        return _OverDupJoin(inner, n, app.pos)
+        return _OverDupJoin, (n, app.pos)
     if isinstance(app, rl.Merging):
-        return _MergeSplit(inner, n, app.pos, app.left, app.right)
+        return _MergeSplit, (n, app.pos, app.left, app.right)
     if isinstance(app, (rl.DisjIntro, rl.ConjIntro)):
-        return _BinarySplit(inner, n, app.oformula)
+        return _BinarySplit, (n, app.oformula)
     if isinstance(app, rl.RecIntro):
-        return _RecFold(inner, n, app.oformula, app.overgroup)
+        return _RecFold, (n, app.oformula, app.overgroup)
     if isinstance(app, rl.CorecIntro):
         if not app.added:
-            return _CorecFocus(inner, n, app.oformula)
-        return _CorecWeave(inner, n, app.oformula, tuple(sorted(app.added)))
+            return _CorecFocus, (n, app.oformula)
+        return _CorecWeave, (n, app.oformula, tuple(sorted(app.added)))
     raise rl.RuleError(f"no transformer for {app!r}")
 
 
@@ -559,10 +563,10 @@ def cirquent_strategy_factories(proof: rl.Proof) -> list[tuple[Cirquent, Factory
         (first.cirquent, lambda d=diamonds: AxiomCopycat(d))
     ]
     for step in proof[1:]:
-        prev_factory = out[-1][1]
+        cls, args = transform(step.app, step.cirquent)
 
-        def factory(app=step.app, conc=step.cirquent, pf=prev_factory) -> Transducer:
-            return transform(app, conc, pf())
+        def factory(cls=cls, args=args, pf=out[-1][1]) -> Transducer:
+            return cls(pf(), *args)
 
         out.append((step.cirquent, factory))
     return out

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cirquent.cirquents import (
     Cirquent,
@@ -75,6 +77,56 @@ def test_validation_rejects_malformed_groupings():
                 (frozenset({1, 2}),),
             )
         )
+
+
+def _validate_oracle(c: Cirquent) -> None:
+    """`validate_cirquent` as it was before it used set operations: one
+    membership test per group and per oformula."""
+    k = len(c.oformulas)
+    if k < 1:
+        raise CirquentError("a cirquent needs at least one oformula")
+    if not c.undergroups or not c.overgroups:
+        raise CirquentError("a cirquent needs at least one group of each kind")
+    for kind, groups in (("undergroup", c.undergroups), ("overgroup", c.overgroups)):
+        for g in groups:
+            if not g:
+                raise CirquentError(f"empty {kind}")
+            if not all(1 <= i <= k for i in g):
+                raise CirquentError(f"{kind} {sorted(g)} references a bad index")
+    for i in range(1, k + 1):
+        if not any(i in g for g in c.undergroups):
+            raise CirquentError(f"oformula {i} is in no undergroup")
+        if not any(i in g for g in c.overgroups):
+            raise CirquentError(f"oformula {i} is in no overgroup")
+
+
+def _outcome(validate, c: Cirquent):
+    try:
+        validate(c)
+    except CirquentError as e:
+        return str(e)
+    return None
+
+
+@st.composite
+def groupings(draw):
+    """Cirquents of up to four oformulas whose groups may be empty, hold
+    zero, negative or too large indices, or leave an oformula uncovered."""
+    k = draw(st.integers(0, 4))
+    wild = st.frozensets(st.integers(-1, k + 1), max_size=k + 2)
+    # valid indices only, so that coverage faults and valid cirquents show
+    tame = st.frozensets(st.integers(1, max(k, 1)), min_size=1, max_size=max(k, 1))
+
+    def groups():
+        return draw(st.lists(wild if draw(st.booleans()) else tame, max_size=4).map(tuple))
+
+    return Cirquent((parse_formula("F"),) * k, groups(), groups())
+
+
+@given(groupings())
+@settings(max_examples=1000)
+def test_validation_matches_the_membership_oracle(c):
+    assert _outcome(validate_cirquent, c) == _outcome(_validate_oracle, c)
 
 
 def test_move_shape():

@@ -13,8 +13,9 @@ import pytest
 
 from cirquent import rules as R
 from cirquent.cirquents import Cirquent, CirquentError, club, validate_cirquent, value
-from cirquent.formulas import parse_formula
+from cirquent.formulas import FormulaError, parse_formula
 from cirquent.reader import Reader
+from test_acceptance import _perturbed_apps, _toggled_cirquents
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 CASES = sorted(p.name for p in CORPUS.iterdir() if (p / "proof.cl15").exists())
@@ -45,10 +46,24 @@ def test_corpus_proofs_check(name):
     assert verdict, f"step {verdict.step}: {verdict.message}"
 
 
+def _criterion_1_mutants(proof: R.Proof):
+    """Criterion 1's single-perturbation mutants, checked or not."""
+    for k, step in enumerate(proof):
+        for app in _perturbed_apps(step.app):
+            yield proof[:k] + (R.Step(app, step.cirquent),) + proof[k + 1:]
+        for cand in _toggled_cirquents(step.cirquent):
+            yield proof[:k] + (R.Step(step.app, cand),) + proof[k + 1:]
+    for k in range(1, len(proof) - 1):
+        yield proof[:k] + proof[k + 1:]
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_proof_text_round_trip(name):
     proof = load(name)
     assert R.parse_proof(R.format_proof(proof)) == proof
+    # parse_proof shares one parse per formula text across a proof's steps
+    for mutant in _criterion_1_mutants(proof):
+        assert R.parse_proof(R.format_proof(mutant)) == mutant
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -182,6 +197,20 @@ def test_parse_proof_rejects_bad_numbering():
         R.parse_proof(text.replace("step 2", "step 7", 1))
 
 
+def test_repeated_oformula_text_is_checked_in_every_step():
+    text = R.format_proof(load("brec_elim"))
+    second = ', "F"]'  # the last oformula of steps 1 and 2
+    assert text.count(second) == 2
+    # a bad formula restated by two steps, or only by the later one
+    with pytest.raises(FormulaError):
+        R.parse_proof(text.replace(second, ', "F &"]'))
+    last = text.rindex(second)
+    for entry, error in (('"F &"', FormulaError), ("3", CirquentError),
+                         ("[F]", CirquentError), ("{ a: 1 }", CirquentError)):
+        with pytest.raises(error):
+            R.parse_proof(f"{text[:last]}, {entry}]{text[last + len(second):]}")
+
+
 # one instance of every rule, with its params as the proof format writes them
 PARAMS_TEXT = [
     (R.Axiom((parse_formula("E"), parse_formula("F | G"))), '{ formulas: ["E", "F | G"] }'),
@@ -218,6 +247,11 @@ def test_bad_params_raise_rule_error():
         ("Axiom", {}),
         ("Contraction", []),
         ("Nope", {"pos": 1}),
+        # params are integer tokens and lists of them, never quoted digits
+        ("UnderExchange", {"pos": "3"}),
+        ("CorecIntro", {"oformula": 1, "added": "12"}),
+        ("Merging", {"pos": 1, "left": ["1"], "right": [2]}),
+        ("Axiom", {"formulas": "F"}),
     ):
         with pytest.raises(R.RuleError):
             R._app_from_fields(name, params)

@@ -79,7 +79,7 @@ def test_rep_to_plain_broadcasts_and_filters():
 
 def test_transform_checks_the_rule_against_the_conclusion():
     with pytest.raises(R.RuleError):
-        transform(R.DisjIntro(1), club(parse_formula("F & G")), Parrot())
+        transform(R.DisjIntro(1), club(parse_formula("F & G")))
 
 
 def test_factories_cover_every_step():
