@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from itertools import product
 from math import prod
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import formulas as fm
 from . import games as gm
@@ -103,15 +103,24 @@ def value(r: Reader):
     raise CirquentError(f"unexpected token {tok!r}")
 
 
-def mapping_body(r: Reader) -> dict:
+class Block(dict):
+    """A `{ key: value; ... }` mapping as `mapping_body` read it.  A key given
+    more than once keeps its last value and is listed in `repeated`."""
+
+    repeated: tuple[str, ...] = ()
+
+
+def mapping_body(r: Reader) -> Block:
     """`key: value; ...` up to and including the closing brace."""
     toks = r.toks
-    out: dict = {}
+    out = Block()
     while toks[r.pos][0] != "}":
         tok, key, _, _ = r.take()
         if not key:
             raise CirquentError(f"expected a field name, got {tok!r}")
         r.take(":")
+        if key in out:
+            out.repeated += (key,)
         out[key] = value(r)
         if toks[r.pos][0] == ";":
             r.pos += 1
@@ -119,17 +128,40 @@ def mapping_body(r: Reader) -> dict:
     return out
 
 
+def bad_key(fields: dict, allowed: frozenset[str]) -> str | None:
+    """What is wrong with the keys of a block that may hold only `allowed`:
+    a repeated or an unknown key.  None when nothing is."""
+    repeated = getattr(fields, "repeated", ())
+    if not repeated and fields.keys() <= allowed:
+        return None
+    if repeated:
+        return f"field {repeated[0]!r} given twice"
+    return f"unknown field {next(k for k in fields if k not in allowed)!r}"
+
+
+def memo_formulas(texts: list, formulas: dict[str, fm.Formula]) -> list[fm.Formula]:
+    """`texts` parsed, each looked up in or added to the memo `formulas`; a
+    non-string entry, hashable or not, goes on to parse_formula's error."""
+    out = []
+    for s in texts:
+        f = formulas.get(s) if type(s) is str else None
+        if f is None:
+            f = formulas[s] = fm.parse_formula(s)
+        out.append(f)
+    return out
+
+
+_CIRQUENT_FIELDS = frozenset({"oformulas", "under", "over"})
+
+
 def _cirquent_from_fields(fields: dict, formulas: dict[str, fm.Formula]) -> Cirquent:
     """`formulas` maps oformula text to its parse; texts missing from it are
     parsed and added, so a caller reading many cirquents parses each once."""
+    bad = bad_key(fields, _CIRQUENT_FIELDS)
+    if bad:
+        raise CirquentError(f"cirquent: {bad}")
     try:
-        ofs = []
-        for s in fields["oformulas"]:
-            # a non-string entry, hashable or not, goes on to parse_formula's error
-            f = formulas.get(s) if type(s) is str else None
-            if f is None:
-                f = formulas[s] = fm.parse_formula(s)
-            ofs.append(f)
+        ofs = memo_formulas(fields["oformulas"], formulas)
         under = tuple(frozenset(g) for g in fields["under"])
         over = tuple(frozenset(g) for g in fields["over"])
     except (KeyError, TypeError) as e:
@@ -160,8 +192,7 @@ def format_cirquent(c: Cirquent) -> str:
 # ------------------------------------------------------------------- moves
 
 
-@dataclass(frozen=True)
-class CirquentMove:
+class CirquentMove(NamedTuple):
     index: int
     slots: tuple[str, ...]
     inner: str

@@ -18,8 +18,10 @@ from .cirquents import (
     Cirquent,
     CirquentError,
     _cirquent_from_fields,
+    bad_key,
     format_cirquent,
     mapping_body,
+    memo_formulas,
     validate_cirquent,
     value,
 )
@@ -606,22 +608,25 @@ def _list(items) -> str:
     return "[" + ", ".join(items) + "]"
 
 
-def _int(x) -> int:
+# Each field parser takes the value and the formula memo of `parse_proof`.
+
+
+def _int(x, _formulas) -> int:
     if type(x) is not int:
         raise RuleError(f"expected an integer, got {x!r}")
     return x
 
 
-def _int_set(xs) -> frozenset[int]:
+def _int_set(xs, _formulas) -> frozenset[int]:
     if type(xs) is not list or not all(type(x) is int for x in xs):
         raise RuleError(f"expected a list of integers, got {xs!r}")
     return frozenset(xs)
 
 
-def _formula_tuple(xs) -> tuple[fm.Formula, ...]:
+def _formula_tuple(xs, formulas) -> tuple[fm.Formula, ...]:
     if type(xs) is not list or not all(type(x) is str for x in xs):
         raise RuleError(f"expected a list of formula strings, got {xs!r}")
-    return tuple(fm.parse_formula(x) for x in xs)
+    return tuple(memo_formulas(xs, formulas))
 
 
 # How each type of rule field prints in, and reads back from, the proof format.
@@ -640,6 +645,9 @@ _PARAMS = {
     for cls in get_args(RuleApp)
 }
 
+_PARAM_NAMES = {cls: frozenset(name for name, _, _ in params) for cls, params in _PARAMS.items()}
+_STEP_FIELDS = frozenset({"rule", "params", "cirquent"})
+
 
 def _format_params(app: RuleApp) -> str:
     if type(app) not in _PARAMS:
@@ -648,12 +656,19 @@ def _format_params(app: RuleApp) -> str:
     return "{ " + "; ".join(fields) + " }"
 
 
-def _app_from_fields(name: str, params: dict) -> RuleApp:
+def _app_from_fields(name: str, params: dict,
+                     formulas: dict[str, fm.Formula] | None = None) -> RuleApp:
+    """The rule application named `name`; `formulas` is a formula memo as
+    `_cirquent_from_fields` takes it."""
     if name not in RULES_BY_NAME:
         raise RuleError(f"unknown rule name {name!r}")
     cls = RULES_BY_NAME[name]
+    bad = bad_key(params, _PARAM_NAMES[cls]) if isinstance(params, dict) else None
+    if bad:
+        raise RuleError(f"{name} params: {bad}")
+    memo = {} if formulas is None else formulas
     try:
-        return cls(*(parse(params[field]) for field, _, parse in _PARAMS[cls]))
+        return cls(*(parse(params[field], memo) for field, _, parse in _PARAMS[cls]))
     except (KeyError, TypeError, ValueError) as e:
         raise RuleError(f"bad params for {name}: {e}") from e
 
@@ -682,9 +697,12 @@ def parse_proof(text: str) -> Proof:
             raise RuleError(f"expected step {len(steps) + 1}, found {num!r}")
         r.take("{")
         fields = mapping_body(r)
+        bad = bad_key(fields, _STEP_FIELDS)
+        if bad:
+            raise RuleError(f"step {num}: {bad}")
         if "rule" not in fields or "cirquent" not in fields:
             raise RuleError(f"step {num} needs rule and cirquent entries")
-        app = _app_from_fields(str(fields["rule"]), fields.get("params", {}))
+        app = _app_from_fields(str(fields["rule"]), fields.get("params", {}), formulas)
         if not isinstance(fields["cirquent"], dict):
             raise RuleError(f"step {num} cirquent must be a block")
         cirq = _cirquent_from_fields(fields["cirquent"], formulas)

@@ -1,11 +1,17 @@
 """Compiling proofs into winning strategies.
 
-A Transducer is a deterministic block-move strategy: given the run observed
-so far, it returns the moves it wants appended.  The axiom cirquent is won by
-a copycat between dual pair members; every rule then lifts a strategy for its
-premise cirquent to one for its conclusion by translating moves back and
-forth, so a checked proof folds into a strategy for its final cirquent, and
-two bridge wrappers turn that into a strategy for the bare formula game.
+A Transducer is a deterministic block-move strategy.  The axiom cirquent is
+won by a copycat between dual pair members; every rule then lifts a strategy
+for its premise cirquent to one for its conclusion by translating moves back
+and forth, so a checked proof folds into a strategy for its final cirquent,
+and one bridge turns that into a strategy for the bare formula game.
+
+Inside a stack, layers trade `CirquentMove` values and each call carries only
+what is new: `advance` gets the opponent moves that arrived since the last
+call and returns the reply block.  Strings appear at one boundary,
+`Transducer.step`, which only the outermost layer runs.  It parses the new
+opponent moves of the observed run, drops malformed ones, and formats the
+replies.
 
 Move translation is interpretation-blind: only move shapes are inspected, so
 the compiled strategy is the same whatever games the atoms denote.
@@ -21,17 +27,40 @@ from . import formulas as fm
 from . import rules as rl
 from .cirquents import Cirquent, CirquentMove, format_move, parse_move
 from .fusion import defusion, fusions
-from .games import BOT, TOP, Labmove, Run
-from .rules import RuleApp, Step
+from .games import BOT, Run, split_address
+from .rules import RuleApp
 
 
 class Transducer:
-    """Single-use reactive strategy; step() sees the whole run so far and
-    returns a block of moves to append.  Calls must present runs that extend
-    one another by the previously returned block plus opponent moves."""
+    """Single-use reactive strategy for a cirquent with `n` overgroups.
+
+    `advance` is the protocol between layers: it gets the opponent moves new
+    since its last call and returns the moves it wants appended.
+
+    `step` is the string boundary, run by the outermost transducer only.  It
+    sees the whole run so far; calls must present runs that extend one
+    another by the previously returned block plus opponent moves.  It reads
+    the new opponent moves, hands them to `advance` and writes the replies.
+    """
+
+    n: int
+    _observed = 0  # labmoves of the run already read or written
+
+    def read(self, move: str) -> CirquentMove | None:
+        return parse_move(self.n, move)
+
+    def write(self, mv: CirquentMove) -> str | None:
+        return format_move(mv)
+
+    def advance(self, moves: list[CirquentMove]) -> list[CirquentMove]:
+        raise NotImplementedError
 
     def step(self, observed: Run) -> list[str]:
-        raise NotImplementedError
+        new = [self.read(lm.move) for lm in observed[self._observed:] if lm.label is BOT]
+        block = self.advance([mv for mv in new if mv is not None])
+        out = [m for m in map(self.write, block) if m is not None]
+        self._observed = len(observed) + len(out)
+        return out
 
 
 class AxiomCopycat(Transducer):
@@ -45,82 +74,52 @@ class AxiomCopycat(Transducer):
     def __init__(self, diamonds: int, pairing: str = "standard"):
         if pairing not in ("standard", "swapped"):
             raise ValueError(f"unknown pairing {pairing!r}")
-        self.diamonds = diamonds
+        self.n = diamonds
         self.pairing = pairing
-        self._seen = 0
 
     def _partner(self, a: int) -> int:
         if self.pairing == "standard":
             return a + 1 if a % 2 == 1 else a - 1
         return a - 1 if a % 2 == 1 else a + 1
 
-    def step(self, observed: Run) -> list[str]:
-        out: list[str] = []
-        for lm in observed[self._seen:]:
-            if lm.label is BOT:
-                mv = parse_move(self.diamonds, lm.move)
-                if mv is not None and 1 <= mv.index <= 2 * self.diamonds:
-                    echo = CirquentMove(self._partner(mv.index), mv.slots, mv.inner)
-                    out.append(format_move(echo))
-        self._seen = len(observed) + len(out)
-        return out
+    def advance(self, moves: list[CirquentMove]) -> list[CirquentMove]:
+        return [mv._replace(index=self._partner(mv.index))
+                for mv in moves if 1 <= mv.index <= 2 * self.n]
 
 
 class Translated(Transducer):
     """Plays the conclusion of a rule by simulating a premise strategy.
 
     Opponent moves on the real board are translated into simulated opponent
-    moves; the inner strategy's responses are translated back into real
-    moves.  Subclasses fill in the two translations; either may fan one move
-    out into several or drop an opponent move that was already illegal.
+    moves; the inner strategy's replies are translated back into real moves.
+    Subclasses fill in the two translations; either may fan one move out into
+    several, and `env_to_sim` drops an opponent move that was already
+    illegal.  `note_real` sees every real move of either player.
     """
 
-    def __init__(self, inner: Transducer):
-        self.inner = inner
-        self.sim: list[Labmove] = []
-        self._seen = 0
+    def __init__(self, inner: Transducer, n: int):
+        self.inner, self.n = inner, n
 
-    def env_to_sim(self, move: str) -> list[str]:
-        return [move]
+    def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
+        raise NotImplementedError
 
-    def sim_to_real(self, move: str) -> list[str]:
-        return [move]
+    def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
+        raise NotImplementedError
 
-    def note_real(self, labmove: Labmove) -> None:
+    def note_real(self, mv: CirquentMove) -> None:
         pass
 
-    def step(self, observed: Run) -> list[str]:
-        for lm in observed[self._seen:]:
-            self.note_real(lm)
-            if lm.label is BOT:
-                for m in self.env_to_sim(lm.move):
-                    self.sim.append(Labmove(BOT, m))
-        block = self.inner.step(tuple(self.sim))
-        out: list[str] = []
-        for m in block:
-            self.sim.append(Labmove(TOP, m))
+    def advance(self, moves: list[CirquentMove]) -> list[CirquentMove]:
+        sim_moves: list[CirquentMove] = []
+        for mv in moves:
+            self.note_real(mv)
+            sim_moves += self.env_to_sim(mv)
+        out: list[CirquentMove] = []
+        for m in self.inner.advance(sim_moves):
             for rm in self.sim_to_real(m):
-                self.note_real(Labmove(TOP, rm))
+                self.note_real(rm)
                 out.append(rm)
-        self._seen = len(observed) + len(out)
         return out
-
-
-def _reslot(mv: CirquentMove, slots: tuple[str, ...], index: int | None = None,
-            inner: str | None = None) -> str:
-    return format_move(
-        CirquentMove(
-            mv.index if index is None else index,
-            slots,
-            mv.inner if inner is None else inner,
-        )
-    )
-
-
-def _split_inner(mv: CirquentMove) -> tuple[str, str] | None:
-    from .games import split_address
-
-    return split_address(mv.inner)
 
 
 class _Swap(Translated):
@@ -128,66 +127,57 @@ class _Swap(Translated):
     inverse, so both directions apply `_map`."""
 
     def __init__(self, inner: Transducer, n: int, pos: int):
-        super().__init__(inner)
-        self.n, self.pos = n, pos
+        super().__init__(inner, n)
+        self.pos = pos
 
-    def _map(self, mv: CirquentMove) -> str:
+    def _map(self, mv: CirquentMove) -> CirquentMove:
         raise NotImplementedError
 
-    def env_to_sim(self, move: str) -> list[str]:
-        mv = parse_move(self.n, move)
-        return [] if mv is None else [self._map(mv)]
+    def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
+        return [self._map(mv)]
 
-    def sim_to_real(self, move: str) -> list[str]:
-        mv = parse_move(self.n, move)
-        return [move] if mv is None else [self._map(mv)]
+    sim_to_real = env_to_sim
 
 
 class _OformulaSwap(_Swap):
-    def _map(self, mv: CirquentMove) -> str:
+    def _map(self, mv: CirquentMove) -> CirquentMove:
         a = mv.index
         b = self.pos + 1 if a == self.pos else self.pos if a == self.pos + 1 else a
-        return _reslot(mv, mv.slots, index=b)
+        return mv._replace(index=b)
 
 
 class _OverSwap(_Swap):
-    def _map(self, mv: CirquentMove) -> str:
+    def _map(self, mv: CirquentMove) -> CirquentMove:
         s = list(mv.slots)
         s[self.pos - 1], s[self.pos] = s[self.pos], s[self.pos - 1]
-        return _reslot(mv, tuple(s))
+        return mv._replace(slots=tuple(s))
 
 
 class _WeakeningDrop(Translated):
     """Conclusion has an extra oformula (and maybe extra overgroups) that the
     premise never heard of; moves there are ignored, other moves reindex."""
 
-    def __init__(self, inner: Transducer, n_real: int, dropped: int,
+    def __init__(self, inner: Transducer, n: int, dropped: int,
                  dropped_slots: tuple[int, ...]):
-        super().__init__(inner)
-        self.n_real = n_real
-        self.n_sim = n_real - len(dropped_slots)
+        super().__init__(inner, n)
         self.dropped = dropped
-        self.dropped_slots = set(dropped_slots)  # 0-based positions in real
+        self.dropped_slots = dropped_slots  # ascending 0-based positions in real
 
-    def env_to_sim(self, move: str) -> list[str]:
-        mv = parse_move(self.n_real, move)
-        if mv is None or mv.index == self.dropped:
+    def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
+        if mv.index == self.dropped:
             return []
         if any(mv.slots[j] for j in self.dropped_slots):
             return []  # addressed a copy dimension it may not touch
         slots = tuple(s for j, s in enumerate(mv.slots) if j not in self.dropped_slots)
         index = mv.index - 1 if mv.index > self.dropped else mv.index
-        return [_reslot(mv, slots, index=index)]
+        return [mv._replace(index=index, slots=slots)]
 
-    def sim_to_real(self, move: str) -> list[str]:
-        mv = parse_move(self.n_sim, move)
-        if mv is None:
-            return [move]
+    def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
         slots = list(mv.slots)
-        for j in sorted(self.dropped_slots):
+        for j in self.dropped_slots:
             slots.insert(j, "")
         index = mv.index + 1 if mv.index >= self.dropped else mv.index
-        return [_reslot(mv, tuple(slots), index=index)]
+        return [mv._replace(index=index, slots=tuple(slots))]
 
 
 class _ContractionSplit(Translated):
@@ -196,94 +186,65 @@ class _ContractionSplit(Translated):
     both."""
 
     def __init__(self, inner: Transducer, n: int, a: int):
-        super().__init__(inner)
-        self.n, self.a = n, a
+        super().__init__(inner, n)
+        self.a = a
 
-    def env_to_sim(self, move: str) -> list[str]:
-        mv = parse_move(self.n, move)
-        if mv is None:
-            return []
+    def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
         a = self.a
         if mv.index < a:
-            return [move]
+            return [mv]
         if mv.index > a:
-            return [_reslot(mv, mv.slots, index=mv.index + 1)]
-        sp = _split_inner(mv)
+            return [mv._replace(index=mv.index + 1)]
+        sp = split_address(mv.inner)
         if sp is None:
             return []
         v, rest = sp
         if v == "":
-            return [
-                _reslot(mv, mv.slots, index=a, inner="." + rest),
-                _reslot(mv, mv.slots, index=a + 1, inner="." + rest),
-            ]
-        head, tail = v[0], v[1:]
-        return [_reslot(mv, mv.slots, index=a if head == "0" else a + 1,
-                        inner=tail + "." + rest)]
+            return [mv, mv._replace(index=a + 1)]
+        return [mv._replace(index=a if v[0] == "0" else a + 1,
+                            inner=v[1:] + "." + rest)]
 
-    def sim_to_real(self, move: str) -> list[str]:
-        mv = parse_move(self.n, move)
-        if mv is None:
-            return [move]
+    def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
         a = self.a
         if mv.index < a:
-            return [move]
+            return [mv]
         if mv.index > a + 1:
-            return [_reslot(mv, mv.slots, index=mv.index - 1)]
-        sp = _split_inner(mv)
-        if sp is None:
-            return [_reslot(mv, mv.slots, index=a)]
-        v, rest = sp
+            return [mv._replace(index=mv.index - 1)]
+        if split_address(mv.inner) is None:
+            return [mv._replace(index=a)]
         bit = "0" if mv.index == a else "1"
-        return [_reslot(mv, mv.slots, index=a, inner=bit + v + "." + rest)]
+        return [mv._replace(index=a, inner=bit + mv.inner)]
 
 
 class _OverDupJoin(Translated):
     """Two identical conclusion overgroups collapse to one premise overgroup;
     address pairs are woven together by fusion and unwoven by defusion."""
 
-    def __init__(self, inner: Transducer, n_real: int, pos: int):
-        super().__init__(inner)
-        self.n_real = n_real
+    def __init__(self, inner: Transducer, n: int, pos: int):
+        super().__init__(inner, n)
         self.pos = pos  # 1-based; real slots pos-1 and pos merge
 
-    def env_to_sim(self, move: str) -> list[str]:
-        mv = parse_move(self.n_real, move)
-        if mv is None:
-            return []
-        p = self.pos - 1
-        u1, u2 = mv.slots[p], mv.slots[p + 1]
-        out = []
-        for v in fusions((u1, u2)):
-            slots = mv.slots[:p] + (v,) + mv.slots[p + 2:]
-            out.append(_reslot(mv, slots))
-        return out
+    def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
+        p, s = self.pos - 1, mv.slots
+        return [mv._replace(slots=s[:p] + (v,) + s[p + 2:])
+                for v in fusions((s[p], s[p + 1]))]
 
-    def sim_to_real(self, move: str) -> list[str]:
-        mv = parse_move(self.n_real - 1, move)
-        if mv is None:
-            return [move]
-        p = self.pos - 1
-        u1, u2 = defusion(mv.slots[p], 2)
-        slots = mv.slots[:p] + (u1, u2) + mv.slots[p + 1:]
-        return [_reslot(mv, slots)]
+    def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
+        p, s = self.pos - 1, mv.slots
+        return [mv._replace(slots=s[:p] + defusion(s[p], 2) + s[p + 1:])]
 
 
 class _MergeSplit(Translated):
     """A merged overgroup covers members of both halves; a member of both
     plays one address woven from its two premise addresses."""
 
-    def __init__(self, inner: Transducer, n_real: int, pos: int,
+    def __init__(self, inner: Transducer, n: int, pos: int,
                  left: frozenset[int], right: frozenset[int]):
-        super().__init__(inner)
-        self.n_real = n_real
+        super().__init__(inner, n)
         self.pos = pos
         self.left, self.right = left, right
 
-    def env_to_sim(self, move: str) -> list[str]:
-        mv = parse_move(self.n_real, move)
-        if mv is None:
-            return []
+    def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
         p = self.pos - 1
         u = mv.slots[p]
         in_l, in_r = mv.index in self.left, mv.index in self.right
@@ -297,94 +258,72 @@ class _MergeSplit(Translated):
             if u:
                 return []
             parts = ("", "")
-        slots = mv.slots[:p] + parts + mv.slots[p + 1:]
-        return [_reslot(mv, slots)]
+        return [mv._replace(slots=mv.slots[:p] + parts + mv.slots[p + 1:])]
 
-    def sim_to_real(self, move: str) -> list[str]:
-        mv = parse_move(self.n_real + 1, move)
-        if mv is None:
-            return [move]
+    def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
         p = self.pos - 1
         u1, u2 = mv.slots[p], mv.slots[p + 1]
-        rest = mv.slots[:p], mv.slots[p + 2:]
+        head, tail = mv.slots[:p], mv.slots[p + 2:]
         in_l, in_r = mv.index in self.left, mv.index in self.right
         if in_l and in_r:
-            return [
-                _reslot(mv, rest[0] + (v,) + rest[1]) for v in fusions((u1, u2))
-            ]
+            return [mv._replace(slots=head + (v,) + tail) for v in fusions((u1, u2))]
         u = u1 if in_l else u2 if in_r else ""
-        return [_reslot(mv, rest[0] + (u,) + rest[1])]
+        return [mv._replace(slots=head + (u,) + tail)]
 
 
 class _BinarySplit(Translated):
     """A disjunction or conjunction oformula stands for its two halves."""
 
     def __init__(self, inner: Transducer, n: int, a: int):
-        super().__init__(inner)
-        self.n, self.a = n, a
+        super().__init__(inner, n)
+        self.a = a
 
-    def env_to_sim(self, move: str) -> list[str]:
-        mv = parse_move(self.n, move)
-        if mv is None:
-            return []
+    def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
         a = self.a
         if mv.index < a:
-            return [move]
+            return [mv]
         if mv.index > a:
-            return [_reslot(mv, mv.slots, index=mv.index + 1)]
+            return [mv._replace(index=mv.index + 1)]
         if mv.inner.startswith("0."):
-            return [_reslot(mv, mv.slots, index=a, inner=mv.inner[2:])]
+            return [mv._replace(inner=mv.inner[2:])]
         if mv.inner.startswith("1."):
-            return [_reslot(mv, mv.slots, index=a + 1, inner=mv.inner[2:])]
+            return [mv._replace(index=a + 1, inner=mv.inner[2:])]
         return []
 
-    def sim_to_real(self, move: str) -> list[str]:
-        mv = parse_move(self.n, move)
-        if mv is None:
-            return [move]
+    def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
         a = self.a
         if mv.index < a:
-            return [move]
+            return [mv]
         if mv.index == a:
-            return [_reslot(mv, mv.slots, index=a, inner="0." + mv.inner)]
+            return [mv._replace(inner="0." + mv.inner)]
         if mv.index == a + 1:
-            return [_reslot(mv, mv.slots, index=a, inner="1." + mv.inner)]
-        return [_reslot(mv, mv.slots, index=mv.index - 1)]
+            return [mv._replace(index=a, inner="1." + mv.inner)]
+        return [mv._replace(index=mv.index - 1)]
 
 
 class _RecFold(Translated):
     """The premise's fresh copy dimension folds into the '!' move address."""
 
-    def __init__(self, inner: Transducer, n_real: int, a: int, j: int):
-        super().__init__(inner)
-        self.n_real = n_real
+    def __init__(self, inner: Transducer, n: int, a: int, j: int):
+        super().__init__(inner, n)
         self.a, self.j = a, j
 
-    def env_to_sim(self, move: str) -> list[str]:
-        mv = parse_move(self.n_real, move)
-        if mv is None:
-            return []
-        p = self.j - 1
+    def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
+        p, s = self.j - 1, mv.slots
         if mv.index != self.a:
-            slots = mv.slots[:p] + ("",) + mv.slots[p:]
-            return [_reslot(mv, slots)]
-        sp = _split_inner(mv)
+            return [mv._replace(slots=s[:p] + ("",) + s[p:])]
+        sp = split_address(mv.inner)
         if sp is None:
             return []
         w, rest = sp
-        slots = mv.slots[:p] + (w,) + mv.slots[p:]
-        return [_reslot(mv, slots, inner=rest)]
+        return [mv._replace(slots=s[:p] + (w,) + s[p:], inner=rest)]
 
-    def sim_to_real(self, move: str) -> list[str]:
-        mv = parse_move(self.n_real + 1, move)
-        if mv is None:
-            return [move]
-        p = self.j - 1
-        w = mv.slots[p]
-        slots = mv.slots[:p] + mv.slots[p + 1:]
+    def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
+        p, s = self.j - 1, mv.slots
+        slots = s[:p] + s[p + 1:]
         if mv.index != self.a:
-            return [_reslot(mv, slots)]
-        return [_reslot(mv, slots, inner=w + "." + mv.inner)]
+            return [mv._replace(slots=slots)]
+        return [mv._replace(slots=slots, inner=s[p] + "." + mv.inner)]
 
 
 class _CorecFocus(Translated):
@@ -393,39 +332,34 @@ class _CorecFocus(Translated):
     committed by other moves there."""
 
     def __init__(self, inner: Transducer, n: int, a: int):
-        super().__init__(inner)
-        self.n, self.a = n, a
+        super().__init__(inner, n)
+        self.a = a
         self.used: set[str] = set()
 
-    def note_real(self, labmove: Labmove) -> None:
-        mv = parse_move(self.n, labmove.move)
-        if mv is not None and mv.index == self.a:
-            sp = _split_inner(mv)
+    def note_real(self, mv: CirquentMove) -> None:
+        if mv.index == self.a:
+            sp = split_address(mv.inner)
             if sp is not None:
                 self.used.add(sp[0])
 
-    def env_to_sim(self, move: str) -> list[str]:
-        mv = parse_move(self.n, move)
-        if mv is None:
-            return []
+    def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
         if mv.index != self.a:
-            return [move]
-        sp = _split_inner(mv)
+            return [mv]
+        sp = split_address(mv.inner)
         if sp is None:
             return []
         v, rest = sp
         if v.strip("0"):
             return []  # outside the focused copy
-        return [_reslot(mv, mv.slots, inner=rest)]
+        return [mv._replace(inner=rest)]
 
-    def sim_to_real(self, move: str) -> list[str]:
-        mv = parse_move(self.n, move)
-        if mv is None or mv.index != self.a:
-            return [move]
+    def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
+        if mv.index != self.a:
+            return [mv]
         u = ""
         while any(v != u and v.startswith(u) for v in self.used):
             u += "0"
-        return [_reslot(mv, mv.slots, inner=u + "." + mv.inner)]
+        return [mv._replace(inner=u + "." + mv.inner)]
 
 
 class _CorecWeave(Translated):
@@ -433,96 +367,80 @@ class _CorecWeave(Translated):
     premise's extra copy dimensions."""
 
     def __init__(self, inner: Transducer, n: int, a: int, added: tuple[int, ...]):
-        super().__init__(inner)
-        self.n, self.a = n, a
+        super().__init__(inner, n)
+        self.a = a
         self.added = added  # 1-based overgroup positions, ascending
 
-    def env_to_sim(self, move: str) -> list[str]:
-        mv = parse_move(self.n, move)
-        if mv is None:
-            return []
+    def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
         if mv.index != self.a:
-            return [move]
+            return [mv]
         if any(mv.slots[j - 1] for j in self.added):
             return []  # conclusion forbids addressing those dimensions here
-        sp = _split_inner(mv)
+        sp = split_address(mv.inner)
         if sp is None:
             return []
         u, rest = sp
-        parts = defusion(u, len(self.added))
         slots = list(mv.slots)
-        for j, part in zip(self.added, parts):
+        for j, part in zip(self.added, defusion(u, len(self.added))):
             slots[j - 1] = part
-        return [_reslot(mv, tuple(slots), inner=rest)]
+        return [mv._replace(slots=tuple(slots), inner=rest)]
 
-    def sim_to_real(self, move: str) -> list[str]:
-        mv = parse_move(self.n, move)
-        if mv is None or mv.index != self.a:
-            return [move]
-        xs = [mv.slots[j - 1] for j in self.added]
+    def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
+        if mv.index != self.a:
+            return [mv]
         slots = list(mv.slots)
         for j in self.added:
             slots[j - 1] = ""
-        return [
-            _reslot(mv, tuple(slots), inner=v + "." + mv.inner)
-            for v in fusions(xs)
-        ]
+        return [mv._replace(slots=tuple(slots), inner=v + "." + mv.inner)
+                for v in fusions([mv.slots[j - 1] for j in self.added])]
 
 
-class ClubToRep(Translated):
-    """A one-oformula cirquent strategy played as a '!' game strategy."""
+class FormulaBridge(Translated):
+    """A strategy for the one-oformula cirquent of a formula, played on the
+    formula's bare game.
 
-    def env_to_sim(self, move: str) -> list[str]:
-        from .games import split_address
+    Only the boundary changes; moves pass through untranslated.  An opponent
+    move m is broadcast to every copy of the club's '!' as
+    `CirquentMove(1, ("",), m)`, and a reply surfaces only when it lands in
+    the all-zeros copy.
+    """
 
-        sp = split_address(move)
-        if sp is None:
-            return []
-        return [f"1;{sp[0]}.{sp[1]}"]
+    def __init__(self, inner: Transducer):
+        super().__init__(inner, 1)
 
-    def sim_to_real(self, move: str) -> list[str]:
-        mv = parse_move(1, move)
-        if mv is None or mv.index != 1:
-            return []
-        return [f"{mv.slots[0]}.{mv.inner}"]
+    def read(self, move: str) -> CirquentMove:
+        return CirquentMove(1, ("",), move)
 
+    def write(self, mv: CirquentMove) -> str | None:
+        if mv.index == 1 and not mv.slots[0].strip("0"):
+            return mv.inner
+        return None
 
-class RepToPlain(Translated):
-    """A '!' game strategy played on the bare game: opponent moves are
-    broadcast to every copy, and only machine moves landing in the all-zeros
-    copy surface."""
-
-    def env_to_sim(self, move: str) -> list[str]:
-        return ["." + move]
-
-    def sim_to_real(self, move: str) -> list[str]:
-        from .games import split_address
-
-        sp = split_address(move)
-        if sp is None:
-            return []
-        return [sp[1]] if not sp[0].strip("0") else []
+    def advance(self, moves: list[CirquentMove]) -> list[CirquentMove]:
+        return self.inner.advance(moves)
 
 
 # A translation layer's class and the arguments it takes after the inner strategy.
 Layer = tuple[type[Translated], tuple]
 
 
-def transform(app: RuleApp, conclusion: Cirquent) -> Layer:
+def transform(app: RuleApp, conclusion: Cirquent) -> Layer | None:
     """The layer that lifts a strategy for the premise of `app` (checked
-    against `conclusion`) to a strategy for the conclusion."""
+    against `conclusion`) to a strategy for the conclusion, or None when the
+    rule leaves overgroups and oformulas alone, so the premise's strategy
+    already plays the conclusion."""
     premise = rl.premise_of(conclusion, app)
     n = len(conclusion.overgroups)
 
     if isinstance(app, (rl.UnderExchange, rl.UnderDuplication)):
-        return Translated, ()
+        return None
     if isinstance(app, rl.OformulaExchange):
         return _OformulaSwap, (n, app.pos)
     if isinstance(app, rl.OverExchange):
         return _OverSwap, (n, app.pos)
     if isinstance(app, rl.Weakening):
         if premise.width == conclusion.width:
-            return Translated, ()
+            return None
         a = app.oformula
         dropped_slots = tuple(
             j for j, g in enumerate(conclusion.overgroups) if g == frozenset({a})
@@ -552,7 +470,8 @@ Factory = Callable[[], Transducer]
 
 
 def cirquent_strategy_factories(proof: rl.Proof) -> list[tuple[Cirquent, Factory]]:
-    """One fresh-strategy factory per proof step, for that step's cirquent."""
+    """One fresh-strategy factory per proof step, for that step's cirquent.
+    A step whose rule adds no layer shares its premise's factory."""
     verdict = rl.check_proof(proof)
     if not verdict:
         raise rl.RuleError(f"proof does not check: step {verdict.step}: {verdict.message}")
@@ -563,10 +482,12 @@ def cirquent_strategy_factories(proof: rl.Proof) -> list[tuple[Cirquent, Factory
         (first.cirquent, lambda d=diamonds: AxiomCopycat(d))
     ]
     for step in proof[1:]:
-        cls, args = transform(step.app, step.cirquent)
+        factory = out[-1][1]
+        layer = transform(step.app, step.cirquent)
+        if layer is not None:
 
-        def factory(cls=cls, args=args, pf=out[-1][1]) -> Transducer:
-            return cls(pf(), *args)
+            def factory(cls=layer[0], args=layer[1], pf=factory) -> Transducer:
+                return cls(pf(), *args)
 
         out.append((step.cirquent, factory))
     return out
@@ -593,7 +514,7 @@ def compile_proof(proof: rl.Proof) -> CompiledStrategy:
     final_factory = chain[-1][1]
 
     def factory() -> Transducer:
-        return RepToPlain(ClubToRep(final_factory()))
+        return FormulaBridge(final_factory())
 
     bundle = json.dumps(
         {

@@ -63,6 +63,14 @@ def test_text_comments_stop_at_quoted_strings():
             parse_cirquent(bad)
 
 
+def test_text_rejects_repeated_and_unknown_fields():
+    # the last of a repeated key used to win silently: this parsed as `F`
+    with pytest.raises(CirquentError, match="given twice"):
+        parse_cirquent('cirquent { oformulas: ["G"]; oformulas: ["F"]; under: [[1]]; over: [[1]] }')
+    with pytest.raises(CirquentError, match="unknown field 'colour'"):
+        parse_cirquent('cirquent { oformulas: ["F"]; under: [[1]]; over: [[1]]; colour: 3 }')
+
+
 def test_validation_rejects_malformed_groupings():
     with pytest.raises(CirquentError):
         validate_cirquent(Cirquent((parse_formula("F"),), (frozenset(),), (frozenset({1}),)))

@@ -182,6 +182,10 @@ MALFORMED = [
     (["check", "{bad_proof}"], 2),
     (["check", "{name_group}"], 2),
     (["check", "{name_param}"], 2),
+    (["check", "{rule_twice}"], 2),
+    (["check", "{step_colour}"], 2),
+    (["check", "{param_colour}"], 2),
+    (["check", "{cirquent_colour}"], 2),
     (["compile", "{bin}"], 2),
     (["compile", "{bad_proof}"], 2),
     (["play", ELIM[0], "--atoms", "{bin}"], 2),
@@ -192,6 +196,8 @@ MALFORMED = [
     (["eval", "--formula", "Q", *ELIM[1:]], 2),
     (["eval", "--formula", "F", *ELIM[1:], "--run", "X:1"], 2),
     (["eval", "--cirquent", "{bin}", *ELIM[1:]], 2),
+    (["eval", "--cirquent", "{oformulas_twice}", *ELIM[1:]], 2),
+    (["eval", "--cirquent", "{colour}", *ELIM[1:]], 2),
     (["eval", "--formula", "F", "--atoms", "{bad_lib}"], 2),
     (["fuse", "012"], 2),
     (["fuse", "0", "1" * 20], 3),
@@ -218,9 +224,26 @@ def malformed_files(tmp_path_factory):
     (d / "empty").mkdir()
     (d / "group.cl15").write_text(PROOF.read_text().replace("under: [[1, 2]]", "under: [[x, 2]]", 1))
     (d / "param.cl15").write_text(PROOF.read_text().replace("added: []", "added: [x]", 1))
+    # a repeated key, then an unknown key in each kind of proof block
+    text = PROOF.read_text()
+    edits = {
+        "rule_twice": ("rule: CorecIntro;", "rule: CorecIntro; rule: DisjIntro;"),
+        "step_colour": ("rule: CorecIntro;", "rule: CorecIntro; colour: 3;"),
+        "param_colour": ("added: []", "added: []; colour: 3"),
+        "cirquent_colour": ("over: [[1]] }", "over: [[1]]; colour: 3 }"),
+    }
+    for name, (old, new) in edits.items():
+        assert old in text
+        (d / f"{name}.cl15").write_text(text.replace(old, new, 1))
+    (d / "oformulas_twice").write_text(
+        'cirquent { oformulas: ["E"]; oformulas: ["F"]; under: [[1]]; over: [[1]] }')
+    (d / "colour").write_text(
+        'cirquent { oformulas: ["F"]; under: [[1]]; over: [[1]]; colour: 3 }')
     return {"bin": d / "bin", "bad_proof": d / "bad.cl15",
             "bad_lib": d / "bad.game", "bad_corpus": d / "corpus", "empty": d / "empty",
-            "name_group": d / "group.cl15", "name_param": d / "param.cl15"}
+            "name_group": d / "group.cl15", "name_param": d / "param.cl15",
+            "oformulas_twice": d / "oformulas_twice", "colour": d / "colour",
+            **{name: d / f"{name}.cl15" for name in edits}}
 
 
 @pytest.mark.parametrize("args, code", MALFORMED,

@@ -197,6 +197,35 @@ def test_parse_proof_rejects_bad_numbering():
         R.parse_proof(text.replace("step 2", "step 7", 1))
 
 
+def test_parse_proof_rejects_repeated_and_unknown_fields():
+    text = R.format_proof(load("brec_elim"))
+    for old, new, error in (
+        ("rule: CorecIntro;", "rule: CorecIntro; rule: DisjIntro;", R.RuleError),
+        ("rule: CorecIntro;", "rule: CorecIntro; colour: 3;", R.RuleError),
+        ("added: []", "added: []; added: [1]", R.RuleError),
+        ("added: []", "added: []; colour: 3", R.RuleError),
+        ('oformulas: ["?~F", "F"];', 'oformulas: ["?~F", "F"]; oformulas: ["F"];',
+         CirquentError),
+        ("over: [[1]] }", "over: [[1]]; colour: 3 }", CirquentError),
+    ):
+        assert old in text
+        with pytest.raises(error, match="given twice|unknown field"):
+            R.parse_proof(text.replace(old, new, 1))
+    with pytest.raises(R.RuleError, match="unknown field"):
+        R._app_from_fields("Contraction", {"oformula": 1, "colour": 3})
+
+
+def test_axiom_formulas_share_the_formula_memo(monkeypatch):
+    text = R.format_proof(load("brec_elim"))
+    calls = []
+    parse = R.fm.parse_formula
+    monkeypatch.setattr(R.fm, "parse_formula", lambda s: calls.append(s) or parse(s))
+    R.parse_proof(text)
+    # the axiom's "F" is parsed once, and the cirquents reuse it
+    assert sorted(calls) == sorted(set(calls))
+    assert "F" in calls
+
+
 def test_repeated_oformula_text_is_checked_in_every_step():
     text = R.format_proof(load("brec_elim"))
     second = ', "F"]'  # the last oformula of steps 1 and 2

@@ -6,23 +6,31 @@ suite; here we pin down the transducer contracts the compiler builds on.
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import strategies_oracle as oracle
 from cirquent import rules as R
-from cirquent.cirquents import club
-from cirquent.formulas import parse_formula
-from cirquent.games import Labmove, parse_run
+from cirquent import strategies
+from cirquent.cirquents import CirquentMove, club
+from cirquent.formulas import atoms_of, parse_formula
+from cirquent.fusion import fusions
+from cirquent.games import Labmove, of_formula, parse_run
 from cirquent.games import BOT, TOP
+from cirquent.harness import CirquentArena
 from cirquent.strategies import (
     AxiomCopycat,
-    ClubToRep,
-    RepToPlain,
+    FormulaBridge,
     Transducer,
+    _BinarySplit,
     cirquent_strategy_factories,
     compile_proof,
     transform,
 )
+from test_acceptance import CASES, STANDARD, _game_candidates
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -32,14 +40,14 @@ def load(name: str) -> R.Proof:
 
 
 class Parrot(Transducer):
-    """Inner stand-in that emits a scripted block per step call."""
+    """Inner stand-in that returns a scripted block per advance call."""
 
-    def __init__(self, *blocks: list[str]):
+    def __init__(self, *blocks: list[CirquentMove]):
         self.blocks = list(blocks)
-        self.calls: list[tuple] = []
+        self.calls: list[list[CirquentMove]] = []
 
-    def step(self, observed):
-        self.calls.append(observed)
+    def advance(self, moves):
+        self.calls.append(moves)
         return self.blocks.pop(0) if self.blocks else []
 
 
@@ -61,20 +69,43 @@ def test_swapped_copycat_emits_nonsense_indices():
     assert t.step(parse_run("B:1;.q")) == ["0;.q"]
 
 
-def test_club_to_rep_bridges_addresses():
-    inner = Parrot(["1;01.r"])
-    t = ClubToRep(inner)
-    assert t.step((Labmove(BOT, "0.q"),)) == ["01.r"]
-    assert inner.calls[-1] == (Labmove(BOT, "1;0.q"),)
+def test_formula_bridge_broadcasts_and_surfaces_the_all_zeros_copy():
+    def mv(slot: str, inner: str) -> CirquentMove:
+        return CirquentMove(1, (slot,), inner)
 
-
-def test_rep_to_plain_broadcasts_and_filters():
-    inner = Parrot(["00.a", "1.b"], [".c"])
-    t = RepToPlain(inner)
+    inner = Parrot([mv("01", "r")], [mv("00", "a"), mv("1", "b")], [mv("", "c")])
+    t = FormulaBridge(inner)
+    # every opponent move is broadcast to all copies of the club's '!'
+    assert t.step((Labmove(BOT, "0.q"),)) == []
+    assert inner.calls[-1] == [mv("", "0.q")]
     # machine moves surface only from the all-zeros copy
-    assert t.step((Labmove(BOT, "q"),)) == ["a"]
-    assert inner.calls[-1] == (Labmove(BOT, ".q"),)
-    assert t.step((Labmove(BOT, "q"), Labmove(TOP, "a"), Labmove(BOT, "r"))) == ["c"]
+    run = (Labmove(BOT, "0.q"), Labmove(BOT, "q"))
+    assert t.step(run) == ["a"]
+    assert inner.calls[-1] == [mv("", "q")]
+    run += (Labmove(TOP, "a"), Labmove(BOT, "r"))
+    assert t.step(run) == ["c"]
+    assert inner.calls[-1] == [mv("", "r")]
+
+
+def test_layers_pass_only_new_moves():
+    inner = Parrot([CirquentMove(2, ("",), "m")])
+    t = _BinarySplit(inner, 1, 1)
+    assert t.step(parse_run("B:1;.0.q,B:junk")) == ["1;.1.m"]
+    assert inner.calls[-1] == [CirquentMove(1, ("",), "q")]
+    assert t.step(parse_run("B:1;.0.q,B:junk,T:1;.1.m,B:1;.1.x")) == []
+    assert inner.calls[-1] == [CirquentMove(2, ("",), "x")]
+
+
+def test_identity_rules_add_no_layer():
+    proof = load("blass")
+    pairs = cirquent_strategy_factories(proof)
+    shared = set()
+    for step, prev, cur in zip(proof[1:], pairs, pairs[1:]):
+        identity = transform(step.app, step.cirquent) is None
+        assert (cur[1] is prev[1]) == identity
+        if identity:
+            shared.add(type(step.app))
+    assert shared == {R.UnderExchange, R.Weakening}
 
 
 def test_transform_checks_the_rule_against_the_conclusion():
@@ -117,3 +148,119 @@ def test_compile_rejects_unchecked_proofs():
     proof = load("brec_elim")
     with pytest.raises(R.RuleError):
         compile_proof(proof[:1] + proof[2:])
+
+
+# ------------------------------------------- the string-protocol stack as oracle
+
+PROOFS = {name: load(name) for name in CASES}
+# criterion 7's interpretation
+GRID_INTERP = {
+    "E": STANDARD["relay"], "F": STANDARD["ladder"],
+    "G": STANDARD["choice"], "H": STANDARD["relay"],
+}
+BITS = st.text("01", max_size=10)
+LEAVES = st.sampled_from(["q", "a", "s", "p", "t", "l", "r", "x", "y", ""])
+# criterion 4's junk, plus arbitrary and non-ASCII text
+JUNK = st.one_of(
+    st.sampled_from(["zz", "0.zz", ".q", "1.", "x.q", "", "é.q", "0;.q", "١;.q"]),
+    st.text(max_size=6),
+)
+# formula-game moves: up to four address or choice components and a leaf
+SHAPED = st.builds(
+    lambda parts, leaf: ".".join(parts + [leaf]),
+    st.lists(st.one_of(BITS, st.sampled_from(["0", "1"])), max_size=4),
+    LEAVES,
+)
+
+
+def cirquent_moves(width: int, n: int):
+    """`a;u1,...,un.rest` with index 0 and out-of-range indices, the wrong
+    arity either way, and addresses up to 10 bits."""
+    return st.builds(
+        lambda a, slots, inner: f"{a};{','.join(slots)}.{inner}",
+        st.integers(0, width + 2),
+        st.lists(BITS, min_size=max(n - 1, 0), max_size=n + 1),
+        st.one_of(SHAPED, JUNK),
+    )
+
+
+# Address words one `step` call may fuse, summed over its layers.  Long
+# addresses fan out through nested recurrences (the fusion fan-out defect):
+# without a bound, one move of 10-bit addresses keeps either stack busy for
+# minutes.  Both stacks fuse the same words in the same order, so both reach
+# the bound on the same call.
+FANOUT_BUDGET = 4096
+
+
+class FanoutBudget(Exception):
+    pass
+
+
+def step_or_raise(t, run):
+    """`t.step(run)`, or the class of what it raised."""
+    fused = 0
+
+    def budgeted(parts, cap=4096):
+        nonlocal fused
+        words = fusions(parts, cap)
+        fused += len(words)
+        if fused > FANOUT_BUDGET:
+            raise FanoutBudget
+        return words
+
+    try:
+        with mock.patch.object(strategies, "fusions", budgeted), \
+                mock.patch.object(oracle, "fusions", budgeted):
+            return t.step(run)
+    except Exception as e:  # noqa: BLE001 - the class is what gets compared
+        return type(e)
+
+
+def assert_same_blocks(data, new, old, candidates, synthetic, rounds=6):
+    """Feed both stacks the same opponent moves, round by round: a move the
+    position offers (`candidates(run)`) or a synthetic string.  Each round
+    must give the same real block, or raise the same exception class."""
+    run = ()
+    for _ in range(rounds):
+        offered = candidates(run)
+        move = st.one_of(st.sampled_from(offered), synthetic) if offered else synthetic
+        run += tuple(Labmove(BOT, m) for m in data.draw(st.lists(move, max_size=3)))
+        got, want = step_or_raise(new, run), step_or_raise(old, run)
+        assert got == want, (run, got, want)
+        if not isinstance(got, list):
+            return
+        run += tuple(Labmove(TOP, m) for m in got)
+
+
+def test_bundles_match_the_oracle():
+    for proof in PROOFS.values():
+        assert compile_proof(proof).bundle == oracle.compile_proof(proof).bundle
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CASES), st.sampled_from(sorted(STANDARD)), st.data())
+def test_compiled_stack_matches_the_oracle(name, game_name, data):
+    new, old = compile_proof(PROOFS[name]), oracle.compile_proof(PROOFS[name])
+    formula = new.formula
+    game = of_formula(formula, {a: STANDARD[game_name] for a in atoms_of(formula)})
+    assert_same_blocks(
+        data, new.fresh(), old.fresh(),
+        lambda run: sorted(_game_candidates(game, run, BOT, 2)),
+        st.one_of(SHAPED, JUNK),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CASES), st.data())
+def test_step_strategies_match_the_oracle(name, data):
+    proof = PROOFS[name]
+    pairs = cirquent_strategy_factories(proof)
+    old_pairs = oracle.cirquent_strategy_factories(proof)
+    i = data.draw(st.integers(0, len(proof) - 1))
+    c, factory = pairs[i]
+    arena = CirquentArena(c, GRID_INTERP)
+    assert_same_blocks(
+        data, factory(), old_pairs[i][1](),
+        lambda run: arena.frontier(run, BOT, 2),
+        st.one_of(cirquent_moves(c.width, len(c.overgroups)), JUNK),
+    )
