@@ -69,10 +69,21 @@ def test_swapped_copycat_emits_nonsense_indices():
     assert t.step(parse_run("B:1;.q")) == ["0;.q"]
 
 
-def test_formula_bridge_broadcasts_and_surfaces_the_all_zeros_copy():
-    def mv(slot: str, inner: str) -> CirquentMove:
-        return CirquentMove(1, (slot,), inner)
+def _bridge_move(slot: str, inner: str) -> CirquentMove:
+    return CirquentMove(1, (slot,), inner)
 
+
+def test_club_to_rep_bridges_addresses():
+    mv = _bridge_move
+    inner = Parrot([mv("0", "r"), mv("01", "s"), CirquentMove(2, ("",), "t")])
+    t = FormulaBridge(inner)
+    # the bare game's move enters the club's only oformula with an empty address
+    assert t.step((Labmove(BOT, "0.q"),)) == ["r"]
+    assert inner.calls[-1] == [mv("", "0.q")]
+
+
+def test_rep_to_plain_broadcasts_and_filters():
+    mv = _bridge_move
     inner = Parrot([mv("01", "r")], [mv("00", "a"), mv("1", "b")], [mv("", "c")])
     t = FormulaBridge(inner)
     # every opponent move is broadcast to all copies of the club's '!'
