@@ -5,9 +5,8 @@ that every overgroup spans a branching-copy dimension shared by its members.
 A move has the form `a;u1,...,un.rest`: oformula index, one address bitstring
 per overgroup, and a move of the indexed oformula's game.  Bitstrings for
 overgroups not containing the oformula must be empty.
-Legality is prefix-closed, and a new move changes only its own oformula's
-copies whose addresses it covers, so `first_offender` re-judges just those,
-and `legal_moves` intersects the legal moves of just those copies.
+A referee judges a run one move at a time from `start(c, interp)`, with
+the position protocol of `games`: `advance`, `moves` and `winner`.
 """
 
 from __future__ import annotations
@@ -206,7 +205,10 @@ def parse_move(n_overgroups: int, move: str) -> CirquentMove | None:
     m = _MOVE.fullmatch(move)
     if m is None:
         return None
-    index = int(m.group(1))
+    try:
+        index = int(m.group(1))
+    except ValueError:  # more digits than int() converts
+        return None
     if index < 1:
         return None
     slots = tuple(m.group(2).split(","))
@@ -230,217 +232,173 @@ def respects_membership(c: Cirquent, mv: CirquentMove) -> bool:
     )
 
 
-def parse_moves(c: Cirquent, run: Run) -> list[CirquentMove | None]:
-    """Each move of `run` parsed, or None where its shape or membership is bad."""
-    n = len(c.overgroups)
-    out: list[CirquentMove | None] = []
-    for lm in run:
-        mv = parse_move(n, lm.move)
-        out.append(mv if mv is not None and respects_membership(c, mv) else None)
-    return out
-
-
-def project_parsed(
-    run: Run, moves: list[CirquentMove | None], index: int, stems: tuple[str, ...]
-) -> Run:
-    """`project_member` over the moves of `run` already parsed."""
-    return tuple(
-        Labmove(lm.label, mv.inner)
-        for lm, mv in zip(run, moves)
-        if mv is not None and mv.index == index
-        and all(gm.covers(s, u) for s, u in zip(stems, mv.slots))
-    )
-
-
 def project_member(c: Cirquent, run: Run, index: int, stems: tuple[str, ...]) -> Run:
     """The run seen by oformula `index` on the copy addressed by `stems`."""
     n = len(c.overgroups)
-    return project_parsed(run, [parse_move(n, lm.move) for lm in run], index, stems)
+    out = []
+    for lm in run:
+        mv = parse_move(n, lm.move)
+        if mv is not None and mv.index == index and all(map(gm.covers, stems, mv.slots)):
+            out.append(Labmove(lm.label, mv.inner))
+    return tuple(out)
 
 
 # -------------------------------------------------------- legality, winner
 
 
-def member_games(c: Cirquent, interp: Mapping[str, gm.GameNode]) -> list[gm.Game]:
-    return [gm.of_formula(f, interp) for f in c.oformulas]
-
-
-def _used(c: Cirquent, moves: list[CirquentMove]) -> list[set[str]]:
-    used: list[set[str]] = [set() for _ in c.overgroups]
-    for mv in moves:
-        for j, u in enumerate(mv.slots):
-            used[j].add(u)
-    return used
-
-
-def _capped(options: list[list[str]], cap: int) -> list[list[str]]:
-    """`options`, one list per overgroup, once the vectors taking one entry
-    from each are known to number at most `cap`."""
-    total = prod(len(o) for o in options)
+def _capped(total: int, cap: int) -> None:
     if total > cap:
         raise ClassCapExceeded(f"{total} copy-address classes exceed cap {cap}")
-    return options
 
 
-def _slot_classes(used: list[set[str]], cap: int) -> list[list[str]]:
-    return _capped([gm.thread_classes(u) for u in used], cap)
+@dataclass(frozen=True)
+class _Shape:
+    cirquent: Cirquent
+    own: tuple[tuple[int, ...], ...]  # per oformula, the overgroups holding it
+    cap: int
 
 
-def _member_vectors(c: Cirquent, index: int, per_slot: list[list[str]]):
-    """Class vectors that can tell apart the copies of oformula `index`; its
-    address in an overgroup it is not in is always empty."""
-    return product(*(
-        cl if index in group else [""] for cl, group in zip(per_slot, c.overgroups)
-    ))
+class Position:
+    """What a legal run of a cirquent has settled, never changed once built.
 
+    Per overgroup j it holds the used addresses `used[j]` and the chains of
+    their classes `classes[j]`, as `games.split_classes` keeps them.  Per
+    oformula it holds one game position per class vector of the overgroups
+    holding it: the copies on one vector have seen the same moves.  A move of
+    oformula a at slots w refines the classes of every overgroup that gets a
+    new address, and with them the vectors of every member of those
+    overgroups; both parts of a split vector start from its position, and
+    only a's vectors through w take the move.  The protocol is the one of
+    `games.Position`.  ClassCapExceeded fires when an oformula's vectors, or
+    the vectors a move or a frontier address goes through, exceed `cap`.
+    """
 
-def legal(
-    c: Cirquent,
-    interp: Mapping[str, gm.GameNode],
-    run: Run,
-    cap: int = 100_000,
-    *,
-    games: list[gm.Game] | None = None,
-) -> bool:
-    """`games` are the member games, built from `interp` when not given."""
-    moves = parse_moves(c, run)
-    if None in moves:
-        return False
-    games = games if games is not None else member_games(c, interp)
-    per_slot = _slot_classes(_used(c, moves), cap)
-    for a in range(1, c.width + 1):
-        seen: set[Run] = set()
-        for vec in _member_vectors(c, a, per_slot):
-            proj = project_parsed(run, moves, a, vec)
-            if proj in seen:
+    __slots__ = ("shape", "used", "classes", "members")
+
+    def __init__(self, shape: _Shape, used, classes, members):
+        self.shape, self.used, self.classes, self.members = shape, used, classes, members
+
+    def advance(self, lm: Labmove) -> Position | None:
+        shape = self.shape
+        mv = parse_move(len(self.used), lm.move)
+        if mv is None or not respects_membership(shape.cirquent, mv):
+            return None
+        mine = shape.own[mv.index - 1]
+        # per overgroup of the mover: (chain, chain before, through the slot)
+        lineage = {j: gm.split_classes(self.used[j], self.classes[j], mv.slots[j])
+                   for j in mine}
+        changed = {j for j in mine if mv.slots[j] not in self.used[j]}
+        used, classes = list(self.used), list(self.classes)
+        for j in changed:
+            used[j] = used[j] | {mv.slots[j]}
+            classes[j] = tuple(chain for chain, _, _ in lineage[j])
+        inner = Labmove(lm.label, mv.inner)
+        members = list(self.members)
+        for b, own in enumerate(shape.own, 1):
+            mover = b == mv.index
+            if not mover and changed.isdisjoint(own):
                 continue
-            seen.add(proj)
-            if not gm.legal(games[a - 1], proj):
-                return False
-    return True
+            lines = [lineage[j] if j in lineage else [(cl, cl, False) for cl in classes[j]]
+                     for j in own]
+            _capped(prod(map(len, lines)), shape.cap)
+            out = {}
+            for combo in product(*lines):
+                pos = self.members[b - 1][tuple(old for _, old, _ in combo)]
+                if mover and all(through for _, _, through in combo):
+                    pos = pos.advance(inner)
+                    if pos is None:
+                        return None
+                out[tuple(chain for chain, _, _ in combo)] = pos
+            members[b - 1] = out
+        return Position(shape, tuple(used), tuple(classes), tuple(members))
+
+    def moves(self, player: Player, limit: int) -> set[str]:
+        shape, used, n = self.shape, self.used, len(self.used)
+        addresses = gm.addresses(limit)
+        # per overgroup and address: the class of the copy it names
+        named = [[(w, gm.chain_of(u, w)) for w in addresses] for u in used]
+        through: dict[tuple[int, str], list[frozenset[str]]] = {}
+        out: set[str] = set()
+        for a, own in enumerate(shape.own, 1):
+            positions = self.members[a - 1]
+            memo: dict[tuple, set[str]] = {}
+            for combo in product(*(named[j] for j in own)):
+                # as in games: start from the copy the slots name
+                vec = tuple(chain for _, chain in combo)
+                found = memo.get(vec)
+                if found is None:
+                    found = memo[vec] = positions[vec].moves(player, limit)
+                if not found:
+                    continue
+                lines = []
+                for j, (w, _) in zip(own, combo):
+                    if (j, w) not in through:
+                        through[j, w] = gm.through_classes(used[j], self.classes[j], w)
+                    lines.append(through[j, w])
+                _capped(prod(map(len, lines)), shape.cap)
+                for vec in product(*lines):
+                    if vec not in memo:
+                        memo[vec] = positions[vec].moves(player, limit)
+                    found = found & memo[vec]
+                    if not found:
+                        break
+                if found:
+                    slots = [""] * n
+                    for j, (w, _) in zip(own, combo):
+                        slots[j] = w
+                    head = f"{a};{','.join(slots)}."
+                    out.update(head + m for m in found)
+        return out
+
+    def winner(self) -> Player:
+        shape = self.shape
+        _capped(prod(map(len, self.classes)), shape.cap)
+        memo: dict[tuple, Player] = {}
+
+        def member_winner(a: int, vec: tuple) -> Player:
+            # oformula a sees only the classes of its own overgroups
+            key = (a, tuple(vec[j] for j in shape.own[a - 1]))
+            if key not in memo:
+                memo[key] = self.members[a - 1][key[1]].winner()
+            return memo[key]
+
+        for group in shape.cirquent.undergroups:
+            for vec in product(*self.classes):
+                if not any(member_winner(a, vec) is TOP for a in group):
+                    return BOT
+        return TOP
 
 
-def _covering_projections(
-    c: Cirquent,
-    run: Run,
-    moves: list[CirquentMove],
-    used: list[set[str]],
-    index: int,
-    slots: tuple[str, ...],
-    cap: int,
-) -> set[Run]:
-    """What oformula `index` saw of the legal `run` (parsed into `moves`,
-    addresses `used`) on each copy whose addresses cover `slots`.  A move
-    there can change only these runs; every other copy's run stays legal."""
-    covering = [
-        gm.threads_through(u, w) if index in group else [""]
-        for u, w, group in zip(used, slots, c.overgroups)
-    ]
-    return {
-        project_parsed(run, moves, index, vec)
-        for vec in product(*_capped(covering, cap))
-    }
-
-
-def _extends(games: list[gm.Game], projections: set[Run], lm: Labmove,
-             mv: CirquentMove) -> bool:
-    game = games[mv.index - 1]
-    inner = Labmove(lm.label, mv.inner)
-    return all(gm.legal_extension(game, proj, inner) for proj in projections)
-
-
-def legal_moves(
-    c: Cirquent,
-    interp: Mapping[str, gm.GameNode],
-    run: Run,
-    player: Player,
-    limit: int,
-    cap: int = 100_000,
-    *,
-    games: list[gm.Game] | None = None,
-) -> set[str]:
-    """The moves `player` can add to the legal `run`, with copy addresses of
-    at most `limit` bits in every overgroup and inside every oformula."""
-    moves = parse_moves(c, run)
-    games = games if games is not None else member_games(c, interp)
-    used = _used(c, moves)
-    addresses = gm.addresses(limit)
-    memo: dict[tuple[int, Run], set[str]] = {}
-
-    def copy_moves(a: int, proj: Run) -> set[str]:
-        if (a, proj) not in memo:
-            memo[a, proj] = gm.legal_moves(games[a - 1], proj, player, limit)
-        return memo[a, proj]
-
-    out: set[str] = set()
-    for a in range(1, c.width + 1):
-        slot_options = [addresses if a in group else [""] for group in c.overgroups]
-        for slots in product(*slot_options):
-            # as in games.legal_moves: start from the copy the slots name
-            found = copy_moves(a, project_parsed(run, moves, a, slots))
-            if found:
-                for proj in _covering_projections(c, run, moves, used, a, slots, cap):
-                    found = found & copy_moves(a, proj)
-                out.update(format_move(CirquentMove(a, slots, m)) for m in found)
-    return out
-
-
-def first_offender(
-    c: Cirquent,
-    interp: Mapping[str, gm.GameNode],
-    run: Run,
-    cap: int = 100_000,
-    *,
-    games: list[gm.Game] | None = None,
-) -> Player | None:
-    games = games if games is not None else member_games(c, interp)
-    moves = parse_moves(c, run)
-    used: list[set[str]] = [set() for _ in c.overgroups]
-    for i, (lm, mv) in enumerate(zip(run, moves)):
-        if mv is None or not _extends(
-            games,
-            _covering_projections(c, run[:i], moves[:i], used, mv.index, mv.slots, cap),
-            lm, mv,
-        ):
-            return lm.label
-        for u, w in zip(used, mv.slots):
-            u.add(w)
-    return None
-
-
-def winner(
-    c: Cirquent,
-    interp: Mapping[str, gm.GameNode],
-    run: Run,
-    cap: int = 100_000,
-    *,
-    games: list[gm.Game] | None = None,
-) -> Player:
-    games = games if games is not None else member_games(c, interp)
-    off = first_offender(c, interp, run, cap, games=games)
-    if off is not None:
-        return off.other
-    moves = parse_moves(c, run)
-    per_slot = _slot_classes(_used(c, moves), cap)
-    members = [
-        [j for j, group in enumerate(c.overgroups) if a in group]
+def start(c: Cirquent, interp: Mapping[str, gm.GameNode], cap: int = 100_000) -> Position:
+    """The position of the empty run."""
+    own = tuple(
+        tuple(j for j, group in enumerate(c.overgroups) if a in group)
         for a in range(1, c.width + 1)
-    ]
-    memo: dict[tuple[int, tuple[str, ...]], Player] = {}
+    )
+    none = frozenset()
+    return Position(
+        _Shape(c, own, cap),
+        tuple(none for _ in c.overgroups),
+        tuple((none,) for _ in c.overgroups),
+        tuple({tuple(none for _ in js): gm.start(gm.of_formula(f, interp))}
+              for js, f in zip(own, c.oformulas)),
+    )
 
-    def member_winner(a: int, vec: tuple[str, ...]) -> Player:
-        # oformula a sees only the addresses of its own overgroups
-        key = (a, tuple(vec[j] for j in members[a - 1]))
-        if key not in memo:
-            proj = project_parsed(run, moves, a, vec)
-            memo[key] = gm.winner(games[a - 1], proj)
-        return memo[key]
 
-    for group in c.undergroups:
-        for vec in product(*per_slot):
-            if not any(member_winner(a, vec) is TOP for a in group):
-                return BOT
-    return TOP
+def legal(c: Cirquent, interp: Mapping[str, gm.GameNode], run: Run,
+          cap: int = 100_000) -> bool:
+    return first_offender(c, interp, run, cap) is None
+
+
+def first_offender(c: Cirquent, interp: Mapping[str, gm.GameNode], run: Run,
+                   cap: int = 100_000) -> Player | None:
+    return gm.judge(start(c, interp, cap), run)[1]
+
+
+def winner(c: Cirquent, interp: Mapping[str, gm.GameNode], run: Run,
+           cap: int = 100_000) -> Player:
+    pos, off = gm.judge(start(c, interp, cap), run)
+    return pos.winner() if off is None else off.other
 
 
 # ----------------------------------------------------------------- diagram

@@ -5,11 +5,10 @@ are finite rooted trees whose nodes carry the winner of the run ending there.
 Compound games are built with negation, the two parallel connectives, and the
 two branching-repetition operations, where a move prefixed with a bitstring
 acts in every copy whose address extends that bitstring.
-Legality is prefix-closed, and a new move changes only the threads whose
-addresses it covers, so `legal_extension` re-judges just those threads.
-For the same reason a move at copy address w is legal exactly when it is
-legal in every thread through w, so `legal_moves` finds the whole frontier
-in one walk, intersecting the moves of those threads.
+Legality is prefix-closed, so a referee judges a run one move at a time.
+`start(g)` is the position of the empty run.  A position is immutable:
+`advance(lm)` returns the next one (None when the move is illegal),
+`moves(player, limit)` the frontier and `winner()` the score of the run.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import product
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from . import formulas as fm
@@ -54,10 +54,6 @@ class Labmove(NamedTuple):
 Run = tuple[Labmove, ...]
 
 
-def negate_run(run: Run) -> Run:
-    return tuple(Labmove(lm.label.other, lm.move) for lm in run)
-
-
 def parse_run(text: str) -> Run:
     """Run literal: comma-separated `T:move` / `B:move` items (also ⊤/⊥)."""
     text = text.strip()
@@ -89,24 +85,11 @@ class GameNode:
                 return node
         return None
 
-    def depth(self) -> int:
-        if not self.edges:
-            return 0
-        return 1 + max(n.depth() for _, _, n in self.edges)
-
     def moves(self) -> set[str]:
         out = {m for _, m, _ in self.edges}
         for _, _, node in self.edges:
             out |= node.moves()
         return out
-
-
-def walk(node: GameNode, run: Run) -> GameNode | None:
-    for lm in run:
-        node = node.child(lm.label, lm.move)
-        if node is None:
-            return None
-    return node
 
 
 def _parse_player(tok: str) -> Player:
@@ -177,10 +160,6 @@ def format_game(node: GameNode, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
-def format_game_library(lib: Mapping[str, GameNode]) -> str:
-    return "\n\n".join(f"game {name} = {format_game(node)}" for name, node in lib.items()) + "\n"
-
-
 # ----------------------------------------------------------- compound games
 
 
@@ -241,16 +220,7 @@ def of_formula(f, interp: Mapping[str, GameNode]) -> Game:
     raise TypeError(f"not a formula: {f!r}")
 
 
-# ------------------------------------------------------- projections, threads
-
-
-def project_prefix(run: Run, prefix: str) -> Run:
-    """Keep moves starting with the literal prefix, stripped of it."""
-    return tuple(
-        Labmove(lm.label, lm.move[len(prefix):])
-        for lm in run
-        if lm.move.startswith(prefix)
-    )
+# ------------------------------------------------------------ copy addresses
 
 
 def split_address(move: str) -> tuple[str, str] | None:
@@ -271,15 +241,6 @@ def covers(stem: str, u: str) -> bool:
     return u.startswith(stem) and not u[len(stem):].strip("0")
 
 
-def project_thread(run: Run, stem: str) -> Run:
-    out = []
-    for lm in run:
-        parts = split_address(lm.move)
-        if parts is not None and covers(stem, parts[0]):
-            out.append(Labmove(lm.label, parts[1]))
-    return tuple(out)
-
-
 def thread_classes(used: Iterable[str]) -> list[str]:
     """Finitely many copy addresses that jointly exhaust all behaviors.
 
@@ -290,15 +251,12 @@ def thread_classes(used: Iterable[str]) -> list[str]:
     return list(_thread_classes(tuple(sorted(set(used)))))
 
 
-def threads_through(used: Iterable[str], w: str) -> list[str]:
-    """One stem per class of the copies whose addresses extend w.
+Chain = frozenset  # the used addresses on the copies of one class
 
-    Those copies all contain the used addresses that are prefixes of w, so
-    they differ only in the used addresses that extend w.
-    """
-    n = len(w)
-    below = [u[n:] for u in used if len(u) > n and u.startswith(w)]
-    return [w + stem for stem in thread_classes(below)]
+
+def chain_of(used: Iterable[str], stem: str) -> Chain:
+    """The used addresses on the copy stem000...: its class's chain."""
+    return frozenset(u for u in used if covers(stem, u))
 
 
 @lru_cache(maxsize=65536)
@@ -312,167 +270,207 @@ def _thread_classes(used: tuple[str, ...]) -> tuple[str, ...]:
         for b in "01":
             if v + b not in closure:
                 cands.add(v + b)
-
-    def chain(stem: str) -> frozenset[str]:
-        return frozenset(u for u in used if covers(stem, u))
-
-    reps: dict[frozenset[str], str] = {}
+    reps: dict[Chain, str] = {}
     for stem in sorted(cands, key=lambda s: (len(s), s)):
-        reps.setdefault(chain(stem), stem)
+        reps.setdefault(chain_of(used, stem), stem)
     return tuple(sorted(reps.values(), key=lambda s: (len(s), s)))
 
 
-# ----------------------------------------------------- legality and winners
+def split_classes(used: frozenset[str], chains: Iterable[Chain], w: str
+                  ) -> list[tuple[Chain, Chain, bool]]:
+    """The classes once a move at w is played, given the addresses `used` so
+    far and their classes' `chains`: one (chain, chain of the class it comes
+    from, whether its copies go through w) per class."""
+    if w in used:
+        return [(c, c, w in c) for c in chains]
+    after = used | {w}
+    return [(c, c - {w}, w in c) for c in (chain_of(after, s) for s in thread_classes(after))]
 
 
-def _structure_ok(g: Game, run: Run) -> bool:
-    """Full-run shape and projection check at this level and below."""
-    if isinstance(g, Tree):
-        return walk(g.root, run) is not None
-    if isinstance(g, Neg):
-        return _structure_ok(g.sub, negate_run(run))
-    if isinstance(g, (Conj, Disj)):
-        for lm in run:
-            if len(lm.move) < 2 or lm.move[0] not in "01" or lm.move[1] != ".":
-                return False
-        return _structure_ok(g.left, project_prefix(run, "0.")) and _structure_ok(
-            g.right, project_prefix(run, "1.")
-        )
-    if isinstance(g, (Rep, Corep)):
-        used = []
-        for lm in run:
-            parts = split_address(lm.move)
-            if parts is None:
-                return False
-            used.append(parts[0])
-        return all(
-            _structure_ok(g.sub, project_thread(run, stem))
-            for stem in thread_classes(used)
-        )
-    raise TypeError(f"not a game: {g!r}")
-
-
-def legal(g: Game, run: Run) -> bool:
-    return _structure_ok(g, run)
-
-
-def legal_extension(g: Game, run: Run, lm: Labmove) -> bool:
-    """`legal(g, run + (lm,))` for a run already known to be legal.
-
-    Only the subgames the new move reaches are judged again: one side of a
-    parallel connective, and the thread classes covering a copy address.
-    """
-    if isinstance(g, Tree):
-        node = walk(g.root, run)
-        return node is not None and node.child(lm.label, lm.move) is not None
-    if isinstance(g, Neg):
-        return legal_extension(g.sub, negate_run(run), Labmove(lm.label.other, lm.move))
-    if isinstance(g, (Conj, Disj)):
-        m = lm.move
-        if len(m) < 2 or m[0] not in "01" or m[1] != ".":
-            return False
-        side = g.left if m[0] == "0" else g.right
-        return legal_extension(side, project_prefix(run, m[:2]), Labmove(lm.label, m[2:]))
-    if isinstance(g, (Rep, Corep)):
-        parts = split_address(lm.move)
-        if parts is None:
-            return False
-        w, rest = parts
-        used = [split_address(x.move)[0] for x in run]
-        inner = Labmove(lm.label, rest)
-        return all(
-            legal_extension(g.sub, project_thread(run, stem), inner)
-            for stem in threads_through(used, w)
-        )
-    raise TypeError(f"not a game: {g!r}")
+def through_classes(used: frozenset[str], chains: Iterable[Chain], w: str) -> list[Chain]:
+    """The chains, among `chains` of `used`, of the classes with copies
+    through w: what `split_classes` marks through, without splitting, so a
+    frontier query fills the class cache only with addresses below w."""
+    if w in used:
+        return [c for c in chains if w in c]
+    # those copies differ only in the used addresses that extend w
+    below = [u[len(w):] for u in used if len(u) > len(w) and u.startswith(w)]
+    return [chain_of(used, w + stem) for stem in thread_classes(below)]
 
 
 def addresses(limit: int) -> list[str]:
     """Every bitstring of at most `limit` bits, shortest first."""
-    out = [""]
-    frontier = [""]
-    for _ in range(limit):
-        frontier = [w + b for w in frontier for b in "01"]
-        out.extend(frontier)
-    return out
+    return ["".join(bits) for n in range(limit + 1) for bits in product("01", repeat=n)]
 
 
-def legal_moves(g: Game, run: Run, player: Player, limit: int) -> set[str]:
-    """The moves `player` can add to the legal `run`, with copy addresses of
-    at most `limit` bits at every level."""
-    if isinstance(g, Tree):
-        node = walk(g.root, run)
-        return {m for lab, m, _ in node.edges if lab is player}
-    if isinstance(g, Neg):
-        return legal_moves(g.sub, negate_run(run), player.other, limit)
-    if isinstance(g, (Conj, Disj)):
-        left = legal_moves(g.left, project_prefix(run, "0."), player, limit)
-        right = legal_moves(g.right, project_prefix(run, "1."), player, limit)
-        return {"0." + m for m in left} | {"1." + m for m in right}
-    if isinstance(g, (Rep, Corep)):
-        used = [split_address(lm.move)[0] for lm in run]
-        memo: dict[Run, set[str]] = {}
+# ---------------------------------------------------------------- positions
 
-        def thread_moves(stem: str) -> set[str]:
-            proj = project_thread(run, stem)
-            if proj not in memo:
-                memo[proj] = legal_moves(g.sub, proj, player, limit)
-            return memo[proj]
+
+class Position:
+    """What a legal run has settled in a game, never changed once built.
+
+    `advance(lm)` is the position one move later, or None when the move is
+    illegal there; `moves(player, limit)` is the set of moves `player` can
+    add, with copy addresses of at most `limit` bits at every level; and
+    `winner()` scores the run as it stands.
+    """
+
+    __slots__ = ()
+
+
+class _Node(Position):
+    """A node of an atom's tree; `flip` swaps the players' roles, for an atom
+    under an odd number of negations."""
+
+    __slots__ = ("node", "flip")
+
+    def __init__(self, node: GameNode, flip: bool):
+        self.node, self.flip = node, flip
+
+    def advance(self, lm: Labmove) -> Position | None:
+        child = self.node.child(lm.label.other if self.flip else lm.label, lm.move)
+        return None if child is None else _Node(child, self.flip)
+
+    def moves(self, player: Player, limit: int) -> set[str]:
+        player = player.other if self.flip else player
+        return {m for lab, m, _ in self.node.edges if lab is player}
+
+    def winner(self) -> Player:
+        return self.node.winner.other if self.flip else self.node.winner
+
+
+class _Parallel(Position):
+    """Conj or Disj: a move `0.m` or `1.m` is `m` in the left or right part;
+    `decisive` wins the whole game by winning one part."""
+
+    __slots__ = ("decisive", "parts")
+
+    def __init__(self, decisive: Player, parts: tuple[Position, Position]):
+        self.decisive, self.parts = decisive, parts
+
+    def advance(self, lm: Labmove) -> Position | None:
+        m = lm.move
+        if len(m) < 2 or m[1] != "." or m[0] not in "01":
+            return None
+        i = int(m[0])
+        sub = self.parts[i].advance(Labmove(lm.label, m[2:]))
+        if sub is None:
+            return None
+        return _Parallel(self.decisive, (sub, self.parts[1]) if i == 0 else (self.parts[0], sub))
+
+    def moves(self, player: Player, limit: int) -> set[str]:
+        return {f"{i}.{m}" for i, p in enumerate(self.parts) for m in p.moves(player, limit)}
+
+    def winner(self) -> Player:
+        left = self.parts[0].winner()
+        return left if left is self.decisive else self.parts[1].winner()
+
+
+class _Copies(Position):
+    """Rep or Corep: one sub-position per thread class.
+
+    A move `w.m` is `m` in every copy whose infinite address extends w.  Two
+    copies carrying the same used addresses have seen the same moves, so a
+    class of them needs one sub-position, keyed by its chain: the used
+    addresses on its copies.  A move at a new address w splits each class in
+    two, the copies through w and the rest (`split_classes` lists the parts
+    that are not empty).  Both parts saw the same moves so far, so both start
+    from the class's position, and only the part through w takes the move.
+    The move is legal when it is legal in every class through w, which is
+    also why the moves open at w are those open in every one of them.
+    `decisive` is the player who wins by winning one copy.
+    """
+
+    __slots__ = ("decisive", "used", "threads")
+
+    def __init__(self, decisive: Player, used: frozenset[str], threads: dict[Chain, Position]):
+        self.decisive, self.used, self.threads = decisive, used, threads
+
+    def advance(self, lm: Labmove) -> Position | None:
+        parts = split_address(lm.move)
+        if parts is None:
+            return None
+        w, rest = parts
+        inner = Labmove(lm.label, rest)
+        threads = {}
+        for chain, old, through in split_classes(self.used, self.threads, w):
+            pos = self.threads[old].advance(inner) if through else self.threads[old]
+            if pos is None:
+                return None
+            threads[chain] = pos
+        return _Copies(self.decisive, self.used | {w}, threads)
+
+    def moves(self, player: Player, limit: int) -> set[str]:
+        memo: dict[Chain, set[str]] = {}
+
+        def thread_moves(chain: Chain) -> set[str]:
+            if chain not in memo:
+                memo[chain] = self.threads[chain].moves(player, limit)
+            return memo[chain]
 
         out: set[str] = set()
         for w in addresses(limit):
-            # the copy w000... is one thread through w; the others are
+            # the copy w000... is one class through w; the others are
             # looked up only when it leaves some move to check
-            moves = thread_moves(w)
-            if moves:
-                for stem in threads_through(used, w):
-                    moves = moves & thread_moves(stem)
-                out.update(w + "." + m for m in moves)
+            found = thread_moves(chain_of(self.used, w))
+            for chain in through_classes(self.used, self.threads, w) if found else ():
+                found = found & thread_moves(chain)
+                if not found:
+                    break
+            out.update(f"{w}.{m}" for m in found)
         return out
+
+    def winner(self) -> Player:
+        d = self.decisive
+        return d if any(p.winner() is d for p in self.threads.values()) else d.other
+
+
+def start(g: Game) -> Position:
+    """The position of the empty run."""
+    return _start(g, False)
+
+
+def _start(g: Game, flip: bool) -> Position:
+    """`start` of `Neg(g)` when `flip` is set: negation is pushed down to the
+    atoms by De Morgan's laws."""
+    if isinstance(g, Tree):
+        return _Node(g.root, flip)
+    if isinstance(g, Neg):
+        return _start(g.sub, not flip)
+    # a conjunction, or Rep, is lost by losing one part or copy; negation
+    # turns it into a disjunction, or Corep, which is won by winning one
+    decisive = BOT if isinstance(g, (Conj, Rep)) else TOP
+    decisive = decisive.other if flip else decisive
+    if isinstance(g, (Conj, Disj)):
+        return _Parallel(decisive, (_start(g.left, flip), _start(g.right, flip)))
+    if isinstance(g, (Rep, Corep)):
+        return _Copies(decisive, frozenset(), {frozenset(): _start(g.sub, flip)})
     raise TypeError(f"not a game: {g!r}")
+
+
+def judge(pos, run: Run):
+    """`run` played from `pos`, game or cirquent: the position after its
+    longest legal prefix and the first offender (None if the run is legal)."""
+    for lm in run:
+        nxt = pos.advance(lm)
+        if nxt is None:
+            return pos, lm.label
+        pos = nxt
+    return pos, None
+
+
+def legal(g: Game, run: Run) -> bool:
+    return judge(start(g), run)[1] is None
 
 
 def first_offender(g: Game, run: Run) -> Player | None:
     """Label of the last move of the shortest illegal prefix, if any."""
-    if _structure_ok(g, run):  # one whole-run check settles the common case
-        return None
-    for i, lm in enumerate(run):
-        if not legal_extension(g, run[:i], lm):
-            return lm.label
-    raise AssertionError("empty run must be legal")
-
-
-def _winner_of_legal(g: Game, run: Run) -> Player:
-    if isinstance(g, Tree):
-        node = walk(g.root, run)
-        assert node is not None
-        return node.winner
-    if isinstance(g, Neg):
-        return _winner_of_legal(g.sub, negate_run(run)).other
-    if isinstance(g, Conj):
-        if _winner_of_legal(g.left, project_prefix(run, "0.")) is BOT:
-            return BOT
-        return _winner_of_legal(g.right, project_prefix(run, "1."))
-    if isinstance(g, Disj):
-        if _winner_of_legal(g.left, project_prefix(run, "0.")) is TOP:
-            return TOP
-        return _winner_of_legal(g.right, project_prefix(run, "1."))
-    if isinstance(g, (Rep, Corep)):
-        used = [split_address(lm.move)[0] for lm in run]
-        good = TOP if isinstance(g, Corep) else BOT
-        # Rep: TOP must win every copy; Corep: some copy suffices.
-        for stem in thread_classes(used):
-            if _winner_of_legal(g.sub, project_thread(run, stem)) is good:
-                return good
-        return good.other
-    raise TypeError(f"not a game: {g!r}")
+    return judge(start(g), run)[1]
 
 
 def winner(g: Game, run: Run) -> Player:
-    off = first_offender(g, run)
-    if off is not None:
-        return off.other
-    return _winner_of_legal(g, run)
+    pos, off = judge(start(g), run)
+    return pos.winner() if off is None else off.other
 
 
 # ------------------------------------------------------------- static check
@@ -540,16 +538,17 @@ def _delays(pi: Player, gamma: Run) -> list[Run]:
 
 def _legal_runs(g: Game, alphabet: list[str], maxlen: int) -> list[Run]:
     out: list[Run] = [()]
-    frontier: list[Run] = [()]
+    frontier: list[tuple[Run, Position]] = [((), start(g))]
     for _ in range(maxlen):
         nxt = []
-        for run in frontier:
+        for run, pos in frontier:
             for m in alphabet:
                 for lab in (TOP, BOT):
                     lm = Labmove(lab, m)
-                    if legal_extension(g, run, lm):
-                        nxt.append(run + (lm,))
-        out.extend(nxt)
+                    after = pos.advance(lm)
+                    if after is not None:
+                        nxt.append((run + (lm,), after))
+        out.extend(run for run, _ in nxt)
         frontier = nxt
     return out
 

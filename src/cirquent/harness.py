@@ -1,7 +1,7 @@
 """Playing strategies against environments and measuring who wins.
 
-Arenas wrap a game (formula-level or cirquent-level) behind a uniform
-interface: winner, offender, and a finitized frontier of legal moves for a
+An arena referees a game (formula-level or cirquent-level) from its start
+position: winner, offender, and a finitized frontier of legal moves for a
 player, with copy addresses capped at a given length.  Environment policies
 draw opponent moves; play() alternates environment and machine blocks until
 both go quiet or the labmove budget runs out.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -29,50 +29,78 @@ class CapExceeded(RuntimeError):
     pass
 
 
-@dataclass
-class FormulaArena:
-    game: gm.Game
+class Arena:
+    """A referee over positions (`games.Position` or `cirquents.Position`);
+    a subclass only says how to build the start position.
+
+    It keeps the positions after each prefix of the last run it judged.  The
+    runs of one play, one spoiler probe or one sweep extend one another, so
+    a query cuts that path where its run leaves the last one and judges only
+    the moves after the cut.
+    """
+
+    default_limit = 2
+    _run: Run = ()  # the legal run the path holds the positions of
+    _path: list | None = None  # built on the first query
+
+    def start(self):
+        """The position of the empty run."""
+        raise NotImplementedError
+
+    def _judge(self, run: Run) -> tuple:
+        """The position after the longest legal prefix of `run`, and the
+        first offender (None when the whole run is legal)."""
+        if self._path is None:
+            self._path = [self.start()]
+        known, path = self._run, self._path
+        n = len(known)
+        if run[:n] != known:
+            n = 0
+            while n < len(run) and run[n] == known[n]:
+                n += 1
+            del path[n + 1:]
+        try:
+            for lm in run[n:]:
+                pos = path[-1].advance(lm)
+                if pos is None:
+                    return path[-1], lm.label
+                path.append(pos)
+            return path[-1], None
+        finally:  # also when a cap is hit
+            self._run = run[:len(path) - 1]
 
     def winner(self, run: Run) -> Player:
-        return gm.winner(self.game, run)
+        pos, off = self._judge(run)
+        return pos.winner() if off is None else off.other
 
     def offender(self, run: Run) -> Player | None:
-        return gm.first_offender(self.game, run)
+        return self._judge(run)[1]
 
-    def legal(self, run: Run) -> bool:
-        return gm.legal(self.game, run)
-
-    def frontier(self, run: Run, player: Player, limit: int = 2) -> list[str]:
-        if not self.legal(run):
+    def frontier(self, run: Run, player: Player, limit: int | None = None) -> list[str]:
+        """Sorted legal moves for `player` after `run`; none if it is illegal."""
+        pos, off = self._judge(run)
+        if off is not None:
             return []
-        return sorted(gm.legal_moves(self.game, run, player, limit))
+        return sorted(pos.moves(player, self.default_limit if limit is None else limit))
 
 
 @dataclass
-class CirquentArena:
+class FormulaArena(Arena):
+    game: gm.Game
+
+    def start(self) -> gm.Position:
+        return gm.start(self.game)
+
+
+@dataclass
+class CirquentArena(Arena):
     cirquent: cq.Cirquent
     interp: Mapping[str, gm.GameNode]
     cap: int = 100_000
-    games: list[gm.Game] = field(init=False, repr=False)
+    default_limit = 1
 
-    def __post_init__(self) -> None:
-        self.games = cq.member_games(self.cirquent, self.interp)
-
-    def winner(self, run: Run) -> Player:
-        return cq.winner(self.cirquent, self.interp, run, self.cap, games=self.games)
-
-    def offender(self, run: Run) -> Player | None:
-        return cq.first_offender(self.cirquent, self.interp, run, self.cap,
-                                 games=self.games)
-
-    def legal(self, run: Run) -> bool:
-        return cq.legal(self.cirquent, self.interp, run, self.cap, games=self.games)
-
-    def frontier(self, run: Run, player: Player, limit: int = 1) -> list[str]:
-        if not self.legal(run):
-            return []
-        return sorted(cq.legal_moves(self.cirquent, self.interp, run, player, limit,
-                                     self.cap, games=self.games))
+    def start(self) -> cq.Position:
+        return cq.start(self.cirquent, self.interp, self.cap)
 
 
 # ------------------------------------------------------------ environments

@@ -1,0 +1,211 @@
+"""Frozen oracle: the whole-run referee of `cirquent.games` that the
+position referee replaced, with only its imports made absolute.
+
+Every function here re-projects the whole run on every query; positions
+must give the same answers.  Do not edit.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+from cirquent.games import (
+    BOT,
+    TOP,
+    Conj,
+    Corep,
+    Disj,
+    Game,
+    GameNode,
+    Labmove,
+    Neg,
+    Player,
+    Rep,
+    Run,
+    Tree,
+    addresses,
+    covers,
+    split_address,
+    thread_classes,
+)
+
+
+def negate_run(run: Run) -> Run:
+    return tuple(Labmove(lm.label.other, lm.move) for lm in run)
+
+
+def walk(node: GameNode, run: Run) -> GameNode | None:
+    for lm in run:
+        node = node.child(lm.label, lm.move)
+        if node is None:
+            return None
+    return node
+
+
+def project_prefix(run: Run, prefix: str) -> Run:
+    """Keep moves starting with the literal prefix, stripped of it."""
+    return tuple(
+        Labmove(lm.label, lm.move[len(prefix):])
+        for lm in run
+        if lm.move.startswith(prefix)
+    )
+
+
+def project_thread(run: Run, stem: str) -> Run:
+    out = []
+    for lm in run:
+        parts = split_address(lm.move)
+        if parts is not None and covers(stem, parts[0]):
+            out.append(Labmove(lm.label, parts[1]))
+    return tuple(out)
+
+
+def threads_through(used: Iterable[str], w: str) -> list[str]:
+    """One stem per class of the copies whose addresses extend w.
+
+    Those copies all contain the used addresses that are prefixes of w, so
+    they differ only in the used addresses that extend w.
+    """
+    n = len(w)
+    below = [u[n:] for u in used if len(u) > n and u.startswith(w)]
+    return [w + stem for stem in thread_classes(below)]
+
+
+def _structure_ok(g: Game, run: Run) -> bool:
+    """Full-run shape and projection check at this level and below."""
+    if isinstance(g, Tree):
+        return walk(g.root, run) is not None
+    if isinstance(g, Neg):
+        return _structure_ok(g.sub, negate_run(run))
+    if isinstance(g, (Conj, Disj)):
+        for lm in run:
+            if len(lm.move) < 2 or lm.move[0] not in "01" or lm.move[1] != ".":
+                return False
+        return _structure_ok(g.left, project_prefix(run, "0.")) and _structure_ok(
+            g.right, project_prefix(run, "1.")
+        )
+    if isinstance(g, (Rep, Corep)):
+        used = []
+        for lm in run:
+            parts = split_address(lm.move)
+            if parts is None:
+                return False
+            used.append(parts[0])
+        return all(
+            _structure_ok(g.sub, project_thread(run, stem))
+            for stem in thread_classes(used)
+        )
+    raise TypeError(f"not a game: {g!r}")
+
+
+def legal(g: Game, run: Run) -> bool:
+    return _structure_ok(g, run)
+
+
+def legal_extension(g: Game, run: Run, lm: Labmove) -> bool:
+    """`legal(g, run + (lm,))` for a run already known to be legal.
+
+    Only the subgames the new move reaches are judged again: one side of a
+    parallel connective, and the thread classes covering a copy address.
+    """
+    if isinstance(g, Tree):
+        node = walk(g.root, run)
+        return node is not None and node.child(lm.label, lm.move) is not None
+    if isinstance(g, Neg):
+        return legal_extension(g.sub, negate_run(run), Labmove(lm.label.other, lm.move))
+    if isinstance(g, (Conj, Disj)):
+        m = lm.move
+        if len(m) < 2 or m[0] not in "01" or m[1] != ".":
+            return False
+        side = g.left if m[0] == "0" else g.right
+        return legal_extension(side, project_prefix(run, m[:2]), Labmove(lm.label, m[2:]))
+    if isinstance(g, (Rep, Corep)):
+        parts = split_address(lm.move)
+        if parts is None:
+            return False
+        w, rest = parts
+        used = [split_address(x.move)[0] for x in run]
+        inner = Labmove(lm.label, rest)
+        return all(
+            legal_extension(g.sub, project_thread(run, stem), inner)
+            for stem in threads_through(used, w)
+        )
+    raise TypeError(f"not a game: {g!r}")
+
+
+def legal_moves(g: Game, run: Run, player: Player, limit: int) -> set[str]:
+    """The moves `player` can add to the legal `run`, with copy addresses of
+    at most `limit` bits at every level."""
+    if isinstance(g, Tree):
+        node = walk(g.root, run)
+        return {m for lab, m, _ in node.edges if lab is player}
+    if isinstance(g, Neg):
+        return legal_moves(g.sub, negate_run(run), player.other, limit)
+    if isinstance(g, (Conj, Disj)):
+        left = legal_moves(g.left, project_prefix(run, "0."), player, limit)
+        right = legal_moves(g.right, project_prefix(run, "1."), player, limit)
+        return {"0." + m for m in left} | {"1." + m for m in right}
+    if isinstance(g, (Rep, Corep)):
+        used = [split_address(lm.move)[0] for lm in run]
+        memo: dict[Run, set[str]] = {}
+
+        def thread_moves(stem: str) -> set[str]:
+            proj = project_thread(run, stem)
+            if proj not in memo:
+                memo[proj] = legal_moves(g.sub, proj, player, limit)
+            return memo[proj]
+
+        out: set[str] = set()
+        for w in addresses(limit):
+            # the copy w000... is one thread through w; the others are
+            # looked up only when it leaves some move to check
+            moves = thread_moves(w)
+            if moves:
+                for stem in threads_through(used, w):
+                    moves = moves & thread_moves(stem)
+                out.update(w + "." + m for m in moves)
+        return out
+    raise TypeError(f"not a game: {g!r}")
+
+
+def first_offender(g: Game, run: Run) -> Player | None:
+    """Label of the last move of the shortest illegal prefix, if any."""
+    if _structure_ok(g, run):  # one whole-run check settles the common case
+        return None
+    for i, lm in enumerate(run):
+        if not legal_extension(g, run[:i], lm):
+            return lm.label
+    raise AssertionError("empty run must be legal")
+
+
+def _winner_of_legal(g: Game, run: Run) -> Player:
+    if isinstance(g, Tree):
+        node = walk(g.root, run)
+        assert node is not None
+        return node.winner
+    if isinstance(g, Neg):
+        return _winner_of_legal(g.sub, negate_run(run)).other
+    if isinstance(g, Conj):
+        if _winner_of_legal(g.left, project_prefix(run, "0.")) is BOT:
+            return BOT
+        return _winner_of_legal(g.right, project_prefix(run, "1."))
+    if isinstance(g, Disj):
+        if _winner_of_legal(g.left, project_prefix(run, "0.")) is TOP:
+            return TOP
+        return _winner_of_legal(g.right, project_prefix(run, "1."))
+    if isinstance(g, (Rep, Corep)):
+        used = [split_address(lm.move)[0] for lm in run]
+        good = TOP if isinstance(g, Corep) else BOT
+        # Rep: TOP must win every copy; Corep: some copy suffices.
+        for stem in thread_classes(used):
+            if _winner_of_legal(g.sub, project_thread(run, stem)) is good:
+                return good
+        return good.other
+    raise TypeError(f"not a game: {g!r}")
+
+
+def winner(g: Game, run: Run) -> Player:
+    off = first_offender(g, run)
+    if off is not None:
+        return off.other
+    return _winner_of_legal(g, run)

@@ -39,8 +39,6 @@ from cirquent.games import (
     parse_game,
     parse_game_library,
     parse_run,
-    project_prefix,
-    project_thread,
     winner,
 )
 from cirquent.harness import (
@@ -56,6 +54,7 @@ from cirquent.strategies import (
     cirquent_strategy_factories,
     compile_proof,
 )
+from referee_oracle import negate_run, project_prefix, project_thread, walk
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -280,20 +279,20 @@ def _game_candidates(g: gm.Game, run: Run, player: Player, limit: int) -> set[st
     """Every move the game trees offer `player` after `run`, whether legal or
     not: the candidates the legal-move oracles filter."""
     if isinstance(g, gm.Tree):
-        node = gm.walk(g.root, run)
+        node = walk(g.root, run)
         if node is None:
             return set()
         return {m for lab, m, _ in node.edges if lab is player}
     if isinstance(g, gm.Neg):
-        return _game_candidates(g.sub, gm.negate_run(run), player.other, limit)
+        return _game_candidates(g.sub, negate_run(run), player.other, limit)
     if isinstance(g, (gm.Conj, gm.Disj)):
-        left = _game_candidates(g.left, gm.project_prefix(run, "0."), player, limit)
-        right = _game_candidates(g.right, gm.project_prefix(run, "1."), player, limit)
+        left = _game_candidates(g.left, project_prefix(run, "0."), player, limit)
+        right = _game_candidates(g.right, project_prefix(run, "1."), player, limit)
         return {"0." + m for m in left} | {"1." + m for m in right}
     if isinstance(g, (gm.Rep, gm.Corep)):
         out: set[str] = set()
         for w in gm.addresses(limit):
-            sub = _game_candidates(g.sub, gm.project_thread(run, w), player, limit)
+            sub = _game_candidates(g.sub, project_thread(run, w), player, limit)
             out.update(w + "." + m for m in sub)
         return out
     raise TypeError(f"not a game: {g!r}")

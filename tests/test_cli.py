@@ -139,6 +139,15 @@ def test_eval_accepts_a_cirquent_literal():
     assert "winner: B" in r.stdout
 
 
+def test_eval_calls_an_index_too_long_for_int_illegal():
+    literal = 'cirquent { oformulas: ["~F", "F"]; under: [[1, 2]]; over: [[1, 2]] }'
+    r = cli("eval", "--cirquent", literal, "--atoms", str(ATOMS), "--run",
+            "B:" + "1" * 5000 + ";.q")
+    assert r.returncode == 0, r.stderr
+    assert "first offender B" in r.stdout
+    assert "Traceback" not in r.stderr
+
+
 def test_eval_reports_unreadable_and_malformed_cirquents():
     r = cli("eval", "--cirquent", "/no/such/file.cq", "--atoms", str(ATOMS), "--run", "")
     assert r.returncode == 2

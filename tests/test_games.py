@@ -28,16 +28,13 @@ from cirquent.games import (
     is_delay_of,
     is_static_bounded,
     legal,
-    negate_run,
     parse_game,
     parse_game_library,
     parse_run,
-    project_prefix,
-    project_thread,
     thread_classes,
-    walk,
     winner,
 )
+from referee_oracle import negate_run, project_prefix, project_thread, walk
 
 
 def run(*items: str):

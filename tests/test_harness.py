@@ -137,6 +137,13 @@ def test_winnability_through_replication():
     assert not winnability(arena_for("?P"), max_moves=4, limit=1)
 
 
+def test_cirquent_arena_calls_an_index_too_long_for_int_illegal():
+    arena = CirquentArena(R.axiom_conclusion((parse_formula("F"),)), INTERP)
+    run = (Labmove(BOT, "1" * 5000 + ";.q"),)
+    assert arena.offender(run) is BOT
+    assert arena.winner(run) is TOP
+
+
 def test_cirquent_arena_plays_step_strategies():
     proof = R.parse_proof((CORPUS / "brec_split" / "proof.cl15").read_text())
     pairs = cirquent_strategy_factories(proof)

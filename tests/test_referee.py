@@ -1,16 +1,20 @@
-"""Differential tests: each incremental referee path against the whole-run
-path it replaces.
+"""Differential tests: the position referee against the whole-run referee it
+replaced.
 
-The oracles below judge every run whole, never extending a run already known
-to be legal; they are the slow reference the fast paths must agree with.
+`referee_oracle` holds the frozen whole-run walkers of the game referee.
+The cirquent oracles below judge every run whole, on top of them, never
+extending a run already known to be legal; they are the slow reference the
+positions and the arenas must agree with.
 """
 
 import random
+from functools import cache
 from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import referee_oracle as ro
 from cirquent import cirquents as cq
 from cirquent import games as gm
 from cirquent.games import BOT, TOP, Labmove
@@ -38,7 +42,7 @@ JUNK = ["zz", "0.zz", ".q", "1.", "x.q", ""]
 
 def oracle_first_offender(g, run):
     for i in range(len(run)):
-        if not gm.legal(g, run[: i + 1]):
+        if not ro.legal(g, run[: i + 1]):
             return run[i].label
     return None
 
@@ -46,25 +50,31 @@ def oracle_first_offender(g, run):
 @settings(max_examples=1000, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_legal_extension_matches_whole_run_legality(seed):
+    """`advance` judges one more move as the whole-run walker judges the
+    extended run, and the positions it builds score runs as it does."""
     rng = random.Random(seed)
     g = _random_game(rng, rng.randrange(1, 4))
     run = _random_run(rng, g)
+    pos = gm.start(g)
     for i in range(len(run) + 1):
         prefix = run[:i]
-        if not gm.legal(g, prefix):
+        if not ro.legal(g, prefix):
             break
+        assert pos.winner() is ro.winner(g, prefix), (g, prefix)
         for player in (TOP, BOT):
             for m in sorted(_game_candidates(g, prefix, player, limit=2)) + JUNK:
                 lm = Labmove(player, m)
-                assert gm.legal_extension(g, prefix, lm) == gm.legal(g, prefix + (lm,)), (
+                assert (pos.advance(lm) is not None) == ro.legal(g, prefix + (lm,)), (
                     g, prefix, lm)
+        if i < len(run):
+            pos = pos.advance(run[i])
 
 
 def oracle_legal_moves(g, run, player, limit):
     """The candidate filter that judges `run + (lm,)` whole for each move."""
     return sorted(
         m for m in _game_candidates(g, run, player, limit)
-        if gm.legal(g, run + (Labmove(player, m),))
+        if ro.legal(g, run + (Labmove(player, m),))
     )
 
 
@@ -77,14 +87,14 @@ def test_formula_frontier_matches_candidate_filter(seed):
     run = _random_run(rng, g)
     for i in range(len(run) + 1):
         prefix = run[:i]
-        legal = gm.legal(g, prefix)
+        legal = ro.legal(g, prefix)
         for player, limit in product((TOP, BOT), (1, 2)):
             got = arena.frontier(prefix, player, limit)
             if not legal:
                 assert got == [], (g, prefix, player, limit)
                 continue
             want = oracle_legal_moves(g, prefix, player, limit)
-            assert sorted(gm.legal_moves(g, prefix, player, limit)) == want, (
+            assert sorted(ro.legal_moves(g, prefix, player, limit)) == want, (
                 g, prefix, player, limit)
             assert got == want, (g, prefix, player, limit)
 
@@ -95,6 +105,8 @@ def test_first_offender_matches_prefix_scan():
         g = _random_game(rng, rng.randrange(1, 4))
         run = _random_run(rng, g)
         assert gm.first_offender(g, run) == oracle_first_offender(g, run), (g, run)
+        assert gm.legal(g, run) == ro.legal(g, run), (g, run)
+        assert gm.winner(g, run) is ro.winner(g, run), (g, run)
 
 
 # ---------------------------------------------------------------- cirquents
@@ -111,7 +123,7 @@ def oracle_cirquent_legal(c, interp, run, cap=100_000):
     assert len(vectors) <= cap
     games = [gm.of_formula(f, interp) for f in c.oformulas]
     return all(
-        gm.legal(games[a - 1], cq.project_member(c, run, a, vec))
+        ro.legal(games[a - 1], cq.project_member(c, run, a, vec))
         for a in range(1, c.width + 1)
         for vec in vectors
     )
@@ -155,29 +167,33 @@ def oracle_cirquent_winner(c, interp, run):
     for group in c.undergroups:
         for vec in product(*(gm.thread_classes(u) for u in used)):
             if not any(
-                gm.winner(games[a - 1], cq.project_member(c, run, a, vec)) is TOP
+                ro.winner(games[a - 1], cq.project_member(c, run, a, vec)) is TOP
                 for a in group
             ):
                 return BOT
     return TOP
 
 
-def _grid_runs(seeds=2):
-    """(step, cirquent, arena, run) for criterion 7's plays on every proof
-    step of the corpus."""
+@cache
+def _grid_plays(seeds=2):
+    """(step, cirquent, run) for criterion 7's plays on every proof step of
+    the corpus."""
+    out = []
     for name in CASES:
         pairs = cirquent_strategy_factories(load_proof(name))
         for k, (c, factory) in enumerate(pairs, start=1):
             arena = CirquentArena(c, GRID_INTERP)
             for seed in range(seeds):
                 env = RandomEnv(seed=seed, max_moves=4)
-                yield (name, k), c, arena, play(factory(), env, arena, budget=48).run
+                out.append(((name, k), c, play(factory(), env, arena, budget=48).run))
+    return out
 
 
 def test_cirquent_frontier_matches_whole_run_filter():
     steps, checked = set(), 0
-    for step, c, arena, run in _grid_runs():
+    for step, c, run in _grid_plays():
         steps.add(step)
+        arena = CirquentArena(c, GRID_INTERP)
         for i in range(len(run) + 1):
             prefix = run[:i]
             legal = oracle_cirquent_legal(c, GRID_INTERP, prefix)
@@ -192,7 +208,8 @@ def test_cirquent_frontier_matches_whole_run_filter():
 
 def test_cirquent_offender_and_winner_match_whole_run_oracles():
     rng = random.Random(7)
-    for _, c, arena, run in _grid_runs():
+    for _, c, run in _grid_plays():
+        arena = CirquentArena(c, GRID_INTERP)
         runs = [run]
         if run:
             # the same run with one move handed to the other player
@@ -205,3 +222,57 @@ def test_cirquent_offender_and_winner_match_whole_run_oracles():
                     c, GRID_INTERP, prefix), (c, prefix)
                 assert arena.winner(prefix) == oracle_cirquent_winner(
                     c, GRID_INTERP, prefix), (c, prefix)
+                assert cq.winner(c, GRID_INTERP, prefix) is arena.winner(prefix), (c, prefix)
+
+
+# ------------------------------------------------------------ arena cache
+
+
+def _queries(runs, rng):
+    """Every (prefix, question) over `runs`, shuffled: the order no play
+    would ask them in, so the arena's path is cut and regrown everywhere."""
+    out = [(r[:i], q) for r in runs for i in range(len(r) + 1)
+           for q in ("offender", "winner", "frontier1", "frontier2")]
+    rng.shuffle(out)
+    return out
+
+
+def _ask(arena, run, question):
+    if question == "offender":
+        return arena.offender(run)
+    if question == "winner":
+        return arena.winner(run)
+    player = BOT if len(run) % 2 else TOP
+    return arena.frontier(run, player, int(question[-1]))
+
+
+def _same_answers(make_arena, runs, rng):
+    kept = make_arena()
+    for run, question in _queries(runs, rng):
+        assert _ask(kept, run, question) == _ask(make_arena(), run, question), (
+            run, question)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_arena_path_answers_as_a_fresh_arena_on_formula_games(seed):
+    rng = random.Random(seed)
+    g = _random_game(rng, rng.randrange(1, 4))
+    runs = [_random_run(rng, g) for _ in range(4)]
+    # two runs that share a prefix and then part
+    runs.append(runs[0][:2] + runs[1][2:])
+    _same_answers(lambda: FormulaArena(g), runs, rng)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_arena_path_answers_as_a_fresh_arena_on_the_grid(seed):
+    rng = random.Random(seed)
+    plays = _grid_plays()
+    step, c, _ = rng.choice(plays)
+    runs = [r for s, _, r in plays if s == step]
+    runs.append(rng.choice(plays)[2])  # mostly some other cirquent's: illegal here
+    if runs[0]:
+        i = rng.randrange(len(runs[0]))
+        runs.append(runs[0][:i] + (Labmove(runs[0][i].label.other, runs[0][i].move),))
+    _same_answers(lambda: CirquentArena(c, GRID_INTERP), runs, rng)

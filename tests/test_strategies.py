@@ -15,12 +15,12 @@ from hypothesis import strategies as st
 import strategies_oracle as oracle
 from cirquent import rules as R
 from cirquent import strategies
-from cirquent.cirquents import CirquentMove, club
+from cirquent.cirquents import Cirquent, CirquentMove, club
 from cirquent.formulas import atoms_of, parse_formula
 from cirquent.fusion import fusions
 from cirquent.games import Labmove, of_formula, parse_run
 from cirquent.games import BOT, TOP
-from cirquent.harness import CirquentArena
+from cirquent.harness import CirquentArena, RandomEnv, exhaustive_env_check, play
 from cirquent.strategies import (
     AxiomCopycat,
     FormulaBridge,
@@ -67,6 +67,11 @@ def test_copycat_ignores_junk_and_top_moves():
 def test_swapped_copycat_emits_nonsense_indices():
     t = AxiomCopycat(diamonds=1, pairing="swapped")
     assert t.step(parse_run("B:1;.q")) == ["0;.q"]
+
+
+def test_copycat_drops_an_index_too_long_for_int():
+    # more digits than int() converts: a malformed move, not an error
+    assert AxiomCopycat(diamonds=1).step((Labmove(BOT, "1" * 5000 + ";.q"),)) == []
 
 
 def _bridge_move(slot: str, inner: str) -> CirquentMove:
@@ -159,6 +164,37 @@ def test_compile_rejects_unchecked_proofs():
     proof = load("brec_elim")
     with pytest.raises(R.RuleError):
         compile_proof(proof[:1] + proof[2:])
+
+
+def _swap_weaken_proof() -> R.Proof:
+    """Axiom(F, G), OverExchange(1), then a Weakening that adds H to
+    undergroup 1 in its own singleton overgroup.  No corpus proof has such
+    steps, and only they build `_OverSwap` and a `_WeakeningDrop` that drops
+    a slot."""
+    f, g, h = (parse_formula(x) for x in "FGH")
+    axiom = R.axiom_conclusion((f, g))
+    swapped = R.conclusion_of(axiom, R.OverExchange(1))
+    weakened = Cirquent(swapped.oformulas + (h,),
+                        (swapped.undergroups[0] | {5}, swapped.undergroups[1]),
+                        swapped.overgroups + (frozenset({5}),))
+    return (R.Step(R.Axiom((f, g)), axiom), R.Step(R.OverExchange(1), swapped),
+            R.Step(R.Weakening(1, 5), weakened))
+
+
+def test_over_swap_and_weakening_drop_keep_winning():
+    proof = _swap_weaken_proof()
+    assert R.check_proof(proof)
+    layers = [transform(step.app, step.cirquent) for step in proof[1:]]
+    assert [cls for cls, _ in layers] == [strategies._OverSwap, strategies._WeakeningDrop]
+    assert layers[1][1][-1] == (2,)  # the singleton overgroup is dropped
+    interp = {"F": STANDARD["relay"], "G": STANDARD["choice"], "H": STANDARD["ladder"]}
+    for k, (c, factory) in enumerate(cirquent_strategy_factories(proof), 1):
+        arena = CirquentArena(c, interp)
+        for seed in range(20):
+            result = play(factory(), RandomEnv(seed, max_moves=4), arena, budget=48)
+            assert result.won, (k, seed, result.run)
+        ok, witness = exhaustive_env_check(factory, arena, env_depth=2)
+        assert ok, (k, witness)
 
 
 # ------------------------------------------- the string-protocol stack as oracle
