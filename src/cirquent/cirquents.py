@@ -5,8 +5,9 @@ that every overgroup spans a branching-copy dimension shared by its members.
 A move has the form `a;u1,...,un.rest`: oformula index, one address bitstring
 per overgroup, and a move of the indexed oformula's game.  Bitstrings for
 overgroups not containing the oformula must be empty.
-A referee judges a run one move at a time from `start(c, interp)`, with
-the position protocol of `games`: `advance`, `moves` and `winner`.
+A referee judges a run one move at a time from `start(c, interp)`, a
+`games.Copies` table with the position protocol of `games`: `advance`,
+`moves` and `winner`.
 """
 
 from __future__ import annotations
@@ -20,14 +21,11 @@ from typing import Mapping, NamedTuple
 from . import formulas as fm
 from . import games as gm
 from .games import BOT, TOP, Labmove, Player, Run
+from .games import ClassCapExceeded  # noqa: F401  (positions raise it; callers catch it here)
 from .reader import Reader
 
 
 class CirquentError(ValueError):
-    pass
-
-
-class ClassCapExceeded(RuntimeError):
     pass
 
 
@@ -246,123 +244,50 @@ def project_member(c: Cirquent, run: Run, index: int, stems: tuple[str, ...]) ->
 # -------------------------------------------------------- legality, winner
 
 
-def _capped(total: int, cap: int) -> None:
-    if total > cap:
-        raise ClassCapExceeded(f"{total} copy-address classes exceed cap {cap}")
-
-
-@dataclass(frozen=True)
-class _Shape:
-    cirquent: Cirquent
-    own: tuple[tuple[int, ...], ...]  # per oformula, the overgroups holding it
-    cap: int
-
-
-class Position:
-    """What a legal run of a cirquent has settled, never changed once built.
-
-    Per overgroup j it holds the used addresses `used[j]` and the chains of
-    their classes `classes[j]`, as `games.split_classes` keeps them.  Per
-    oformula it holds one game position per class vector of the overgroups
-    holding it: the copies on one vector have seen the same moves.  A move of
-    oformula a at slots w refines the classes of every overgroup that gets a
-    new address, and with them the vectors of every member of those
-    overgroups; both parts of a split vector start from its position, and
-    only a's vectors through w take the move.  The protocol is the one of
-    `games.Position`.  ClassCapExceeded fires when an oformula's vectors, or
-    the vectors a move or a frontier address goes through, exceed `cap`.
+class Position(gm.Copies):
+    """What a legal run of a cirquent has settled, never changed once built:
+    a `games.Copies` table whose members are the oformulas and whose
+    dimensions are the overgroups, `own[a - 1]` holding oformula a.  The
+    protocol is the one of `games.Position`; `winner()` asks each undergroup
+    for a member that wins on every class vector, and ClassCapExceeded also
+    fires when those vectors exceed `cap`.
     """
 
-    __slots__ = ("shape", "used", "classes", "members")
+    __slots__ = ("cirquent", "own", "cap")
 
-    def __init__(self, shape: _Shape, used, classes, members):
-        self.shape, self.used, self.classes, self.members = shape, used, classes, members
+    def __init__(self, cirquent: Cirquent, own, cap, used, classes, members):
+        self.cirquent, self.own, self.cap = cirquent, own, cap
+        self.used, self.classes, self.members = used, classes, members
+
+    def _next(self, used, classes, members) -> Position:
+        return Position(self.cirquent, self.own, self.cap, used, classes, members)
 
     def advance(self, lm: Labmove) -> Position | None:
-        shape = self.shape
         mv = parse_move(len(self.used), lm.move)
-        if mv is None or not respects_membership(shape.cirquent, mv):
+        if mv is None or not respects_membership(self.cirquent, mv):
             return None
-        mine = shape.own[mv.index - 1]
-        # per overgroup of the mover: (chain, chain before, through the slot)
-        lineage = {j: gm.split_classes(self.used[j], self.classes[j], mv.slots[j])
-                   for j in mine}
-        changed = {j for j in mine if mv.slots[j] not in self.used[j]}
-        used, classes = list(self.used), list(self.classes)
-        for j in changed:
-            used[j] = used[j] | {mv.slots[j]}
-            classes[j] = tuple(chain for chain, _, _ in lineage[j])
-        inner = Labmove(lm.label, mv.inner)
-        members = list(self.members)
-        for b, own in enumerate(shape.own, 1):
-            mover = b == mv.index
-            if not mover and changed.isdisjoint(own):
-                continue
-            lines = [lineage[j] if j in lineage else [(cl, cl, False) for cl in classes[j]]
-                     for j in own]
-            _capped(prod(map(len, lines)), shape.cap)
-            out = {}
-            for combo in product(*lines):
-                pos = self.members[b - 1][tuple(old for _, old, _ in combo)]
-                if mover and all(through for _, _, through in combo):
-                    pos = pos.advance(inner)
-                    if pos is None:
-                        return None
-                out[tuple(chain for chain, _, _ in combo)] = pos
-            members[b - 1] = out
-        return Position(shape, tuple(used), tuple(classes), tuple(members))
+        return self.advance_at(mv.index - 1, mv.slots, Labmove(lm.label, mv.inner))
 
     def moves(self, player: Player, limit: int) -> set[str]:
-        shape, used, n = self.shape, self.used, len(self.used)
-        addresses = gm.addresses(limit)
-        # per overgroup and address: the class of the copy it names
-        named = [[(w, gm.chain_of(u, w)) for w in addresses] for u in used]
-        through: dict[tuple[int, str], list[frozenset[str]]] = {}
         out: set[str] = set()
-        for a, own in enumerate(shape.own, 1):
-            positions = self.members[a - 1]
-            memo: dict[tuple, set[str]] = {}
-            for combo in product(*(named[j] for j in own)):
-                # as in games: start from the copy the slots name
-                vec = tuple(chain for _, chain in combo)
-                found = memo.get(vec)
-                if found is None:
-                    found = memo[vec] = positions[vec].moves(player, limit)
-                if not found:
-                    continue
-                lines = []
-                for j, (w, _) in zip(own, combo):
-                    if (j, w) not in through:
-                        through[j, w] = gm.through_classes(used[j], self.classes[j], w)
-                    lines.append(through[j, w])
-                _capped(prod(map(len, lines)), shape.cap)
-                for vec in product(*lines):
-                    if vec not in memo:
-                        memo[vec] = positions[vec].moves(player, limit)
-                    found = found & memo[vec]
-                    if not found:
-                        break
-                if found:
-                    slots = [""] * n
-                    for j, (w, _) in zip(own, combo):
-                        slots[j] = w
-                    head = f"{a};{','.join(slots)}."
-                    out.update(head + m for m in found)
+        for a, slots, found in self.open_moves(player, limit):
+            head = f"{a + 1};{','.join(slots)}."
+            out.update(head + m for m in found)
         return out
 
     def winner(self) -> Player:
-        shape = self.shape
-        _capped(prod(map(len, self.classes)), shape.cap)
+        own = self.own
+        self._capped(prod(map(len, self.classes)))
         memo: dict[tuple, Player] = {}
 
         def member_winner(a: int, vec: tuple) -> Player:
             # oformula a sees only the classes of its own overgroups
-            key = (a, tuple(vec[j] for j in shape.own[a - 1]))
+            key = (a, tuple(vec[j] for j in own[a - 1]))
             if key not in memo:
                 memo[key] = self.members[a - 1][key[1]].winner()
             return memo[key]
 
-        for group in shape.cirquent.undergroups:
+        for group in self.cirquent.undergroups:
             for vec in product(*self.classes):
                 if not any(member_winner(a, vec) is TOP for a in group):
                     return BOT
@@ -375,12 +300,11 @@ def start(c: Cirquent, interp: Mapping[str, gm.GameNode], cap: int = 100_000) ->
         tuple(j for j, group in enumerate(c.overgroups) if a in group)
         for a in range(1, c.width + 1)
     )
-    none = frozenset()
     return Position(
-        _Shape(c, own, cap),
-        tuple(none for _ in c.overgroups),
-        tuple((none,) for _ in c.overgroups),
-        tuple({tuple(none for _ in js): gm.start(gm.of_formula(f, interp))}
+        c, own, cap,
+        tuple(frozenset() for _ in c.overgroups),
+        tuple((None,) for _ in c.overgroups),
+        tuple({(None,) * len(js): gm.start(gm.of_formula(f, interp))}
               for js, f in zip(own, c.oformulas)),
     )
 

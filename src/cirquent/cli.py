@@ -186,7 +186,7 @@ def cmd_corpus(args) -> int:
     try:
         reports = hn.run_corpus(root, budget=args.budget)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, gm.GameError,
-            *PARSE_ERRORS) as e:
+            hn.CorpusError, *PARSE_ERRORS) as e:
         raise CliError(f"{root}: {e}")
     if not reports:
         raise CliError(f"no corpus cases under {root}")
@@ -257,6 +257,13 @@ def cmd_repl(args) -> int:
     return EXIT_OK
 
 
+def non_negative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cirquent",
@@ -279,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="random environment seed")
     p.add_argument("--moves", help="comma separated scripted moves, empty = pass")
     p.add_argument("--spoiler", action="store_true", help="adversarial environment")
-    p.add_argument("--budget", type=int, default=64)
+    p.add_argument("--budget", type=non_negative_int, default=64)
     p.set_defaults(fn=cmd_play)
 
     p = sub.add_parser("eval", help="evaluate a run over a formula or cirquent")
@@ -301,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="check and play every case in a corpus tree")
     p.add_argument("root", nargs="?",
                    help="defaults to $CIRQUENT_CORPUS, then ./corpus")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=non_negative_int, default=None)
     p.set_defaults(fn=cmd_corpus)
 
     p = sub.add_parser("repl", help="step through a formula game by hand")

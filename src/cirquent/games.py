@@ -9,6 +9,9 @@ Legality is prefix-closed, so a referee judges a run one move at a time.
 `start(g)` is the position of the empty run.  A position is immutable:
 `advance(lm)` returns the next one (None when the move is illegal),
 `moves(player, limit)` the frontier and `winner()` the score of the run.
+`Copies` is the one table of copy classes, each named by the longest used
+address on its copies: Rep and Corep use it with one dimension, and
+`cirquents.Position` with one per overgroup.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from itertools import product
+from math import inf, prod
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from . import formulas as fm
@@ -248,19 +251,7 @@ def thread_classes(used: Iterable[str]) -> list[str]:
     lie on them; each returned stem denotes the address stem000..., and the
     stems cover every such class exactly once.
     """
-    return list(_thread_classes(tuple(sorted(set(used)))))
-
-
-Chain = frozenset  # the used addresses on the copies of one class
-
-
-def chain_of(used: Iterable[str], stem: str) -> Chain:
-    """The used addresses on the copy stem000...: its class's chain."""
-    return frozenset(u for u in used if covers(stem, u))
-
-
-@lru_cache(maxsize=65536)
-def _thread_classes(used: tuple[str, ...]) -> tuple[str, ...]:
+    used = set(used)
     closure = {""}
     for u in used:
         for i in range(len(u) + 1):
@@ -270,32 +261,86 @@ def _thread_classes(used: tuple[str, ...]) -> tuple[str, ...]:
         for b in "01":
             if v + b not in closure:
                 cands.add(v + b)
-    reps: dict[Chain, str] = {}
+    reps: dict[str | None, str] = {}
     for stem in sorted(cands, key=lambda s: (len(s), s)):
-        reps.setdefault(chain_of(used, stem), stem)
-    return tuple(sorted(reps.values(), key=lambda s: (len(s), s)))
+        reps.setdefault(class_of(used, stem), stem)
+    return sorted(reps.values(), key=lambda s: (len(s), s))
 
 
-def split_classes(used: frozenset[str], chains: Iterable[Chain], w: str
-                  ) -> list[tuple[Chain, Chain, bool]]:
+def class_of(used: Iterable[str], stem: str) -> str | None:
+    """The key of the class of the copy stem000...: the longest used address
+    on it, None when there is none.  The used addresses on a copy are
+    prefixes of it, so they form a chain, and the longest determines the rest.
+    """
+    key = None
+    for u in used:
+        if covers(stem, u) and (key is None or len(u) > len(key)):
+            key = u
+    return key
+
+
+def _prefix_class(used: Iterable[str], w: str) -> str | None:
+    """The longest used prefix of w, None when there is none."""
+    key = None
+    for u in used:
+        if w.startswith(u) and (key is None or len(u) > len(key)):
+            key = u
+    return key
+
+
+def _covered(v: str, exts: list[str]) -> bool:
+    """True when the addresses `exts`, at least one, each extending v, lie on
+    every copy through v.  The shortest of them are prefix-free, and
+    prefix-free addresses cover those copies exactly when their Kraft sum
+    relative to v is 1."""
+    tops: list[str] = []
+    for u in sorted(exts):  # an address sorts right before its extensions
+        if not tops or not u.startswith(tops[-1]):
+            tops.append(u)
+    n = max(map(len, tops))
+    return sum(1 << (n - len(u)) for u in tops) == 1 << (n - len(v))
+
+
+def split_classes(used: frozenset[str], classes: Iterable[str | None], w: str
+                  ) -> list[tuple[str | None, str | None, bool]]:
     """The classes once a move at w is played, given the addresses `used` so
-    far and their classes' `chains`: one (chain, chain of the class it comes
-    from, whether its copies go through w) per class."""
+    far and the keys of their classes, `classes`: one (key, key of the class
+    it comes from, whether its copies go through w) per class.
+
+    When w is new, let p be the longest used prefix of w.  Another class
+    keeps its key: if its copies go through w, that key extends w.  Only p's
+    class splits: its copies through w become class w, unless the used
+    extensions of w cover them, and the rest keep p, unless w and the used
+    strict extensions of p cover them.
+    """
     if w in used:
-        return [(c, c, w in c) for c in chains]
-    after = used | {w}
-    return [(c, c - {w}, w in c) for c in (chain_of(after, s) for s in thread_classes(after))]
+        return [(k, k, k is not None and k.startswith(w)) for k in classes]
+    p = _prefix_class(used, w)
+    out = []
+    for k in classes:
+        if k != p:
+            out.append((k, k, k is not None and k.startswith(w)))
+            continue
+        below = [u for u in used if u.startswith(w)]
+        if not below or not _covered(w, below):
+            out.append((w, p, True))
+        v = p or ""
+        if not _covered(v, [w] + [u for u in used if u != v and u.startswith(v)]):
+            out.append((p, p, False))
+    return out
 
 
-def through_classes(used: frozenset[str], chains: Iterable[Chain], w: str) -> list[Chain]:
-    """The chains, among `chains` of `used`, of the classes with copies
-    through w: what `split_classes` marks through, without splitting, so a
-    frontier query fills the class cache only with addresses below w."""
-    if w in used:
-        return [c for c in chains if w in c]
-    # those copies differ only in the used addresses that extend w
-    below = [u[len(w):] for u in used if len(u) > len(w) and u.startswith(w)]
-    return [chain_of(used, w + stem) for stem in thread_classes(below)]
+def through_classes(used: frozenset[str], classes: Iterable[str | None], w: str
+                    ) -> list[str | None]:
+    """The keys, among `classes` of `used`, of the classes with copies
+    through w: the ones `split_classes` marks through, keyed as before the
+    move, without splitting."""
+    out = [k for k in classes if k is not None and k.startswith(w)]
+    if w not in used:
+        below = [u for u in used if u.startswith(w)]
+        if not below or not _covered(w, below):
+            out.append(_prefix_class(used, w))
+    return out
 
 
 def addresses(limit: int) -> list[str]:
@@ -366,63 +411,129 @@ class _Parallel(Position):
         return left if left is self.decisive else self.parts[1].winner()
 
 
-class _Copies(Position):
-    """Rep or Corep: one sub-position per thread class.
+class ClassCapExceeded(RuntimeError):
+    pass
 
-    A move `w.m` is `m` in every copy whose infinite address extends w.  Two
-    copies carrying the same used addresses have seen the same moves, so a
-    class of them needs one sub-position, keyed by its chain: the used
-    addresses on its copies.  A move at a new address w splits each class in
-    two, the copies through w and the rest (`split_classes` lists the parts
-    that are not empty).  Both parts saw the same moves so far, so both start
-    from the class's position, and only the part through w takes the move.
-    The move is legal when it is legal in every class through w, which is
-    also why the moves open at w are those open in every one of them.
-    `decisive` is the player who wins by winning one copy.
+
+class Copies(Position):
+    """Members played in copy dimensions that the opponent splits by address:
+    Rep or Corep is one member in one dimension, a cirquent its oformulas in
+    its overgroups.
+
+    Per dimension j the table holds the used addresses `used[j]` and the keys
+    of their classes `classes[j]`.  Per member a it holds one position per
+    class vector of its dimensions `own[a]`: the copies on one vector have
+    seen the same moves.  When a's move at slots w splits classes, both parts
+    of a split vector start from its position, and only a's vectors through
+    w take the move, which must be legal on each of them; so the moves open
+    at w are those open on every vector through w.  A subclass parses and
+    formats moves, scores `winner()` and provides `own`, `cap` and
+    `_next(used, classes, members)`, the table with those contents.
     """
 
-    __slots__ = ("decisive", "used", "threads")
+    __slots__ = ("used", "classes", "members")
+    own: tuple[tuple[int, ...], ...]
+    cap: float
 
-    def __init__(self, decisive: Player, used: frozenset[str], threads: dict[Chain, Position]):
-        self.decisive, self.used, self.threads = decisive, used, threads
+    def _capped(self, total: int) -> None:
+        if total > self.cap:
+            raise ClassCapExceeded(f"{total} copy-address classes exceed cap {self.cap}")
+
+    def advance_at(self, a: int, slots: tuple[str, ...], inner: Labmove) -> Copies | None:
+        """The table once member a plays `inner` at `slots`, one address per
+        dimension; None when the move is illegal on a vector through them.
+        ClassCapExceeded fires when a member would get more than `cap`
+        vectors; a frontier goes through some of a member's vectors only."""
+        own, used, classes = self.own, list(self.used), list(self.classes)
+        lineage, changed = {}, set()  # per dimension of a: split_classes
+        for j in own[a]:
+            w = slots[j]
+            lineage[j] = line = split_classes(used[j], classes[j], w)
+            if w not in used[j]:
+                used[j], classes[j] = used[j] | {w}, tuple(key for key, _, _ in line)
+                changed.add(j)
+        members = list(self.members)
+        for b, dims in enumerate(own):
+            if b != a and changed.isdisjoint(dims):
+                continue
+            lines = [lineage.get(j) or [(k, k, False) for k in classes[j]] for j in dims]
+            self._capped(prod(map(len, lines)))
+            positions, out = self.members[b], {}
+            for combo in product(*lines):
+                vec, old, through = zip(*combo)
+                pos = positions[old]
+                if b == a and all(through):
+                    pos = pos.advance(inner)
+                    if pos is None:
+                        return None
+                out[vec] = pos
+            members[b] = out
+        return self._next(tuple(used), tuple(classes), tuple(members))
+
+    def open_moves(self, player: Player, limit: int):
+        """(member, slots, moves) for each member and slots of at most `limit`
+        bits in its dimensions ("" in others) where `player` has moves."""
+        used, n = self.used, len(self.used)
+        ws = addresses(limit)
+        named = [[class_of(u, w) for w in ws] for u in used]
+        through: dict[tuple[int, str], list[str | None]] = {}
+        for a, dims in enumerate(self.own):
+            positions = self.members[a]
+            memo: dict[tuple, set[str]] = {}
+            for at, vec in zip(product(ws, repeat=len(dims)),
+                               product(*[named[j] for j in dims])):
+                # start from the copy the slots name; the other vectors
+                # through them are looked up only while moves remain
+                found = memo.get(vec)
+                if found is None:
+                    found = memo[vec] = positions[vec].moves(player, limit)
+                if not found:
+                    continue
+                lines = []
+                for j, w in zip(dims, at):
+                    line = through.get((j, w))
+                    if line is None:
+                        line = through[j, w] = through_classes(used[j], self.classes[j], w)
+                    lines.append(line)
+                for vec in product(*lines):
+                    if vec not in memo:
+                        memo[vec] = positions[vec].moves(player, limit)
+                    found = found & memo[vec]
+                    if not found:
+                        break
+                if found:
+                    yield a, tuple(at[dims.index(j)] if j in dims else "" for j in range(n)), found
+
+
+class _Recurrence(Copies):
+    """Rep or Corep: one member in one dimension, with no cap.  A move `w.m`
+    is `m` in every copy whose address extends w.  `decisive` is the player
+    who wins by winning one copy."""
+
+    __slots__ = ("decisive",)
+    own = ((0,),)
+    cap = inf
+
+    def __init__(self, decisive: Player, used, classes, members):
+        self.decisive = decisive
+        self.used, self.classes, self.members = used, classes, members
+
+    def _next(self, used, classes, members) -> _Recurrence:
+        return _Recurrence(self.decisive, used, classes, members)
 
     def advance(self, lm: Labmove) -> Position | None:
         parts = split_address(lm.move)
         if parts is None:
             return None
-        w, rest = parts
-        inner = Labmove(lm.label, rest)
-        threads = {}
-        for chain, old, through in split_classes(self.used, self.threads, w):
-            pos = self.threads[old].advance(inner) if through else self.threads[old]
-            if pos is None:
-                return None
-            threads[chain] = pos
-        return _Copies(self.decisive, self.used | {w}, threads)
+        return self.advance_at(0, (parts[0],), Labmove(lm.label, parts[1]))
 
     def moves(self, player: Player, limit: int) -> set[str]:
-        memo: dict[Chain, set[str]] = {}
-
-        def thread_moves(chain: Chain) -> set[str]:
-            if chain not in memo:
-                memo[chain] = self.threads[chain].moves(player, limit)
-            return memo[chain]
-
-        out: set[str] = set()
-        for w in addresses(limit):
-            # the copy w000... is one class through w; the others are
-            # looked up only when it leaves some move to check
-            found = thread_moves(chain_of(self.used, w))
-            for chain in through_classes(self.used, self.threads, w) if found else ():
-                found = found & thread_moves(chain)
-                if not found:
-                    break
-            out.update(f"{w}.{m}" for m in found)
-        return out
+        return {f"{slots[0]}.{m}"
+                for _, slots, found in self.open_moves(player, limit) for m in found}
 
     def winner(self) -> Player:
         d = self.decisive
-        return d if any(p.winner() is d for p in self.threads.values()) else d.other
+        return d if any(p.winner() is d for p in self.members[0].values()) else d.other
 
 
 def start(g: Game) -> Position:
@@ -444,7 +555,8 @@ def _start(g: Game, flip: bool) -> Position:
     if isinstance(g, (Conj, Disj)):
         return _Parallel(decisive, (_start(g.left, flip), _start(g.right, flip)))
     if isinstance(g, (Rep, Corep)):
-        return _Copies(decisive, frozenset(), {frozenset(): _start(g.sub, flip)})
+        return _Recurrence(decisive, (frozenset(),), ((None,),),
+                           ({(None,): _start(g.sub, flip)},))
     raise TypeError(f"not a game: {g!r}")
 
 

@@ -29,6 +29,10 @@ class CapExceeded(RuntimeError):
     pass
 
 
+class CorpusError(ValueError):
+    """A corpus case whose expect.json does not have the expected shape."""
+
+
 class Arena:
     """A referee over positions (`games.Position` or `cirquents.Position`);
     a subclass only says how to build the start position.
@@ -346,7 +350,15 @@ def load_interpretation(path: Path, atoms: set[str]) -> dict[str, gm.GameNode]:
 
 def run_case(case_dir: Path, budget: int | None = None) -> CaseReport:
     name = case_dir.name
-    expect = json.loads((case_dir / "expect.json").read_text())
+    path = case_dir / "expect.json"
+    expect = json.loads(path.read_text())
+    roll = expect.get("rollouts", {}) if isinstance(expect, dict) else None
+    if not isinstance(roll, dict):
+        raise CorpusError(f"{path}: expected an object, with an object as rollouts")
+    counts = roll.get("seeds", 25), roll.get("env_moves", 6), roll.get("budget", 64)
+    if not all(type(n) is int and n >= 0 for n in counts):
+        raise CorpusError(f"{path}: seeds, env_moves and budget must be non-negative integers")
+    seeds, env_moves, case_budget = counts
     proof = parse_proof((case_dir / "proof.cl15").read_text())
     verdict = check_proof(proof)
     want_check = expect.get("check", "ok") == "ok"
@@ -363,10 +375,7 @@ def run_case(case_dir: Path, budget: int | None = None) -> CaseReport:
     interp = load_interpretation(case_dir / "atoms.game", atoms)
     arena = FormulaArena(gm.of_formula(formula, interp))
 
-    roll = expect.get("rollouts", {})
-    seeds = int(roll.get("seeds", 25))
-    env_moves = int(roll.get("env_moves", 6))
-    use_budget = budget or int(roll.get("budget", 64))
+    use_budget = budget or case_budget
     wins = losses = inconclusive = 0
     for seed in range(seeds):
         result = play(compiled.fresh(), RandomEnv(seed, env_moves), arena, use_budget)

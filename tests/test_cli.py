@@ -148,6 +148,14 @@ def test_eval_calls_an_index_too_long_for_int_illegal():
     assert "Traceback" not in r.stderr
 
 
+def test_eval_judges_a_move_under_a_long_address():
+    # the move at "" reaches the copy at 3000 zeros, which already asked q
+    r = cli("eval", "--formula", "!F", "--atoms", str(ATOMS), "--run",
+            "B:" + "0" * 3000 + ".q,B:.q")
+    assert r.returncode == 0, r.stderr
+    assert "first offender B" in r.stdout
+
+
 def test_eval_reports_unreadable_and_malformed_cirquents():
     r = cli("eval", "--cirquent", "/no/such/file.cq", "--atoms", str(ATOMS), "--run", "")
     assert r.returncode == 2
@@ -184,8 +192,17 @@ def test_repl_session():
 # file that is not UTF-8, `{bad_proof}` a proof with a syntax error,
 # `{bad_lib}` a broken game library, `{bad_corpus}` a corpus whose one case
 # has an unreadable expect.json, `{empty}` an empty directory, `{name_group}`
-# and `{name_param}` proofs with a name where an index belongs.
+# and `{name_param}` proofs with a name where an index belongs. Each name in
+# EXPECTS is a corpus whose one case has that expect.json.
 ELIM = ["corpus/brec_elim/proof.cl15", "--atoms", "corpus/brec_elim/atoms.game"]
+EXPECTS = {
+    "expect_list": '[{"rollouts": {"seeds": 1}}]',
+    "rollouts_list": '{"rollouts": [30, 6, 64]}',
+    "seeds_text": '{"rollouts": {"seeds": "x"}}',
+    "seeds_negative": '{"rollouts": {"seeds": -5}}',
+    "env_moves_float": '{"rollouts": {"env_moves": 1.5}}',
+    "budget_bool": '{"rollouts": {"budget": true}}',
+}
 MALFORMED = [
     (["check", "{bin}"], 2),
     (["check", "{bad_proof}"], 2),
@@ -199,6 +216,7 @@ MALFORMED = [
     (["compile", "{bad_proof}"], 2),
     (["play", ELIM[0], "--atoms", "{bin}"], 2),
     (["play", ELIM[0], "--atoms", "{bad_lib}"], 2),
+    (["play", *ELIM, "--budget", "-3"], 2),
     (["play", "corpus/brec_nest/proof.cl15", "--atoms", "corpus/brec_nest/atoms.game",
       "--moves", "0.00000000000000000000.q"], 3),
     (["eval", "--formula", "F &", *ELIM[1:]], 2),
@@ -215,6 +233,8 @@ MALFORMED = [
     (["corpus", "{bad_corpus}"], 2),
     (["corpus", "{empty}"], 2),
     (["corpus", "corpus/atoms"], 2),
+    (["corpus", "corpus", "--budget", "-3"], 2),
+    *((["corpus", "{%s}" % name], 2) for name in EXPECTS),
     (["repl", "--formula", "F &", *ELIM[1:]], 2),
     (["repl", "--formula", "F", "--atoms", "{bad_lib}"], 2),
 ]
@@ -231,6 +251,12 @@ def malformed_files(tmp_path_factory):
     (case / "proof.cl15").write_text(PROOF.read_text())
     (case / "expect.json").write_text("{bad")
     (d / "empty").mkdir()
+    for name, text in EXPECTS.items():
+        case = d / name / "brec_elim"
+        case.mkdir(parents=True)
+        for f in ("proof.cl15", "atoms.game"):
+            (case / f).write_text((CORPUS / "brec_elim" / f).read_text())
+        (case / "expect.json").write_text(text)
     (d / "group.cl15").write_text(PROOF.read_text().replace("under: [[1, 2]]", "under: [[x, 2]]", 1))
     (d / "param.cl15").write_text(PROOF.read_text().replace("added: []", "added: [x]", 1))
     # a repeated key, then an unknown key in each kind of proof block
@@ -252,6 +278,7 @@ def malformed_files(tmp_path_factory):
             "bad_lib": d / "bad.game", "bad_corpus": d / "corpus", "empty": d / "empty",
             "name_group": d / "group.cl15", "name_param": d / "param.cl15",
             "oformulas_twice": d / "oformulas_twice", "colour": d / "colour",
+            **{name: d / name for name in EXPECTS},
             **{name: d / f"{name}.cl15" for name in edits}}
 
 

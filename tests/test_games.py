@@ -6,7 +6,7 @@ bitstring naming the copies it acts in) before the implementation existed.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cirquent.games import (
@@ -21,6 +21,7 @@ from cirquent.games import (
     Neg,
     Rep,
     Tree,
+    class_of,
     covers,
     first_offender,
     format_game,
@@ -31,7 +32,9 @@ from cirquent.games import (
     parse_game,
     parse_game_library,
     parse_run,
+    split_classes,
     thread_classes,
+    through_classes,
     winner,
 )
 from referee_oracle import negate_run, project_prefix, project_thread, walk
@@ -117,6 +120,33 @@ def test_thread_classes_are_class_representatives(used):
     for probe in {"", "0", "1", "00", "01", "10", "11", "000", "111", "0101"}:
         chain = frozenset(u for u in used if covers(probe, u))
         assert chain in chains
+
+
+bitstrings = st.text(alphabet="01", max_size=12)
+
+
+@given(st.sets(bitstrings, max_size=8), bitstrings, st.integers(0, 7), st.booleans())
+@example({"", "0"}, "1", 0, False)  # the rest of the class of "" is covered
+@example({"", "00", "01"}, "0", 0, False)  # the part through w is covered
+@example({"0", "1"}, "", 0, False)  # no copy lies on no used address
+@example({"0" * 12}, "", 0, False)
+@settings(max_examples=400)
+def test_split_classes_match_the_reference_classes(used, w, i, reuse):
+    used = frozenset(used)
+    if reuse and used:
+        w = sorted(used)[i % len(used)]
+    after = used | {w}
+    keys = [class_of(used, stem) for stem in thread_classes(used)]
+    # per class after the move: the class it comes from, and whether it is
+    # through w, read off its representative copy
+    want = {class_of(after, stem): (class_of(used, stem), covers(stem, w))
+            for stem in thread_classes(after)}
+    got = split_classes(used, keys, w)
+    assert len(got) == len(want)
+    assert {key: (old, through) for key, old, through in got} == want
+    through = through_classes(used, keys, w)
+    assert len(through) == len(set(through))
+    assert set(through) == {old for old, t in want.values() if t}
 
 
 # ------------------------------------------------------------- tree games
