@@ -277,7 +277,7 @@ class Position(gm.Copies):
 
     def winner(self) -> Player:
         own = self.own
-        self._capped(prod(map(len, self.classes)))
+        self._check_cap(prod(map(len, self.classes)))
         memo: dict[tuple, Player] = {}
 
         def member_winner(a: int, vec: tuple) -> Player:

@@ -435,7 +435,7 @@ class Copies(Position):
     own: tuple[tuple[int, ...], ...]
     cap: float
 
-    def _capped(self, total: int) -> None:
+    def _check_cap(self, total: int) -> None:
         if total > self.cap:
             raise ClassCapExceeded(f"{total} copy-address classes exceed cap {self.cap}")
 
@@ -457,7 +457,7 @@ class Copies(Position):
             if b != a and changed.isdisjoint(dims):
                 continue
             lines = [lineage.get(j) or [(k, k, False) for k in classes[j]] for j in dims]
-            self._capped(prod(map(len, lines)))
+            self._check_cap(prod(map(len, lines)))
             positions, out = self.members[b], {}
             for combo in product(*lines):
                 vec, old, through = zip(*combo)
