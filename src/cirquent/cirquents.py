@@ -70,102 +70,45 @@ def club(f: fm.Formula) -> Cirquent:
 #
 # cirquent { oformulas: ["~F", "F"]; under: [[1, 2]]; over: [[1, 2]] }
 #
-# `value` and `mapping_body` also read the proof file format, so they handle
-# nested blocks, lists, strings, integers, and bare words generically.
+# The body after the keyword is also the `cirquent` field of a proof step.
 
 
-def value(r: Reader):
-    """A list, a `{ ... }` mapping, a string, an integer or a bare word."""
-    toks = r.toks
-    tok, name, num, string = toks[r.pos]
-    if tok is None:
-        r.take()  # raises: the input ended
-    r.pos += 1
-    if tok == "[":
-        items = []
-        while toks[r.pos][0] != "]":
-            items.append(value(r))
-            if toks[r.pos][0] == ",":
-                r.pos += 1
-        r.take("]")
-        return items
-    if tok == "{":
-        return mapping_body(r)
-    if string:
-        return string[1:-1]
-    if num:
-        return int(num)
-    if name:
-        return name
-    raise CirquentError(f"unexpected token {tok!r}")
-
-
-class Block(dict):
-    """A `{ key: value; ... }` mapping as `mapping_body` read it.  A key given
-    more than once keeps its last value and is listed in `repeated`."""
-
-    repeated: tuple[str, ...] = ()
-
-
-def mapping_body(r: Reader) -> Block:
-    """`key: value; ...` up to and including the closing brace."""
-    toks = r.toks
-    out = Block()
-    while toks[r.pos][0] != "}":
-        tok, key, _, _ = r.take()
-        if not key:
-            raise CirquentError(f"expected a field name, got {tok!r}")
-        r.take(":")
-        if key in out:
-            out.repeated += (key,)
-        out[key] = value(r)
-        if toks[r.pos][0] == ";":
-            r.pos += 1
-    r.take("}")
-    return out
-
-
-def bad_key(fields: dict, allowed: frozenset[str]) -> str | None:
-    """What is wrong with the keys of a block that may hold only `allowed`:
-    a repeated or an unknown key.  None when nothing is."""
-    repeated = getattr(fields, "repeated", ())
-    if not repeated and fields.keys() <= allowed:
-        return None
-    if repeated:
-        return f"field {repeated[0]!r} given twice"
-    return f"unknown field {next(k for k in fields if k not in allowed)!r}"
-
-
-def memo_formulas(texts: list, formulas: dict[str, fm.Formula]) -> list[fm.Formula]:
-    """`texts` parsed, each looked up in or added to the memo `formulas`; a
-    non-string entry, hashable or not, goes on to parse_formula's error."""
-    out = []
-    for s in texts:
-        f = formulas.get(s) if type(s) is str else None
+def read_formulas(r: Reader, formulas: dict[str, fm.Formula]) -> tuple[fm.Formula, ...]:
+    """`[ "text", ... ]`, each text looked up in or added to the memo
+    `formulas`, which is keyed by the quoted token."""
+    def one() -> fm.Formula:
+        tok, _, _, string = r.take()
+        if not string:
+            raise r.error(f"expected a quoted formula, got {tok!r}")
+        f = formulas.get(string)
         if f is None:
-            f = formulas[s] = fm.parse_formula(s)
-        out.append(f)
-    return out
+            f = formulas[string] = fm.parse_formula(string[1:-1])
+        return f
+
+    return tuple(r.items(one))
 
 
-_CIRQUENT_FIELDS = frozenset({"oformulas", "under", "over"})
+_FIELDS = ("oformulas", "under", "over")
 
 
-def _cirquent_from_fields(fields: dict, formulas: dict[str, fm.Formula]) -> Cirquent:
-    """`formulas` maps oformula text to its parse; texts missing from it are
-    parsed and added, so a caller reading many cirquents parses each once."""
-    bad = bad_key(fields, _CIRQUENT_FIELDS)
-    if bad:
-        raise CirquentError(f"cirquent: {bad}")
-    try:
-        ofs = memo_formulas(fields["oformulas"], formulas)
-        under = tuple(frozenset(g) for g in fields["under"])
-        over = tuple(frozenset(g) for g in fields["over"])
-    except (KeyError, TypeError) as e:
-        raise CirquentError(f"malformed cirquent fields: {e}") from e
-    if not all(type(i) is int for g in under + over for i in g):
-        raise CirquentError("groups must list oformula indices")
-    c = Cirquent(tuple(ofs), under, over)
+def read_body(r: Reader, formulas: dict[str, fm.Formula]) -> Cirquent:
+    """`{ oformulas: ...; under: ...; over: ... }`, in that order; errors are
+    CirquentErrors (FormulaErrors in oformula text), whatever `r` raises
+    elsewhere.  `formulas` is a formula memo as `read_formulas` takes it."""
+    outer, r.error = r.error, CirquentError
+
+    def group() -> frozenset[int]:
+        return frozenset(r.items(r.integer))
+
+    r.field(_FIELDS, 0)
+    ofs = read_formulas(r, formulas)
+    r.field(_FIELDS, 1)
+    under = tuple(r.items(group))
+    r.field(_FIELDS, 2)
+    over = tuple(r.items(group))
+    r.close(_FIELDS)
+    r.error = outer
+    c = Cirquent(ofs, under, over)
     validate_cirquent(c)
     return c
 
@@ -173,8 +116,7 @@ def _cirquent_from_fields(fields: dict, formulas: dict[str, fm.Formula]) -> Cirq
 def parse_cirquent(text: str) -> Cirquent:
     r = Reader(text, CirquentError)
     r.take("cirquent")
-    r.take("{")
-    c = _cirquent_from_fields(mapping_body(r), {})
+    c = read_body(r, {})
     r.end()
     return c
 

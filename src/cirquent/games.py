@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from itertools import product
 from math import inf, prod
 from typing import Iterable, Mapping, NamedTuple, Union
@@ -343,9 +344,10 @@ def through_classes(used: frozenset[str], classes: Iterable[str | None], w: str
     return out
 
 
-def addresses(limit: int) -> list[str]:
-    """Every bitstring of at most `limit` bits, shortest first."""
-    return ["".join(bits) for n in range(limit + 1) for bits in product("01", repeat=n)]
+@cache
+def addresses(limit: int) -> tuple[str, ...]:
+    """Every bitstring of at most `limit` bits, shortest first, built once."""
+    return tuple("".join(bits) for n in range(limit + 1) for bits in product("01", repeat=n))
 
 
 # ---------------------------------------------------------------- positions

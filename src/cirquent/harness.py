@@ -375,7 +375,7 @@ def run_case(case_dir: Path, budget: int | None = None) -> CaseReport:
     interp = load_interpretation(case_dir / "atoms.game", atoms)
     arena = FormulaArena(gm.of_formula(formula, interp))
 
-    use_budget = budget or case_budget
+    use_budget = case_budget if budget is None else budget
     wins = losses = inconclusive = 0
     for seed in range(seeds):
         result = play(compiled.fresh(), RandomEnv(seed, env_moves), arena, use_budget)

@@ -17,13 +17,10 @@ from . import formulas as fm
 from .cirquents import (
     Cirquent,
     CirquentError,
-    _cirquent_from_fields,
-    bad_key,
     format_cirquent,
-    mapping_body,
-    memo_formulas,
+    read_body,
+    read_formulas,
     validate_cirquent,
-    value,
 )
 from .reader import Reader
 
@@ -553,54 +550,6 @@ def check_proof(proof: Proof) -> Verdict:
     return Verdict(True, None, f"{len(proof)} steps check")
 
 
-def infer_rule(prev: Cirquent, nxt: Cirquent) -> list[RuleApp]:
-    """All rule applications leading from prev to nxt, params read off the pair."""
-    candidates: list[RuleApp] = []
-    for pos in range(1, len(nxt.undergroups)):
-        candidates.append(UnderExchange(pos))
-        candidates.append(UnderDuplication(pos))
-    for pos in range(1, len(nxt.overgroups)):
-        candidates.append(OverExchange(pos))
-        candidates.append(OverDuplication(pos))
-    for pos in range(1, nxt.width):
-        candidates.append(OformulaExchange(pos))
-    for i in range(1, len(nxt.undergroups) + 1):
-        for a in sorted(nxt.undergroups[i - 1]):
-            candidates.append(Weakening(i, a))
-    if len(prev.overgroups) == len(nxt.overgroups) + 1:
-        for pos in range(1, len(nxt.overgroups) + 1):
-            candidates.append(
-                Merging(pos, prev.overgroups[pos - 1], prev.overgroups[pos])
-            )
-    for a in range(1, nxt.width + 1):
-        f = nxt.oformulas[a - 1]
-        if isinstance(f, fm.Cobrec):
-            candidates.append(Contraction(a))
-            if len(prev.overgroups) == len(nxt.overgroups):
-                added = frozenset(
-                    j
-                    for j in range(1, len(nxt.overgroups) + 1)
-                    if a in prev.overgroups[j - 1] and a not in nxt.overgroups[j - 1]
-                )
-                candidates.append(CorecIntro(a, added))
-        if isinstance(f, fm.Or):
-            candidates.append(DisjIntro(a))
-        if isinstance(f, fm.And):
-            candidates.append(ConjIntro(a))
-        if isinstance(f, fm.Brec):
-            for j in range(1, len(prev.overgroups) + 1):
-                if prev.overgroups[j - 1] == frozenset({a}):
-                    candidates.append(RecIntro(a, j))
-    out = []
-    for app in candidates:
-        try:
-            if premise_of(nxt, app) == prev:
-                out.append(app)
-        except (RuleError, CirquentError):
-            pass
-    return out
-
-
 # ------------------------------------------------------------- file format
 
 
@@ -608,45 +557,28 @@ def _list(items) -> str:
     return "[" + ", ".join(items) + "]"
 
 
-# Each field parser takes the value and the formula memo of `parse_proof`.
-
-
-def _int(x, _formulas) -> int:
-    if type(x) is not int:
-        raise RuleError(f"expected an integer, got {x!r}")
-    return x
-
-
-def _int_set(xs, _formulas) -> frozenset[int]:
-    if type(xs) is not list or not all(type(x) is int for x in xs):
-        raise RuleError(f"expected a list of integers, got {xs!r}")
-    return frozenset(xs)
-
-
-def _formula_tuple(xs, formulas) -> tuple[fm.Formula, ...]:
-    if type(xs) is not list or not all(type(x) is str for x in xs):
-        raise RuleError(f"expected a list of formula strings, got {xs!r}")
-    return tuple(memo_formulas(xs, formulas))
-
-
-# How each type of rule field prints in, and reads back from, the proof format.
+# How each type of rule field prints in, and reads back from, the proof
+# format; a reader takes the Reader and the formula memo of `parse_proof`.
 _FIELD_TEXT = {
-    int: (str, _int),
-    frozenset[int]: (lambda s: _list(str(i) for i in sorted(s)), _int_set),
+    int: (str, lambda r, _formulas: r.integer()),
+    frozenset[int]: (
+        lambda s: _list(str(i) for i in sorted(s)),
+        lambda r, _formulas: frozenset(r.items(r.integer)),
+    ),
     tuple[fm.Formula, ...]: (
         lambda fs: _list(f'"{fm.format_formula(f)}"' for f in fs),
-        _formula_tuple,
+        read_formulas,
     ),
 }
 
-# Per rule, its params in declaration order: (field name, format, parse).
+# Per rule, its params in declaration order: (field name, format, read).
 _PARAMS = {
     cls: [(name, *_FIELD_TEXT[t]) for name, t in get_type_hints(cls).items()]
     for cls in get_args(RuleApp)
 }
 
-_PARAM_NAMES = {cls: frozenset(name for name, _, _ in params) for cls, params in _PARAMS.items()}
-_STEP_FIELDS = frozenset({"rule", "params", "cirquent"})
+_PARAM_NAMES = {cls: tuple(name for name, _, _ in params) for cls, params in _PARAMS.items()}
+_STEP_FIELDS = ("rule", "params", "cirquent")
 
 
 def _format_params(app: RuleApp) -> str:
@@ -656,21 +588,22 @@ def _format_params(app: RuleApp) -> str:
     return "{ " + "; ".join(fields) + " }"
 
 
-def _app_from_fields(name: str, params: dict,
-                     formulas: dict[str, fm.Formula] | None = None) -> RuleApp:
-    """The rule application named `name`; `formulas` is a formula memo as
-    `_cirquent_from_fields` takes it."""
-    if name not in RULES_BY_NAME:
+def _read_app(r: Reader, name: str, formulas: dict[str, fm.Formula]) -> RuleApp:
+    """The rule named `name`, its params record read from `r` in `_PARAMS`
+    order; `formulas` is a formula memo as `read_formulas` takes it."""
+    cls = RULES_BY_NAME.get(name)
+    if cls is None:
         raise RuleError(f"unknown rule name {name!r}")
-    cls = RULES_BY_NAME[name]
-    bad = bad_key(params, _PARAM_NAMES[cls]) if isinstance(params, dict) else None
-    if bad:
-        raise RuleError(f"{name} params: {bad}")
-    memo = {} if formulas is None else formulas
+    names = _PARAM_NAMES[cls]
+    args = []
     try:
-        return cls(*(parse(params[field], memo) for field, _, parse in _PARAMS[cls]))
-    except (KeyError, TypeError, ValueError) as e:
+        for i, (_, _, read) in enumerate(_PARAMS[cls]):
+            r.field(names, i)
+            args.append(read(r, formulas))
+    except fm.FormulaError as e:
         raise RuleError(f"bad params for {name}: {e}") from e
+    r.close(names)
+    return cls(*args)
 
 
 def format_proof(proof: Proof) -> str:
@@ -686,27 +619,25 @@ def format_proof(proof: Proof) -> str:
 
 
 def parse_proof(text: str) -> Proof:
-    r = Reader(text, CirquentError)
+    """Steps in the grammar's order.  Errors in a cirquent body are
+    CirquentErrors (FormulaErrors in its oformula text), all others
+    RuleErrors."""
+    r = Reader(text, RuleError)
     steps: list[Step] = []
     # every step restates the whole cirquent, so most oformula texts repeat
     formulas: dict[str, fm.Formula] = {}
     while r.peek() is not None:
         r.take("step")
-        num = value(r)
+        num = r.integer()
         if num != len(steps) + 1:
-            raise RuleError(f"expected step {len(steps) + 1}, found {num!r}")
-        r.take("{")
-        fields = mapping_body(r)
-        bad = bad_key(fields, _STEP_FIELDS)
-        if bad:
-            raise RuleError(f"step {num}: {bad}")
-        if "rule" not in fields or "cirquent" not in fields:
-            raise RuleError(f"step {num} needs rule and cirquent entries")
-        app = _app_from_fields(str(fields["rule"]), fields.get("params", {}), formulas)
-        if not isinstance(fields["cirquent"], dict):
-            raise RuleError(f"step {num} cirquent must be a block")
-        cirq = _cirquent_from_fields(fields["cirquent"], formulas)
-        steps.append(Step(app, cirq))
+            raise RuleError(f"expected step {len(steps) + 1}, found {num}")
+        r.field(_STEP_FIELDS, 0)
+        name = r.take()[0]
+        r.field(_STEP_FIELDS, 1)
+        app = _read_app(r, name, formulas)
+        r.field(_STEP_FIELDS, 2)
+        steps.append(Step(app, read_body(r, formulas)))
+        r.close(_STEP_FIELDS)
     if not steps:
         raise RuleError("no steps found")
     return tuple(steps)

@@ -71,6 +71,62 @@ def test_text_rejects_repeated_and_unknown_fields():
         parse_cirquent('cirquent { oformulas: ["F"]; under: [[1]]; over: [[1]]; colour: 3 }')
 
 
+FORMULA_POOL = tuple(parse_formula(s) for s in ("F", "~F", "!F | G", "?(E & ~G)", "E -> F"))
+
+
+@st.composite
+def valid_cirquents(draw):
+    """Cirquents of 1-5 oformulas from FORMULA_POOL, with 1-4 random groups
+    on each side and one more wherever an oformula would be left out."""
+    k = draw(st.integers(1, 5))
+    ofs = tuple(draw(st.lists(st.sampled_from(FORMULA_POOL), min_size=k, max_size=k)))
+    group = st.frozensets(st.integers(1, k), min_size=1)
+
+    def groups():
+        gs = draw(st.lists(group, min_size=1, max_size=4))
+        missing = frozenset(range(1, k + 1)).difference(*gs)
+        return tuple(gs + [missing] if missing else gs)
+
+    return Cirquent(ofs, groups(), groups())
+
+
+@given(valid_cirquents())
+@settings(max_examples=300)
+def test_text_round_trip_property(c):
+    validate_cirquent(c)
+    assert parse_cirquent(format_cirquent(c)) == c
+
+
+# The fields of a cirquent come in one order, separated by `;` (one more may
+# close the record), and list items are separated by `,`.
+@pytest.mark.parametrize("text", [
+    # fields in any order, and no `,` or `;` at all: this parsed before the
+    # reader followed the grammar
+    'cirquent { over: [[1 2]] under: [[1, 2]] oformulas: ["~F" "F"] }',
+    'cirquent { under: [[1, 2]]; oformulas: ["~F", "F"]; over: [[1, 2]] }',
+    'cirquent { oformulas: ["~F", "F"]; over: [[1, 2]]; under: [[1, 2]] }',
+    'cirquent { oformulas: ["~F", "F"]; under: [[1, 2]]; under: [[1, 2]]; over: [[1, 2]] }',
+    'cirquent { oformulas: ["~F", "F"] under: [[1, 2]]; over: [[1, 2]] }',
+    'cirquent { oformulas: ["~F" "F"]; under: [[1, 2]]; over: [[1, 2]] }',
+    'cirquent { oformulas: ["~F", "F"]; under: [[1 2]]; over: [[1, 2]] }',
+    'cirquent { oformulas: ["~F", "F"]; under: [[1], [2]]; over: [[1] [2]] }',
+    'cirquent { oformulas: ["~F", "F",]; under: [[1, 2]]; over: [[1, 2]] }',
+    'cirquent { oformulas: ["~F", "F"]; under: [[1, 2]]; over: [[1, 2]] 3 }',
+    'cirquent { oformulas: ["~F", "F"]; under: [[1, 2]]; over: [[1, 2]];; }',
+    'cirquent { oformulas: ["~F", "F"]; under: [[1, 2]] }',
+    'cirquent { oformulas: ["~F", "F"]; under: [[1, 2]]; over: [[1, 2]]',
+])
+def test_text_follows_the_grammar_order(text):
+    with pytest.raises(CirquentError):
+        parse_cirquent(text)
+
+
+def test_text_reads_integer_tokens_only():
+    for group in ('["1", 2]', "[1, x]", "[1.5]", "[" + "1" * 5000 + "]"):
+        with pytest.raises(CirquentError):
+            parse_cirquent(f'cirquent {{ oformulas: ["F"]; under: [[1]]; over: [{group}] }}')
+
+
 def test_validation_rejects_malformed_groupings():
     with pytest.raises(CirquentError):
         validate_cirquent(Cirquent((parse_formula("F"),), (frozenset(),), (frozenset({1}),)))

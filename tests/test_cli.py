@@ -192,7 +192,8 @@ def test_repl_session():
 # file that is not UTF-8, `{bad_proof}` a proof with a syntax error,
 # `{bad_lib}` a broken game library, `{bad_corpus}` a corpus whose one case
 # has an unreadable expect.json, `{empty}` an empty directory, `{name_group}`
-# and `{name_param}` proofs with a name where an index belongs. Each name in
+# and `{name_param}` proofs with a name where an index belongs, `{long_index}`
+# one with an index of more digits than int() converts. Each name in
 # EXPECTS is a corpus whose one case has that expect.json.
 ELIM = ["corpus/brec_elim/proof.cl15", "--atoms", "corpus/brec_elim/atoms.game"]
 EXPECTS = {
@@ -212,6 +213,7 @@ MALFORMED = [
     (["check", "{step_colour}"], 2),
     (["check", "{param_colour}"], 2),
     (["check", "{cirquent_colour}"], 2),
+    (["check", "{long_index}"], 2),
     (["compile", "{bin}"], 2),
     (["compile", "{bad_proof}"], 2),
     (["play", ELIM[0], "--atoms", "{bin}"], 2),
@@ -259,6 +261,8 @@ def malformed_files(tmp_path_factory):
         (case / "expect.json").write_text(text)
     (d / "group.cl15").write_text(PROOF.read_text().replace("under: [[1, 2]]", "under: [[x, 2]]", 1))
     (d / "param.cl15").write_text(PROOF.read_text().replace("added: []", "added: [x]", 1))
+    (d / "long.cl15").write_text(
+        PROOF.read_text().replace("under: [[1, 2]]", f"under: [[{'1' * 5000}, 2]]", 1))
     # a repeated key, then an unknown key in each kind of proof block
     text = PROOF.read_text()
     edits = {
@@ -277,6 +281,7 @@ def malformed_files(tmp_path_factory):
     return {"bin": d / "bin", "bad_proof": d / "bad.cl15",
             "bad_lib": d / "bad.game", "bad_corpus": d / "corpus", "empty": d / "empty",
             "name_group": d / "group.cl15", "name_param": d / "param.cl15",
+            "long_index": d / "long.cl15",
             "oformulas_twice": d / "oformulas_twice", "colour": d / "colour",
             **{name: d / name for name in EXPECTS},
             **{name: d / f"{name}.cl15" for name in edits}}

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from cirquent import harness
 from cirquent import rules as R
 from cirquent.formulas import parse_formula
 from cirquent.games import BOT, TOP, Labmove, Tree, of_formula, parse_game
@@ -161,6 +162,22 @@ def test_run_corpus_all_pass():
         assert r.ok, r.line()
         assert r.wins > 0 and r.losses == 0 and r.inconclusive == 0
         assert "PASS" in r.line()
+
+
+def test_run_case_passes_a_zero_budget_on(monkeypatch):
+    budgets = []
+    real_play = harness.play
+
+    def spy(t, env, arena, budget=64):
+        budgets.append(budget)
+        return real_play(t, env, arena, budget)
+
+    monkeypatch.setattr(harness, "play", spy)
+    harness.run_case(CORPUS / "brec_elim", budget=0)
+    assert budgets and set(budgets) == {0}
+    budgets.clear()
+    harness.run_case(CORPUS / "brec_elim")
+    assert budgets and set(budgets) == {64}
 
 
 def test_compiled_strategy_survives_junk_probes():

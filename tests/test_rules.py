@@ -8,14 +8,18 @@ the corpus proofs cross-validate them.
 
 import importlib.util
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cirquent import rules as R
-from cirquent.cirquents import Cirquent, CirquentError, club, validate_cirquent, value
-from cirquent.formulas import FormulaError, parse_formula
+from cirquent.cirquents import Cirquent, CirquentError, club, validate_cirquent
+from cirquent.formulas import Formula, FormulaError, parse_formula
 from cirquent.reader import Reader
 from test_acceptance import _perturbed_apps, _toggled_cirquents
+from test_cirquents import FORMULA_POOL, valid_cirquents
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 CASES = sorted(p.name for p in CORPUS.iterdir() if (p / "proof.cl15").exists())
@@ -23,6 +27,15 @@ CASES = sorted(p.name for p in CORPUS.iterdir() if (p / "proof.cl15").exists())
 
 def load(name: str) -> R.Proof:
     return R.parse_proof((CORPUS / name / "proof.cl15").read_text())
+
+
+def read_params(name: str, text: str) -> R.RuleApp:
+    """The rule `name` with the params record `text`, as a proof step
+    reads them."""
+    r = Reader(text, R.RuleError)
+    app = R._read_app(r, name, {})
+    r.end()
+    return app
 
 
 def cq(oformulas, under, over) -> Cirquent:
@@ -83,17 +96,6 @@ def test_premise_and_conclusion_agree(name):
             continue
         assert forward == step.cirquent
     assert intro_weakenings <= 1
-
-
-@pytest.mark.parametrize("name", CASES)
-def test_infer_rule_recovers_each_step(name):
-    proof = load(name)
-    for prev, step in zip(proof, proof[1:]):
-        apps = R.infer_rule(prev.cirquent, step.cirquent)
-        assert apps, f"no rule found for {step.app}"
-        assert any(type(a) is type(step.app) for a in apps)
-        for app in apps:
-            assert R.premise_of(step.cirquent, app) == prev.cirquent
 
 
 def test_axiom_shape():
@@ -212,7 +214,7 @@ def test_parse_proof_rejects_repeated_and_unknown_fields():
         with pytest.raises(error, match="given twice|unknown field"):
             R.parse_proof(text.replace(old, new, 1))
     with pytest.raises(R.RuleError, match="unknown field"):
-        R._app_from_fields("Contraction", {"oformula": 1, "colour": 3})
+        read_params("Contraction", "{ oformula: 1; colour: 3 }")
 
 
 def test_axiom_formulas_share_the_formula_memo(monkeypatch):
@@ -262,28 +264,103 @@ def test_params_text_of_every_rule_round_trips():
     assert {type(app) for app, _ in PARAMS_TEXT} == set(R.RULES_BY_NAME.values())
     for app, text in PARAMS_TEXT:
         assert R._format_params(app) == text
-        params = value(Reader(text, CirquentError))
-        assert R._app_from_fields(type(app).__name__, params) == app
+        assert read_params(type(app).__name__, text) == app
 
 
 def test_bad_params_raise_rule_error():
-    for name, params in (
-        ("Weakening", {"undergroup": 1}),
-        ("Merging", {"pos": 1, "left": [1], "right": 2}),
-        ("RecIntro", {"oformula": "x", "overgroup": 1}),
-        ("CorecIntro", {"oformula": 1, "added": ["x"]}),
-        ("Axiom", {"formulas": ["F &"]}),
-        ("Axiom", {}),
-        ("Contraction", []),
-        ("Nope", {"pos": 1}),
+    for name, text in (
+        ("Weakening", "{ undergroup: 1 }"),
+        ("Merging", "{ pos: 1; left: [1]; right: 2 }"),
+        ("RecIntro", '{ oformula: "x"; overgroup: 1 }'),
+        ("CorecIntro", '{ oformula: 1; added: ["x"] }'),
+        ("Axiom", '{ formulas: ["F &"] }'),
+        ("Axiom", "{ }"),
+        ("Contraction", "[]"),
+        ("Nope", "{ pos: 1 }"),
         # params are integer tokens and lists of them, never quoted digits
-        ("UnderExchange", {"pos": "3"}),
-        ("CorecIntro", {"oformula": 1, "added": "12"}),
-        ("Merging", {"pos": 1, "left": ["1"], "right": [2]}),
-        ("Axiom", {"formulas": "F"}),
+        ("UnderExchange", '{ pos: "3" }'),
+        ("CorecIntro", '{ oformula: 1; added: "12" }'),
+        ("Merging", '{ pos: 1; left: ["1"]; right: [2] }'),
+        ("Axiom", '{ formulas: "F" }'),
     ):
         with pytest.raises(R.RuleError):
-            R._app_from_fields(name, params)
+            read_params(name, text)
+
+
+# Every field type of the rule table, as values that parse but need not check.
+FIELD_VALUES = {
+    int: st.integers(-3, 40),
+    frozenset[int]: st.frozensets(st.integers(0, 9), max_size=4),
+    tuple[Formula, ...]: st.lists(st.sampled_from(FORMULA_POOL), min_size=1, max_size=3).map(tuple),
+}
+
+
+@st.composite
+def rule_apps(draw):
+    cls = draw(st.sampled_from(sorted(R.RULES_BY_NAME.values(), key=lambda c: c.__name__)))
+    return cls(*(draw(FIELD_VALUES[t]) for t in get_type_hints(cls).values()))
+
+
+@given(st.lists(st.tuples(rule_apps(), valid_cirquents()), min_size=1, max_size=3))
+@settings(max_examples=300)
+def test_step_text_round_trip_property(steps):
+    proof = tuple(R.Step(app, c) for app, c in steps)
+    assert R.parse_proof(R.format_proof(proof)) == proof
+    for app, _ in steps:
+        assert read_params(type(app).__name__, R._format_params(app)) == app
+
+
+TWO_STEPS = """\
+step 1 {
+  rule: Axiom;
+  params: { formulas: ["F"] };
+  cirquent: { oformulas: ["~F", "F"]; under: [[1, 2]]; over: [[1, 2]] };
+}
+step 2 {
+  rule: Merging;
+  params: { pos: 1; left: [1, 2]; right: [2] };
+  cirquent: { oformulas: ["~F", "F"]; under: [[1, 2]]; over: [[1, 2]] }
+}
+"""
+
+# One fault in one record of TWO_STEPS, and the error class of that record.
+RULE_STEP = "rule: Merging;\n  params: { pos: 1; left: [1, 2]; right: [2] };"
+PARAMS = "{ pos: 1; left: [1, 2]; right: [2] }"
+BODY = '{ oformulas: ["~F", "F"]; under: [[1, 2]]; over: [[1, 2]] }\n}'
+REJECTED = [
+    # a field out of order
+    (RULE_STEP, "params: { pos: 1; left: [1, 2]; right: [2] }; rule: Merging;", R.RuleError),
+    (PARAMS, "{ left: [1, 2]; pos: 1; right: [2] }", R.RuleError),
+    (PARAMS, "{ pos: 1; right: [2]; left: [1, 2] }", R.RuleError),
+    (BODY, '{ under: [[1, 2]]; oformulas: ["~F", "F"]; over: [[1, 2]] }\n}', CirquentError),
+    # a repeated field
+    (RULE_STEP, "rule: Merging; rule: Merging;", R.RuleError),
+    (PARAMS, "{ pos: 1; pos: 1; left: [1, 2]; right: [2] }", R.RuleError),
+    (BODY, '{ oformulas: ["~F", "F"]; under: [[1, 2]]; over: [[1, 2]]; over: [[1]] }\n}',
+     CirquentError),
+    # a missing `;`
+    (RULE_STEP, "rule: Merging\n  params: { pos: 1; left: [1, 2]; right: [2] };", R.RuleError),
+    (PARAMS, "{ pos: 1 left: [1, 2]; right: [2] }", R.RuleError),
+    (BODY, '{ oformulas: ["~F", "F"]; under: [[1, 2]] over: [[1, 2]] }\n}', CirquentError),
+    # a missing `,`
+    (PARAMS, "{ pos: 1; left: [1 2]; right: [2] }", R.RuleError),
+    ('params: { formulas: ["F"] }', 'params: { formulas: ["F" "G"] }', R.RuleError),
+    (BODY, '{ oformulas: ["~F" "F"]; under: [[1, 2]]; over: [[1, 2]] }\n}', CirquentError),
+    (BODY, '{ oformulas: ["~F", "F"]; under: [[1], [2]]; over: [[1] [2]] }\n}', CirquentError),
+    # a stray token before `}`
+    (BODY, '{ oformulas: ["~F", "F"]; under: [[1, 2]]; over: [[1, 2]] }\n  3\n}', R.RuleError),
+    (PARAMS, "{ pos: 1; left: [1, 2]; right: [2] x }", R.RuleError),
+    (BODY, '{ oformulas: ["~F", "F"]; under: [[1, 2]]; over: [[1, 2]] x }\n}', CirquentError),
+    (BODY, '{ oformulas: ["~F", "F"]; under: [[1, 2]]; over: [[1, 2]];; }\n}', CirquentError),
+]
+
+
+def test_step_text_follows_the_grammar_order():
+    assert len(R.parse_proof(TWO_STEPS)) == 2
+    for old, new, error in REJECTED:
+        assert TWO_STEPS.count(old) == 1, old
+        with pytest.raises(error):
+            R.parse_proof(TWO_STEPS.replace(old, new))
 
 
 def test_conclusion_formula_requires_a_club():
