@@ -257,10 +257,6 @@ game choice = node winner=B {
 }
 """
 
-STANDARD = {
-    "beacon": "node winner=T {}",
-}
-
 CASES: dict[str, tuple] = {
     "brec_elim": (brec_elim, {"F": "relay"}),
     "and_elim": (and_elim, {"F": "choice"}),

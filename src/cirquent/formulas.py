@@ -4,6 +4,8 @@ Surface syntax: atoms are identifiers, `~` negates, `!` and `?` are the
 branching-repetition pair, `&` and `|` the binaries, `F -> G` elaborates
 to `~F | G`.  Prefix operators bind tightest, then `&`, then `|`, then `->`;
 binaries associate to the left.  Negation is stored on atoms only.
+Formulas nest at most `MAX_DEPTH` levels: operators above a literal, and
+parentheses and `!`/`?` around one.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .reader import Reader
+from .reader import MAX_DEPTH, Reader
 
 
 @dataclass(frozen=True)
@@ -72,45 +74,52 @@ def negate(f: Formula) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _implication(r: Reader) -> Formula:
-    f = _disjunction(r)
-    while r.peek() == "->":
+# The parsers below return each formula with its height: the most operators
+# on a path from its root down to a literal.  `d` counts the parentheses and
+# `!`/`?` around the text being read; both stay within MAX_DEPTH.
+
+
+def _above(h: int) -> int:
+    """The height of a node over a part of height h."""
+    if h >= MAX_DEPTH:
+        raise FormulaError(f"formula nested deeper than {MAX_DEPTH} levels")
+    return h + 1
+
+
+# Binary operators: how tightly each binds and what it builds.
+_BINARY = {"->": (0, lambda f, g: Or(negate(f), g)), "|": (1, Or), "&": (2, And)}
+
+
+def _binary(r: Reader, d: int, floor: int = 0) -> tuple[Formula, int]:
+    """A formula whose operators outside parentheses bind at least as
+    tightly as `floor`; each associates to the left."""
+    f, h = _prefixed(r, d)
+    while True:
+        op = _BINARY.get(r.peek())
+        if op is None or op[0] < floor:
+            return f, h
         r.take()
-        f = Or(negate(f), _disjunction(r))
-    return f
+        g, k = _binary(r, d, op[0] + 1)
+        f, h = op[1](f, g), _above(max(h, k))
 
 
-def _disjunction(r: Reader) -> Formula:
-    f = _conjunction(r)
-    while r.peek() == "|":
-        r.take()
-        f = Or(f, _conjunction(r))
-    return f
-
-
-def _conjunction(r: Reader) -> Formula:
-    f = _prefixed(r)
-    while r.peek() == "&":
-        r.take()
-        f = And(f, _prefixed(r))
-    return f
-
-
-def _prefixed(r: Reader) -> Formula:
+def _prefixed(r: Reader, d: int) -> tuple[Formula, int]:
+    negated = False
     tok, name, _, _ = r.take()
-    if tok == "~":
-        return negate(_prefixed(r))
-    if tok == "!":
-        return Brec(_prefixed(r))
-    if tok == "?":
-        return Cobrec(_prefixed(r))
-    if tok == "(":
-        f = _implication(r)
+    while tok == "~":
+        negated = not negated
+        tok, name, _, _ = r.take()
+    if tok == "!" or tok == "?":
+        f, h = _prefixed(r, _above(d))
+        f, h = Brec(f) if tok == "!" else Cobrec(f), _above(h)
+    elif tok == "(":
+        f, h = _binary(r, _above(d))
         r.take(")")
-        return f
-    if name:
-        return PosLiteral(name)
-    raise FormulaError(f"unexpected token {tok!r}")
+    elif name:
+        f, h = PosLiteral(name), 0
+    else:
+        raise FormulaError(f"unexpected token {tok!r}")
+    return (negate(f) if negated else f), h
 
 
 def parse_formula(text: str) -> Formula:
@@ -118,7 +127,7 @@ def parse_formula(text: str) -> Formula:
         raise FormulaError(f"formulas have no comments: {text!r}")
     r = Reader(text, FormulaError)
     try:
-        f = _implication(r)
+        f, _ = _binary(r, 0)
         r.end()
     except FormulaError as e:
         raise FormulaError(f"{e} in {text!r}") from None

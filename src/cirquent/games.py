@@ -25,7 +25,7 @@ from math import inf, prod
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from . import formulas as fm
-from .reader import Reader
+from .reader import MAX_DEPTH, Reader
 
 
 class Player(Enum):
@@ -104,7 +104,9 @@ def _parse_player(tok: str) -> Player:
     raise GameError(f"expected a player label, got {tok!r}")
 
 
-def _node(r: Reader) -> GameNode:
+def _node(r: Reader, depth: int = 0) -> GameNode:
+    if depth > MAX_DEPTH:
+        raise GameError(f"game tree deeper than {MAX_DEPTH} moves")
     r.take("node")
     r.take("winner")
     r.take("=")
@@ -124,7 +126,7 @@ def _node(r: Reader) -> GameNode:
             raise GameError(f"duplicate edge {label.value}:{move!r}")
         seen.add((label, move))
         r.take("->")
-        edges.append((label, move, _node(r)))
+        edges.append((label, move, _node(r, depth + 1)))
     r.take("}")
     return GameNode(winner, tuple(edges))
 

@@ -31,6 +31,11 @@ _TOKEN = re.compile(
 
 Token = tuple[str, str, str, str]
 
+# The deepest nesting any grammar reads: formula operators and parentheses,
+# moves down a game tree.  Deeper input is an error of that grammar, so the
+# recursive functions over formulas and games stay far from Python's limit.
+MAX_DEPTH = 100
+
 # Closes every token list, so that looking ahead needs no bounds check.
 _END = (None, "", "", "")
 

@@ -3,15 +3,18 @@
 A Transducer is a deterministic block-move strategy.  The axiom cirquent is
 won by a copycat between dual pair members; every rule then lifts a strategy
 for its premise cirquent to one for its conclusion by translating moves back
-and forth, so a checked proof folds into a strategy for its final cirquent,
-and one bridge turns that into a strategy for the bare formula game.
+and forth.  A checked proof is read once into a list of those translation
+layers, and the strategy for any of its steps is one `Translated` stack: the
+copycat core under the layers of the rules up to that step, driven by one
+loop that passes moves down through the layers and the replies back up.
+`FormulaBridge` is the stack for the whole proof, played on the bare formula
+game.
 
-Inside a stack, layers trade `CirquentMove` values and each call carries only
+Inside a stack, moves are `CirquentMove` values and each call carries only
 what is new: `advance` gets the opponent moves that arrived since the last
 call and returns the reply block.  Strings appear at one boundary,
-`Transducer.step`, which only the outermost layer runs.  It parses the new
-opponent moves of the observed run, drops malformed ones, and formats the
-replies.
+`Transducer.step`, run on the stack as a whole.  It parses the new opponent
+moves of the observed run, drops malformed ones, and formats the replies.
 
 Move translation is interpretation-blind: only move shapes are inspected, so
 the compiled strategy is the same whatever games the atoms denote.
@@ -20,7 +23,8 @@ the compiled strategy is the same whatever games the atoms denote.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from . import formulas as fm
@@ -34,13 +38,13 @@ from .rules import RuleApp
 class Transducer:
     """Single-use reactive strategy for a cirquent with `n` overgroups.
 
-    `advance` is the protocol between layers: it gets the opponent moves new
-    since its last call and returns the moves it wants appended.
+    `advance` gets the opponent moves new since its last call and returns
+    the moves it wants appended; a stack drives its core through it.
 
-    `step` is the string boundary, run by the outermost transducer only.  It
-    sees the whole run so far; calls must present runs that extend one
-    another by the previously returned block plus opponent moves.  It reads
-    the new opponent moves, hands them to `advance` and writes the replies.
+    `step` is the string boundary, run on a whole strategy.  It sees the
+    whole run so far; calls must present runs that extend one another by
+    the previously returned block plus opponent moves.  It reads the new
+    opponent moves, hands them to `advance` and writes the replies.
     """
 
     n: int
@@ -88,47 +92,36 @@ class AxiomCopycat(Transducer):
 
 
 class Translated(Transducer):
-    """Plays the conclusion of a rule by simulating a premise strategy.
+    """Plays the conclusion of a proof step by simulating `core`, the axiom's
+    copycat, through one translation layer per rule, `layers` outermost first.
 
-    Opponent moves on the real board are translated into simulated opponent
-    moves; the inner strategy's replies are translated back into real moves.
-    Subclasses fill in the two translations; either may fan one move out into
-    several, and `env_to_sim` drops an opponent move that was already
-    illegal.  `note_real` sees every real move of either player.
+    A layer lifts a strategy for its rule's premise to one for the
+    conclusion with two maps: `env_to_sim` turns an opponent move on the
+    conclusion into moves on the premise, dropping a move that was already
+    illegal, and `sim_to_real` turns a premise move back.  Either may fan
+    one move out into several.  `advance` passes the new opponent moves down
+    through every layer, asks the core, and passes its replies back up, so
+    each layer sees its moves in the order they are played.
     """
 
-    def __init__(self, inner: Transducer, n: int):
-        self.inner, self.n = inner, n
-
-    def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
-        raise NotImplementedError
-
-    def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
-        raise NotImplementedError
-
-    def note_real(self, mv: CirquentMove) -> None:
-        pass
+    def __init__(self, core: Transducer, layers: list, n: int):
+        self.core, self.layers, self.n = core, layers, n
 
     def advance(self, moves: list[CirquentMove]) -> list[CirquentMove]:
-        sim_moves: list[CirquentMove] = []
-        for mv in moves:
-            self.note_real(mv)
-            sim_moves += self.env_to_sim(mv)
-        out: list[CirquentMove] = []
-        for m in self.inner.advance(sim_moves):
-            for rm in self.sim_to_real(m):
-                self.note_real(rm)
-                out.append(rm)
-        return out
+        for layer in self.layers:
+            moves = [s for mv in moves for s in layer.env_to_sim(mv)]
+        moves = self.core.advance(moves)
+        for layer in reversed(self.layers):
+            moves = [r for mv in moves for r in layer.sim_to_real(mv)]
+        return moves
 
 
-class _Swap(Translated):
+@dataclass
+class _Swap:
     """Exchanges two adjacent positions of a move; the exchange is its own
     inverse, so both directions apply `_map`."""
 
-    def __init__(self, inner: Transducer, n: int, pos: int):
-        super().__init__(inner, n)
-        self.pos = pos
+    pos: int
 
     def _map(self, mv: CirquentMove) -> CirquentMove:
         raise NotImplementedError
@@ -153,15 +146,13 @@ class _OverSwap(_Swap):
         return mv._replace(slots=tuple(s))
 
 
-class _WeakeningDrop(Translated):
+@dataclass
+class _WeakeningDrop:
     """Conclusion has an extra oformula (and maybe extra overgroups) that the
     premise never heard of; moves there are ignored, other moves reindex."""
 
-    def __init__(self, inner: Transducer, n: int, dropped: int,
-                 dropped_slots: tuple[int, ...]):
-        super().__init__(inner, n)
-        self.dropped = dropped
-        self.dropped_slots = dropped_slots  # ascending 0-based positions in real
+    dropped: int
+    dropped_slots: tuple[int, ...]  # ascending 0-based positions in real
 
     def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
         if mv.index == self.dropped:
@@ -180,14 +171,13 @@ class _WeakeningDrop(Translated):
         return [mv._replace(index=index, slots=tuple(slots))]
 
 
-class _ContractionSplit(Translated):
+@dataclass
+class _ContractionSplit:
     """One '?' oformula stands for two premise copies: address bit 0 routes
     to the first copy, bit 1 to the second, and an unaddressed move goes to
     both."""
 
-    def __init__(self, inner: Transducer, n: int, a: int):
-        super().__init__(inner, n)
-        self.a = a
+    a: int
 
     def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
         a = self.a
@@ -216,13 +206,12 @@ class _ContractionSplit(Translated):
         return [mv._replace(index=a, inner=bit + mv.inner)]
 
 
-class _OverDupJoin(Translated):
+@dataclass
+class _OverDupJoin:
     """Two identical conclusion overgroups collapse to one premise overgroup;
     address pairs are woven together by fusion and unwoven by defusion."""
 
-    def __init__(self, inner: Transducer, n: int, pos: int):
-        super().__init__(inner, n)
-        self.pos = pos  # 1-based; real slots pos-1 and pos merge
+    pos: int  # 1-based; real slots pos-1 and pos merge
 
     def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
         p, s = self.pos - 1, mv.slots
@@ -234,15 +223,14 @@ class _OverDupJoin(Translated):
         return [mv._replace(slots=s[:p] + defusion(s[p], 2) + s[p + 1:])]
 
 
-class _MergeSplit(Translated):
+@dataclass
+class _MergeSplit:
     """A merged overgroup covers members of both halves; a member of both
     plays one address woven from its two premise addresses."""
 
-    def __init__(self, inner: Transducer, n: int, pos: int,
-                 left: frozenset[int], right: frozenset[int]):
-        super().__init__(inner, n)
-        self.pos = pos
-        self.left, self.right = left, right
+    pos: int
+    left: frozenset[int]
+    right: frozenset[int]
 
     def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
         p = self.pos - 1
@@ -271,12 +259,11 @@ class _MergeSplit(Translated):
         return [mv._replace(slots=head + (u,) + tail)]
 
 
-class _BinarySplit(Translated):
+@dataclass
+class _BinarySplit:
     """A disjunction or conjunction oformula stands for its two halves."""
 
-    def __init__(self, inner: Transducer, n: int, a: int):
-        super().__init__(inner, n)
-        self.a = a
+    a: int
 
     def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
         a = self.a
@@ -301,12 +288,12 @@ class _BinarySplit(Translated):
         return [mv._replace(index=mv.index - 1)]
 
 
-class _RecFold(Translated):
+@dataclass
+class _RecFold:
     """The premise's fresh copy dimension folds into the '!' move address."""
 
-    def __init__(self, inner: Transducer, n: int, a: int, j: int):
-        super().__init__(inner, n)
-        self.a, self.j = a, j
+    a: int
+    j: int
 
     def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
         p, s = self.j - 1, mv.slots
@@ -326,21 +313,15 @@ class _RecFold(Translated):
         return [mv._replace(slots=slots, inner=s[p] + "." + mv.inner)]
 
 
-class _CorecFocus(Translated):
+@dataclass
+class _CorecFocus:
     """No overgroups added: the machine plays the '?' oformula inside a
     single all-zeros copy, padded just enough to dodge addresses already
-    committed by other moves there."""
+    committed by other moves there.  Both maps record the copy addresses of
+    the real moves they see in `used`."""
 
-    def __init__(self, inner: Transducer, n: int, a: int):
-        super().__init__(inner, n)
-        self.a = a
-        self.used: set[str] = set()
-
-    def note_real(self, mv: CirquentMove) -> None:
-        if mv.index == self.a:
-            sp = split_address(mv.inner)
-            if sp is not None:
-                self.used.add(sp[0])
+    a: int
+    used: set[str] = field(default_factory=set)
 
     def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
         if mv.index != self.a:
@@ -349,6 +330,7 @@ class _CorecFocus(Translated):
         if sp is None:
             return []
         v, rest = sp
+        self.used.add(v)
         if v.strip("0"):
             return []  # outside the focused copy
         return [mv._replace(inner=rest)]
@@ -359,17 +341,17 @@ class _CorecFocus(Translated):
         u = ""
         while any(v != u and v.startswith(u) for v in self.used):
             u += "0"
+        self.used.add(u)
         return [mv._replace(inner=u + "." + mv.inner)]
 
 
-class _CorecWeave(Translated):
+@dataclass
+class _CorecWeave:
     """Overgroups added: the '?' address carries the woven addresses of the
     premise's extra copy dimensions."""
 
-    def __init__(self, inner: Transducer, n: int, a: int, added: tuple[int, ...]):
-        super().__init__(inner, n)
-        self.a = a
-        self.added = added  # 1-based overgroup positions, ascending
+    a: int
+    added: tuple[int, ...]  # 1-based overgroup positions, ascending
 
     def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
         if mv.index != self.a:
@@ -396,7 +378,7 @@ class _CorecWeave(Translated):
 
 
 class FormulaBridge(Translated):
-    """A strategy for the one-oformula cirquent of a formula, played on the
+    """A stack for the one-oformula cirquent of a formula, played on the
     formula's bare game.
 
     Only the boundary changes; moves pass through untranslated.  An opponent
@@ -404,9 +386,6 @@ class FormulaBridge(Translated):
     `CirquentMove(1, ("",), m)`, and a reply surfaces only when it lands in
     the all-zeros copy.
     """
-
-    def __init__(self, inner: Transducer):
-        super().__init__(inner, 1)
 
     def read(self, move: str) -> CirquentMove:
         return CirquentMove(1, ("",), move)
@@ -416,12 +395,9 @@ class FormulaBridge(Translated):
             return mv.inner
         return None
 
-    def advance(self, moves: list[CirquentMove]) -> list[CirquentMove]:
-        return self.inner.advance(moves)
 
-
-# A translation layer's class and the arguments it takes after the inner strategy.
-Layer = tuple[type[Translated], tuple]
+# A translation layer's class and the arguments it is built from.
+Layer = tuple[type, tuple]
 
 
 def transform(app: RuleApp, conclusion: Cirquent) -> Layer | None:
@@ -430,14 +406,13 @@ def transform(app: RuleApp, conclusion: Cirquent) -> Layer | None:
     rule leaves overgroups and oformulas alone, so the premise's strategy
     already plays the conclusion."""
     premise = rl.premise_of(conclusion, app)
-    n = len(conclusion.overgroups)
 
     if isinstance(app, (rl.UnderExchange, rl.UnderDuplication)):
         return None
     if isinstance(app, rl.OformulaExchange):
-        return _OformulaSwap, (n, app.pos)
+        return _OformulaSwap, (app.pos,)
     if isinstance(app, rl.OverExchange):
-        return _OverSwap, (n, app.pos)
+        return _OverSwap, (app.pos,)
     if isinstance(app, rl.Weakening):
         if premise.width == conclusion.width:
             return None
@@ -445,21 +420,21 @@ def transform(app: RuleApp, conclusion: Cirquent) -> Layer | None:
         dropped_slots = tuple(
             j for j, g in enumerate(conclusion.overgroups) if g == frozenset({a})
         )
-        return _WeakeningDrop, (n, a, dropped_slots)
+        return _WeakeningDrop, (a, dropped_slots)
     if isinstance(app, rl.Contraction):
-        return _ContractionSplit, (n, app.oformula)
+        return _ContractionSplit, (app.oformula,)
     if isinstance(app, rl.OverDuplication):
-        return _OverDupJoin, (n, app.pos)
+        return _OverDupJoin, (app.pos,)
     if isinstance(app, rl.Merging):
-        return _MergeSplit, (n, app.pos, app.left, app.right)
+        return _MergeSplit, (app.pos, app.left, app.right)
     if isinstance(app, (rl.DisjIntro, rl.ConjIntro)):
-        return _BinarySplit, (n, app.oformula)
+        return _BinarySplit, (app.oformula,)
     if isinstance(app, rl.RecIntro):
-        return _RecFold, (n, app.oformula, app.overgroup)
+        return _RecFold, (app.oformula, app.overgroup)
     if isinstance(app, rl.CorecIntro):
         if not app.added:
-            return _CorecFocus, (n, app.oformula)
-        return _CorecWeave, (n, app.oformula, tuple(sorted(app.added)))
+            return _CorecFocus, (app.oformula,)
+        return _CorecWeave, (app.oformula, tuple(sorted(app.added)))
     raise rl.RuleError(f"no transformer for {app!r}")
 
 
@@ -469,26 +444,35 @@ def transform(app: RuleApp, conclusion: Cirquent) -> Layer | None:
 Factory = Callable[[], Transducer]
 
 
-def cirquent_strategy_factories(proof: rl.Proof) -> list[tuple[Cirquent, Factory]]:
-    """One fresh-strategy factory per proof step, for that step's cirquent.
-    A step whose rule adds no layer shares its premise's factory."""
+def _layers(proof: rl.Proof) -> tuple[int, list[Layer | None]]:
+    """The axiom's number of diamonds and, per later step, the layer its rule
+    adds (None when it adds none), read once from the checked proof."""
     verdict = rl.check_proof(proof)
     if not verdict:
         raise rl.RuleError(f"proof does not check: step {verdict.step}: {verdict.message}")
     first = proof[0]
     assert isinstance(first.app, rl.Axiom)
-    diamonds = len(first.app.formulas)
-    out: list[tuple[Cirquent, Factory]] = [
-        (first.cirquent, lambda d=diamonds: AxiomCopycat(d))
-    ]
-    for step in proof[1:]:
-        factory = out[-1][1]
-        layer = transform(step.app, step.cirquent)
-        if layer is not None:
+    return len(first.app.formulas), [transform(s.app, s.cirquent) for s in proof[1:]]
 
-            def factory(cls=layer[0], args=layer[1], pf=factory) -> Transducer:
-                return cls(pf(), *args)
 
+def _stack(cls: type[Translated], diamonds: int, specs: list[Layer | None], k: int,
+           n: int) -> Translated:
+    """A fresh copycat under the layers of the first k `specs` of `_layers`,
+    for a cirquent with n overgroups."""
+    layers = [spec[0](*spec[1]) for spec in reversed(specs[:k]) if spec is not None]
+    return cls(AxiomCopycat(diamonds), layers, n)
+
+
+def cirquent_strategy_factories(proof: rl.Proof) -> list[tuple[Cirquent, Factory]]:
+    """One fresh-strategy factory per proof step, for that step's cirquent.
+    A step whose rule adds no layer shares its premise's factory."""
+    diamonds, specs = _layers(proof)
+    factory: Factory = partial(AxiomCopycat, diamonds)
+    out = [(proof[0].cirquent, factory)]
+    for k, (step, spec) in enumerate(zip(proof[1:], specs), 1):
+        if spec is not None:
+            factory = partial(_stack, Translated, diamonds, specs, k,
+                              len(step.cirquent.overgroups))
         out.append((step.cirquent, factory))
     return out
 
@@ -509,13 +493,9 @@ def compile_proof(proof: rl.Proof) -> CompiledStrategy:
     The result never inspects an interpretation: the bundle text and the
     move behavior depend only on the proof.
     """
-    chain = cirquent_strategy_factories(proof)
+    diamonds, specs = _layers(proof)
+    factory = partial(_stack, FormulaBridge, diamonds, specs, len(specs), 1)
     formula = rl.conclusion_formula(proof)
-    final_factory = chain[-1][1]
-
-    def factory() -> Transducer:
-        return FormulaBridge(final_factory())
-
     bundle = json.dumps(
         {
             "formula": fm.format_formula(formula),

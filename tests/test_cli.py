@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from cirquent.reader import MAX_DEPTH
+
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 PROOF = CORPUS / "brec_elim" / "proof.cl15"
@@ -193,8 +195,12 @@ def test_repl_session():
 # `{bad_lib}` a broken game library, `{bad_corpus}` a corpus whose one case
 # has an unreadable expect.json, `{empty}` an empty directory, `{name_group}`
 # and `{name_param}` proofs with a name where an index belongs, `{long_index}`
-# one with an index of more digits than int() converts. Each name in
-# EXPECTS is a corpus whose one case has that expect.json.
+# one with an index of more digits than int() converts. `{parens}`, `{bangs}`
+# and `{chain}` are formulas nested past the depth bound (300 parentheses,
+# 450 `!`, a left-deep chain of 2,001 atoms), `{deep_lib}` a library with a
+# 2,000-move-deep tree and `{deep_axiom}` a proof whose Axiom formula has 300
+# parentheses. Each name in EXPECTS is a corpus whose one case has that
+# expect.json.
 ELIM = ["corpus/brec_elim/proof.cl15", "--atoms", "corpus/brec_elim/atoms.game"]
 EXPECTS = {
     "expect_list": '[{"rollouts": {"seeds": 1}}]',
@@ -214,6 +220,7 @@ MALFORMED = [
     (["check", "{param_colour}"], 2),
     (["check", "{cirquent_colour}"], 2),
     (["check", "{long_index}"], 2),
+    (["check", "{deep_axiom}"], 2),
     (["compile", "{bin}"], 2),
     (["compile", "{bad_proof}"], 2),
     (["play", ELIM[0], "--atoms", "{bin}"], 2),
@@ -228,6 +235,10 @@ MALFORMED = [
     (["eval", "--cirquent", "{oformulas_twice}", *ELIM[1:]], 2),
     (["eval", "--cirquent", "{colour}", *ELIM[1:]], 2),
     (["eval", "--formula", "F", "--atoms", "{bad_lib}"], 2),
+    (["eval", "--formula", "{parens}", *ELIM[1:]], 2),
+    (["eval", "--formula", "{bangs}", *ELIM[1:]], 2),
+    (["eval", "--formula", "{chain}", *ELIM[1:]], 2),
+    (["eval", "--formula", "F", "--atoms", "{deep_lib}"], 2),
     (["fuse", "012"], 2),
     (["fuse", "0", "1" * 20], 3),
     (["defuse", "012", "--n", "2"], 2),
@@ -263,6 +274,11 @@ def malformed_files(tmp_path_factory):
     (d / "param.cl15").write_text(PROOF.read_text().replace("added: []", "added: [x]", 1))
     (d / "long.cl15").write_text(
         PROOF.read_text().replace("under: [[1, 2]]", f"under: [[{'1' * 5000}, 2]]", 1))
+    parens = "(" * 300 + "F" + ")" * 300
+    (d / "deep_axiom.cl15").write_text(
+        PROOF.read_text().replace('formulas: ["F"]', f'formulas: ["{parens}"]', 1))
+    (d / "deep.game").write_text(
+        "game F = " + 'node winner=T { B"q" -> ' * 2000 + "node winner=T {}" + " }" * 2000)
     # a repeated key, then an unknown key in each kind of proof block
     text = PROOF.read_text()
     edits = {
@@ -282,6 +298,8 @@ def malformed_files(tmp_path_factory):
             "bad_lib": d / "bad.game", "bad_corpus": d / "corpus", "empty": d / "empty",
             "name_group": d / "group.cl15", "name_param": d / "param.cl15",
             "long_index": d / "long.cl15",
+            "parens": parens, "bangs": "!" * 450 + "F", "chain": " | ".join(["F"] * 2001),
+            "deep_lib": d / "deep.game", "deep_axiom": d / "deep_axiom.cl15",
             "oformulas_twice": d / "oformulas_twice", "colour": d / "colour",
             **{name: d / name for name in EXPECTS},
             **{name: d / f"{name}.cl15" for name in edits}}
@@ -294,3 +312,23 @@ def test_malformed_input_exit_codes(malformed_files, args, code):
     assert r.returncode == code, r.stderr
     assert "error:" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+# Formulas exactly at the depth bound: MAX_DEPTH parentheses, and a
+# right-nested conjunction MAX_DEPTH operators high.
+AT_BOUND = {
+    "parentheses": ("(" * MAX_DEPTH + "F" + ")" * MAX_DEPTH, "q"),
+    "conjunctions": ("F & (" * (MAX_DEPTH - 1) + "F & F" + ")" * (MAX_DEPTH - 1),
+                     "1." * MAX_DEPTH + "q"),
+}
+
+
+@pytest.mark.parametrize("formula, move", AT_BOUND.values(), ids=list(AT_BOUND))
+def test_formulas_at_the_depth_bound_evaluate(formula, move):
+    r = cli("eval", "--formula", formula, *ELIM[1:], "--run", f"B:{move}")
+    assert r.returncode == 0, r.stderr
+    assert "run: legal" in r.stdout and "winner: B" in r.stdout
+    r = cli("repl", "--formula", formula, *ELIM[1:], stdin="show\nquit\n")
+    assert r.returncode == 0, r.stderr
+    frontier = next(line for line in r.stdout.splitlines() if line.startswith("B can play: "))
+    assert move in frontier.removeprefix("B can play: ").split(", ")

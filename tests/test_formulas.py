@@ -16,6 +16,7 @@ from cirquent.formulas import (
     parse_formula,
     subformula_paths,
 )
+from cirquent.reader import MAX_DEPTH
 
 atoms = st.sampled_from(["E", "F", "G", "H", "p0", "long_name"])
 
@@ -86,6 +87,35 @@ def test_parse_errors():
     for bad in ("", "F |", "| F", "(F", "F)", "F G", "&", "~", "F ~ G", "F # c"):
         with pytest.raises(FormulaError):
             parse_formula(bad)
+
+
+def test_nesting_is_at_most_max_depth_levels():
+    n = MAX_DEPTH
+    at_bound = [
+        "(" * n + "F" + ")" * n,
+        "!" * n + "F",
+        "?" * (n - 1) + "~(E | F)",
+        " | ".join(["F"] * (n + 1)),
+        "F & (" * (n - 1) + "F & F" + ")" * (n - 1),
+        "~" * 5000 + "F",  # negations are not levels
+    ]
+    for text in at_bound:
+        f = parse_formula(text)
+        assert parse_formula(format_formula(f)) == f
+    over = [
+        "(" * (n + 1) + "F" + ")" * (n + 1),
+        "!" * (n + 1) + "F",
+        " | ".join(["F"] * (n + 2)),
+        "F & (" * n + "F & F" + ")" * n,
+        "~(" + " | ".join(["F"] * 3000) + ")",
+        " | ".join(["F"] * (n + 1)) + " -> F",
+        "(" * 300 + "F" + ")" * 300,
+        "!" * 450 + "F",
+        " | ".join(["F"] * 2001),
+    ]
+    for text in over:
+        with pytest.raises(FormulaError, match="deeper than"):
+            parse_formula(text)
 
 
 def test_atoms_of():

@@ -37,6 +37,7 @@ from cirquent.games import (
     through_classes,
     winner,
 )
+from cirquent.reader import MAX_DEPTH
 from referee_oracle import negate_run, project_prefix, project_thread, walk
 
 
@@ -198,6 +199,18 @@ def test_game_text_errors():
     ):
         with pytest.raises(GameError):
             parse_game(bad)
+
+
+def test_game_trees_are_at_most_max_depth_moves_deep():
+    def chain(depth: int) -> str:
+        return 'node winner=T { B"q" -> ' * depth + "node winner=T {}" + " }" * depth
+
+    node = parse_game(chain(MAX_DEPTH))
+    assert format_game(node).count("->") == MAX_DEPTH
+    assert legal(Tree(node), tuple(Labmove(BOT, "q") for _ in range(MAX_DEPTH)))
+    for depth in (MAX_DEPTH + 1, 2000):
+        with pytest.raises(GameError, match="deeper than"):
+            parse_game(chain(depth))
 
 
 # ---------------------------------------------------- composite structures

@@ -25,12 +25,14 @@ from cirquent.strategies import (
     AxiomCopycat,
     FormulaBridge,
     Transducer,
+    Translated,
     _BinarySplit,
     cirquent_strategy_factories,
     compile_proof,
     transform,
 )
 from test_acceptance import CASES, STANDARD, _game_candidates
+from test_cli import cli
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -81,7 +83,7 @@ def _bridge_move(slot: str, inner: str) -> CirquentMove:
 def test_club_to_rep_bridges_addresses():
     mv = _bridge_move
     inner = Parrot([mv("0", "r"), mv("01", "s"), CirquentMove(2, ("",), "t")])
-    t = FormulaBridge(inner)
+    t = FormulaBridge(inner, [], 1)
     # the bare game's move enters the club's only oformula with an empty address
     assert t.step((Labmove(BOT, "0.q"),)) == ["r"]
     assert inner.calls[-1] == [mv("", "0.q")]
@@ -90,7 +92,7 @@ def test_club_to_rep_bridges_addresses():
 def test_rep_to_plain_broadcasts_and_filters():
     mv = _bridge_move
     inner = Parrot([mv("01", "r")], [mv("00", "a"), mv("1", "b")], [mv("", "c")])
-    t = FormulaBridge(inner)
+    t = FormulaBridge(inner, [], 1)
     # every opponent move is broadcast to all copies of the club's '!'
     assert t.step((Labmove(BOT, "0.q"),)) == []
     assert inner.calls[-1] == [mv("", "0.q")]
@@ -105,7 +107,7 @@ def test_rep_to_plain_broadcasts_and_filters():
 
 def test_layers_pass_only_new_moves():
     inner = Parrot([CirquentMove(2, ("",), "m")])
-    t = _BinarySplit(inner, 1, 1)
+    t = Translated(inner, [_BinarySplit(1)], 1)
     assert t.step(parse_run("B:1;.0.q,B:junk")) == ["1;.1.m"]
     assert inner.calls[-1] == [CirquentMove(1, ("",), "q")]
     assert t.step(parse_run("B:1;.0.q,B:junk,T:1;.1.m,B:1;.1.x")) == []
@@ -195,6 +197,33 @@ def test_over_swap_and_weakening_drop_keep_winning():
             assert result.won, (k, seed, result.run)
         ok, witness = exhaustive_env_check(factory, arena, env_depth=2)
         assert ok, (k, witness)
+
+
+def _long_proof(exchanges: int = 1500) -> R.Proof:
+    """Axiom(F), `exchanges` OformulaExchange steps, then DisjIntro: a stack
+    of more layers than Python's recursion limit has frames."""
+    f = parse_formula("F")
+    c = R.axiom_conclusion((f,))
+    proof = [R.Step(R.Axiom((f,)), c)]
+    for app in [R.OformulaExchange(1)] * exchanges + [R.DisjIntro(1)]:
+        c = R.conclusion_of(c, app)
+        proof.append(R.Step(app, c))
+    return tuple(proof)
+
+
+def test_a_long_proof_compiles_and_plays(tmp_path):
+    proof = _long_proof()
+    assert len(proof) == 1502
+    assert compile_proof(proof).fresh().step(parse_run("B:1.q")) == ["0.q"]
+    pairs = cirquent_strategy_factories(proof)
+    assert [c for c, _ in pairs] == [step.cirquent for step in proof]
+    assert pairs[-1][1]().step(parse_run("B:1;.1.q")) == ["1;.0.q"]
+    path = tmp_path / "long.cl15"
+    path.write_text(R.format_proof(proof))
+    r = cli("play", str(path), "--atoms", str(CORPUS / "brec_elim" / "atoms.game"),
+            "--moves", "1.q")
+    assert r.returncode == 0, r.stderr
+    assert "winner: T" in r.stdout
 
 
 # ------------------------------------------- the string-protocol stack as oracle

@@ -32,7 +32,6 @@ def test_tracer_patches_every_name_and_restores_it(monkeypatch):
         for name in LAYERS:
             cls = getattr(strategies, name)
             assert {"env_to_sim", "sim_to_real"} <= set(vars(cls)), name
-        assert "note_real" in vars(strategies._CorecFocus)
         proof = parse_proof((ROOT / "corpus/brec_elim/proof.cl15").read_text())
         compiled = strategies.compile_proof(proof)
         game = games.of_formula(compiled.formula, {"F": games.parse_game_library(
