@@ -109,9 +109,6 @@ def test_nesting_is_at_most_max_depth_levels():
         "F & (" * n + "F & F" + ")" * n,
         "~(" + " | ".join(["F"] * 3000) + ")",
         " | ".join(["F"] * (n + 1)) + " -> F",
-        "(" * 300 + "F" + ")" * 300,
-        "!" * 450 + "F",
-        " | ".join(["F"] * 2001),
     ]
     for text in over:
         with pytest.raises(FormulaError, match="deeper than"):

@@ -208,9 +208,8 @@ def test_game_trees_are_at_most_max_depth_moves_deep():
     node = parse_game(chain(MAX_DEPTH))
     assert format_game(node).count("->") == MAX_DEPTH
     assert legal(Tree(node), tuple(Labmove(BOT, "q") for _ in range(MAX_DEPTH)))
-    for depth in (MAX_DEPTH + 1, 2000):
-        with pytest.raises(GameError, match="deeper than"):
-            parse_game(chain(depth))
+    with pytest.raises(GameError, match="deeper than"):
+        parse_game(chain(MAX_DEPTH + 1))
 
 
 # ---------------------------------------------------- composite structures
