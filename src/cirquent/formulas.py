@@ -122,15 +122,20 @@ def _prefixed(r: Reader, d: int) -> tuple[Formula, int]:
     return (negate(f) if negated else f), h
 
 
+def _quoted(text: str) -> str:
+    """`text` for an error message, cut after 40 characters."""
+    return repr(text[:40]) + ("…" if len(text) > 40 else "")
+
+
 def parse_formula(text: str) -> Formula:
     if "#" in text:
-        raise FormulaError(f"formulas have no comments: {text!r}")
+        raise FormulaError(f"formulas have no comments: {_quoted(text)}")
     r = Reader(text, FormulaError)
     try:
         f, _ = _binary(r, 0)
         r.end()
     except FormulaError as e:
-        raise FormulaError(f"{e} in {text!r}") from None
+        raise FormulaError(f"{e} in {_quoted(text)}") from None
     return f
 
 

@@ -11,7 +11,8 @@ Legality is prefix-closed, so a referee judges a run one move at a time.
 `moves(player, limit)` the frontier and `winner()` the score of the run.
 `Copies` is the one table of copy classes, each named by the longest used
 address on its copies: Rep and Corep use it with one dimension, and
-`cirquents.Position` with one per overgroup.
+`cirquents.Position` with one per overgroup.  A move there first splits the
+classes its new addresses refine, then plays in the classes it reaches.
 """
 
 from __future__ import annotations
@@ -305,39 +306,38 @@ def _covered(v: str, exts: list[str]) -> bool:
 
 
 def split_classes(used: frozenset[str], classes: Iterable[str | None], w: str
-                  ) -> list[tuple[str | None, str | None, bool]]:
-    """The classes once a move at w is played, given the addresses `used` so
-    far and the keys of their classes, `classes`: one (key, key of the class
-    it comes from, whether its copies go through w) per class.
+                  ) -> list[tuple[str | None, str | None]]:
+    """The classes once w, an address not in `used`, is used too, given the
+    keys of the classes of `used`, `classes`: one (key, key of the class it
+    comes from) per class.  A used address splits nothing, since the classes
+    depend on `used` alone.
 
-    When w is new, let p be the longest used prefix of w.  Another class
-    keeps its key: if its copies go through w, that key extends w.  Only p's
-    class splits: its copies through w become class w, unless the used
-    extensions of w cover them, and the rest keep p, unless w and the used
-    strict extensions of p cover them.
+    Let p be the longest used prefix of w.  Another class keeps its key.
+    Only p's class splits: its copies through w become class w, unless the
+    used extensions of w cover them, and the rest keep p, unless w and the
+    used strict extensions of p cover them.
     """
-    if w in used:
-        return [(k, k, k is not None and k.startswith(w)) for k in classes]
     p = _prefix_class(used, w)
     out = []
     for k in classes:
         if k != p:
-            out.append((k, k, k is not None and k.startswith(w)))
+            out.append((k, k))
             continue
         below = [u for u in used if u.startswith(w)]
         if not below or not _covered(w, below):
-            out.append((w, p, True))
+            out.append((w, p))
         v = p or ""
         if not _covered(v, [w] + [u for u in used if u != v and u.startswith(v)]):
-            out.append((p, p, False))
+            out.append((p, p))
     return out
 
 
 def through_classes(used: frozenset[str], classes: Iterable[str | None], w: str
                     ) -> list[str | None]:
     """The keys, among `classes` of `used`, of the classes with copies
-    through w: the ones `split_classes` marks through, keyed as before the
-    move, without splitting."""
+    through w.  When w is used, they are the keys that extend it; otherwise
+    p's class, of w's longest used prefix p, is one of them unless the used
+    extensions of w cover every copy through w."""
     out = [k for k in classes if k is not None and k.startswith(w)]
     if w not in used:
         below = [u for u in used if u.startswith(w)]
@@ -427,12 +427,13 @@ class Copies(Position):
     Per dimension j the table holds the used addresses `used[j]` and the keys
     of their classes `classes[j]`.  Per member a it holds one position per
     class vector of its dimensions `own[a]`: the copies on one vector have
-    seen the same moves.  When a's move at slots w splits classes, both parts
-    of a split vector start from its position, and only a's vectors through
-    w take the move, which must be legal on each of them; so the moves open
-    at w are those open on every vector through w.  A subclass parses and
-    formats moves, scores `winner()` and provides `own`, `cap` and
-    `_next(used, classes, members)`, the table with those contents.
+    seen the same moves.  A move of a at slots w splits, then advances: each
+    new address of w splits its dimension's classes, both parts of a split
+    vector keeping its position, and then a's vectors through w take the
+    move, which must be legal on each; so the moves open at w are those open
+    on every vector through w.  A subclass parses and formats moves, scores
+    `winner()` and provides `own`, `cap` and `_next(used, classes, members)`,
+    the table with those contents.
     """
 
     __slots__ = ("used", "classes", "members")
@@ -446,33 +447,32 @@ class Copies(Position):
     def advance_at(self, a: int, slots: tuple[str, ...], inner: Labmove) -> Copies | None:
         """The table once member a plays `inner` at `slots`, one address per
         dimension; None when the move is illegal on a vector through them.
-        ClassCapExceeded fires when a member would get more than `cap`
-        vectors; a frontier goes through some of a member's vectors only."""
-        own, used, classes = self.own, list(self.used), list(self.classes)
-        lineage, changed = {}, set()  # per dimension of a: split_classes
+        The split pass runs first, so ClassCapExceeded fires, legal move or
+        not, when it gives a member more than `cap` vectors; a frontier goes
+        through some of a member's vectors only."""
+        own, used, classes = self.own, self.used, self.classes
+        members = list(self.members)
+        split = {}  # dimension j where w is new: the parent key of each class
         for j in own[a]:
             w = slots[j]
-            lineage[j] = line = split_classes(used[j], classes[j], w)
             if w not in used[j]:
-                used[j], classes[j] = used[j] | {w}, tuple(key for key, _, _ in line)
-                changed.add(j)
-        members = list(self.members)
+                keys, split[j] = zip(*split_classes(used[j], classes[j], w))
+                used = (*used[:j], used[j] | {w}, *used[j + 1:])
+                classes = (*classes[:j], keys, *classes[j + 1:])
         for b, dims in enumerate(own):
-            if b != a and changed.isdisjoint(dims):
+            if split.keys().isdisjoint(dims):
                 continue
-            lines = [lineage.get(j) or [(k, k, False) for k in classes[j]] for j in dims]
-            self._check_cap(prod(map(len, lines)))
-            positions, out = self.members[b], {}
-            for combo in product(*lines):
-                vec, old, through = zip(*combo)
-                pos = positions[old]
-                if b == a and all(through):
-                    pos = pos.advance(inner)
-                    if pos is None:
-                        return None
-                out[vec] = pos
-            members[b] = out
-        return self._next(tuple(used), tuple(classes), tuple(members))
+            before = [split.get(j, classes[j]) for j in dims]
+            self._check_cap(prod(map(len, before)))
+            vecs = product(*[classes[j] for j in dims])
+            members[b] = dict(zip(vecs, map(members[b].__getitem__, product(*before))))
+        positions = members[a] = dict(members[a])
+        for vec in product(*[through_classes(used[j], classes[j], slots[j]) for j in own[a]]):
+            pos = positions[vec].advance(inner)
+            if pos is None:
+                return None
+            positions[vec] = pos
+        return self._next(used, classes, tuple(members))
 
     def open_moves(self, player: Player, limit: int):
         """(member, slots, moves) for each member and slots of at most `limit`
@@ -669,21 +669,14 @@ def _legal_runs(g: Game, alphabet: list[str], maxlen: int) -> list[Run]:
     return out
 
 
-def is_static_bounded(
-    g: Game,
-    maxlen: int,
-    alphabet: list[str] | None = None,
-    samples: int = 300,
-    seed: int = 0,
-) -> StaticReport:
-    """Check the delay conditions over all legal runs up to maxlen, plus a
-    sample of runs wandering into illegal territory."""
+def is_static_bounded(g: Game, maxlen: int) -> StaticReport:
+    """Check the delay conditions over all legal runs of atom game g up to
+    maxlen, plus 300 seeded runs wandering into illegal territory."""
     import random as _random
 
-    if alphabet is None:
-        if not isinstance(g, Tree):
-            raise ValueError("alphabet required for non-tree games")
-        alphabet = sorted(g.root.moves()) + ["zz"]
+    if not isinstance(g, Tree):
+        raise ValueError("the static check takes an atom game")
+    alphabet = sorted(g.root.moves()) + ["zz"]
 
     def violates(gamma: Run) -> StaticReport | None:
         for pi in (TOP, BOT):
@@ -702,8 +695,8 @@ def is_static_bounded(
         if bad is not None:
             return bad
 
-    rng = _random.Random(seed)
-    for _ in range(samples):
+    rng = _random.Random(0)
+    for _ in range(300):
         n = rng.randint(1, maxlen)
         gamma = tuple(
             Labmove(rng.choice((TOP, BOT)), rng.choice(alphabet)) for _ in range(n)

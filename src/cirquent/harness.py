@@ -23,6 +23,7 @@ from .rules import check_proof, conclusion_formula, parse_proof
 from .strategies import CompiledStrategy, Transducer, compile_proof
 
 JUNK_MOVE = "?!junk"
+NODE_CAP = 500_000  # positions an exhaustive check or a winnability search visits
 
 
 class CapExceeded(RuntimeError):
@@ -117,13 +118,12 @@ class EnvPolicy:
 
 class RandomEnv(EnvPolicy):
     """Seeded random opponent: passes sometimes, occasionally probes with an
-    ill-formed move, otherwise samples the legal frontier."""
+    ill-formed move, otherwise samples the 2-bit legal frontier."""
 
-    def __init__(self, seed: int, max_moves: int = 6, limit: int = 2,
+    def __init__(self, seed: int, max_moves: int = 6,
                  pass_rate: float = 0.2, junk_rate: float = 0.05):
         self.rng = random.Random(seed)
         self.left = max_moves
-        self.limit = limit
         self.pass_rate = pass_rate
         self.junk_rate = junk_rate
 
@@ -136,7 +136,7 @@ class RandomEnv(EnvPolicy):
         self.left -= 1
         if roll < self.pass_rate + self.junk_rate:
             return [JUNK_MOVE]
-        cands = arena.frontier(run, BOT, self.limit)
+        cands = arena.frontier(run, BOT, 2)
         if not cands:
             return []
         return [self.rng.choice(cands)]
@@ -158,21 +158,18 @@ class ScriptedEnv(EnvPolicy):
 
 
 class SpoilerEnv(EnvPolicy):
-    """Adversarial opponent: bounded lookahead over its own continuations,
-    steering toward positions the machine is currently losing."""
+    """Adversarial opponent: for at most 6 moves, bounded lookahead over the
+    first 48 moves of its 1-bit frontier, toward positions the machine loses."""
 
-    def __init__(self, depth: int = 2, max_moves: int = 6, limit: int = 1,
-                 branch_cap: int = 48):
+    def __init__(self, depth: int = 2):
         self.depth = depth
-        self.left = max_moves
-        self.limit = limit
-        self.branch_cap = branch_cap
+        self.left = 6
 
     def _probe(self, arena, run: Run, d: int) -> int:
         score = 1 if arena.winner(run) is TOP else 0
         if score == 0 or d <= 0:
             return score
-        for m in arena.frontier(run, BOT, self.limit)[: self.branch_cap]:
+        for m in arena.frontier(run, BOT, 1)[:48]:
             score = min(score, self._probe(arena, run + (Labmove(BOT, m),), d - 1))
             if score == 0:
                 break
@@ -181,7 +178,7 @@ class SpoilerEnv(EnvPolicy):
     def next_moves(self, arena, run: Run) -> list[str]:
         if self.left <= 0:
             return []
-        cands = arena.frontier(run, BOT, self.limit)[: self.branch_cap]
+        cands = arena.frontier(run, BOT, 1)[:48]
         if not cands:
             return []
         self.left -= 1
@@ -242,7 +239,6 @@ def exhaustive_env_check(
     env_depth: int = 2,
     limit: int = 2,
     budget: int = 64,
-    node_cap: int = 500_000,
 ) -> tuple[bool, Run | None]:
     """Replay the strategy against every legal environment line (with passes)
     up to env_depth opponent moves; returns (all positions won, witness)."""
@@ -269,8 +265,8 @@ def exhaustive_env_check(
     def rec(schedule: list[str]) -> Run | None:
         nonlocal nodes
         nodes += 1
-        if nodes > node_cap:
-            raise CapExceeded(f"exhaustive check exceeded {node_cap} nodes")
+        if nodes > NODE_CAP:
+            raise CapExceeded(f"exhaustive check exceeded {NODE_CAP} nodes")
         run = replay(schedule)
         if arena.winner(run) is not TOP:
             return run
@@ -285,8 +281,7 @@ def exhaustive_env_check(
     return witness is None, witness
 
 
-def winnability(arena, max_moves: int, limit: int = 2,
-                node_cap: int = 500_000) -> bool:
+def winnability(arena, max_moves: int, limit: int = 2) -> bool:
     """Bounded double-sided search: can the machine force a won position
     within the move budget, letting either side pass?"""
     nodes = 0
@@ -294,8 +289,8 @@ def winnability(arena, max_moves: int, limit: int = 2,
     def bump() -> None:
         nonlocal nodes
         nodes += 1
-        if nodes > node_cap:
-            raise CapExceeded(f"winnability search exceeded {node_cap} nodes")
+        if nodes > NODE_CAP:
+            raise CapExceeded(f"winnability search exceeded {NODE_CAP} nodes")
 
     def top_turn(run: Run, k: int) -> bool:
         bump()

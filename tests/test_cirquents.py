@@ -16,11 +16,12 @@ from cirquent.cirquents import (
     parse_cirquent,
     parse_move,
     project_member,
+    start,
     validate_cirquent,
     winner,
 )
 from cirquent.formulas import FormulaError, parse_formula
-from cirquent.games import BOT, TOP, parse_game, parse_run
+from cirquent.games import BOT, TOP, Labmove, parse_game, parse_run
 
 BEACON = parse_game("node winner=T {}")
 PITFALL = parse_game("node winner=B {}")
@@ -265,6 +266,30 @@ def test_class_vector_cap():
     r = parse_run(",".join(moves))
     with pytest.raises(ClassCapExceeded):
         winner(c, interp, r, cap=8)
+
+
+def test_a_move_at_used_addresses_keeps_the_table():
+    c = cq(["F", "F", "F"], [{1, 2, 3}], [{1, 2}, {3}])
+    pos = start(c, {"F": RELAY}).advance(Labmove(BOT, "1;0,.q"))
+    nxt = pos.advance(Labmove(TOP, "1;0,.a"))
+    assert nxt.used is pos.used and nxt.classes is pos.classes
+    assert nxt.members[0] is not pos.members[0]
+    assert nxt.members[1] is pos.members[1] and nxt.members[2] is pos.members[2]
+
+
+# The split of overgroup 1 gives the member of both overgroups 4 vectors,
+# over a cap of 3, and the mover, in overgroup 1 only, 2.  B:q is legal at
+# the root of RELAY, T:a is not.
+@pytest.mark.parametrize("over, first, then", [
+    ([{1, 2}, {2}], "2;,0.q", "1;0,."),  # the over-cap member after the mover
+    ([{1, 2}, {1}], "1;,0.q", "2;0,."),  # and before it
+])
+@pytest.mark.parametrize("label, inner", [(BOT, "q"), (TOP, "a")])
+def test_the_split_pass_checks_the_cap_before_the_move(over, first, then, label, inner):
+    pos = start(cq(["F", "F"], [{1, 2}], over), {"F": RELAY}, cap=3)
+    pos = pos.advance(Labmove(BOT, first))
+    with pytest.raises(ClassCapExceeded):
+        pos.advance(Labmove(label, then + inner))
 
 
 def test_diagram_smoke():

@@ -314,6 +314,14 @@ def test_malformed_input_exit_codes(malformed_files, args, code):
     assert "Traceback" not in r.stderr
 
 
+def test_a_formula_error_quotes_a_short_excerpt(malformed_files):
+    r = cli("eval", "--formula", malformed_files["chain"], *ELIM[1:])
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    [line] = r.stderr.splitlines()
+    assert line.startswith("error: ") and len(line.encode()) < 200
+
+
 # Formulas exactly at the depth bound: MAX_DEPTH parentheses, and a
 # right-nested conjunction MAX_DEPTH operators high.
 AT_BOUND = {

@@ -33,6 +33,7 @@ from cirquent.games import (
     parse_game_library,
     parse_run,
     split_classes,
+    start,
     thread_classes,
     through_classes,
     winner,
@@ -138,16 +139,22 @@ def test_split_classes_match_the_reference_classes(used, w, i, reuse):
         w = sorted(used)[i % len(used)]
     after = used | {w}
     keys = [class_of(used, stem) for stem in thread_classes(used)]
-    # per class after the move: the class it comes from, and whether it is
-    # through w, read off its representative copy
-    want = {class_of(after, stem): (class_of(used, stem), covers(stem, w))
-            for stem in thread_classes(after)}
-    got = split_classes(used, keys, w)
-    assert len(got) == len(want)
-    assert {key: (old, through) for key, old, through in got} == want
+    # per class after the move, read off its representative copy: the class
+    # it comes from, and whether it is through w
+    stems = thread_classes(after)
+    want = {class_of(after, stem): class_of(used, stem) for stem in stems}
+    reached = {class_of(after, stem) for stem in stems if covers(stem, w)}
+    # a used address splits nothing, so split_classes is asked of new ones only
+    split = split_classes(used, keys, w) if w not in used else [(k, k) for k in keys]
+    assert len(split) == len(want)
+    assert dict(split) == want
+    # the classes a move at w reaches, on the split table and before it
+    through = through_classes(after, [key for key, _ in split], w)
+    assert len(through) == len(set(through))
+    assert set(through) == reached
     through = through_classes(used, keys, w)
     assert len(through) == len(set(through))
-    assert set(through) == {old for old, t in want.values() if t}
+    assert set(through) == {want[key] for key in reached}
 
 
 # ------------------------------------------------------------- tree games
@@ -237,6 +244,14 @@ def test_replication_addresses():
     assert winner(Corep(Tree(RELAY)), r) is TOP
 
 
+def test_a_move_at_used_addresses_splits_nothing():
+    pos = start(Rep(Tree(RELAY))).advance(Labmove(BOT, "0.q"))
+    nxt = pos.advance(Labmove(TOP, "0.a"))
+    assert nxt.used is pos.used and nxt.classes is pos.classes
+    # the question in the copies through 0 is answered, and no other was asked
+    assert pos.winner() is BOT and nxt.winner() is TOP
+
+
 dualizable = st.deferred(
     lambda: st.sampled_from([Tree(RELAY), Tree(BEACON), Tree(PITFALL)])
     | st.builds(Neg, dualizable)
@@ -317,3 +332,8 @@ def test_race_for_the_second_move_is_not_static():
 def test_plain_trees_are_static():
     assert is_static_bounded(Tree(RELAY), maxlen=4)
     assert is_static_bounded(Tree(BEACON), maxlen=3)
+
+
+def test_the_static_check_takes_atom_games_only():
+    with pytest.raises(ValueError):
+        is_static_bounded(Rep(Tree(RELAY)), maxlen=2)
