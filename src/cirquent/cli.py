@@ -19,7 +19,7 @@ from cirquent import harness as hn
 from cirquent import rules as rl
 from cirquent.fusion import FusionCapExceeded, defusion, fusions
 from cirquent.games import BOT, TOP
-from cirquent.strategies import compile_proof
+from cirquent.strategies import CompiledStrategy, compile_proof
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -52,6 +52,17 @@ def _read_proof(path: str) -> rl.Proof:
         raise CliError(f"{path}: {e}")
 
 
+def _compile_checked(path: str) -> CompiledStrategy | None:
+    """The strategy of the proof at `path`, or None, with the failing step
+    on stderr, when the proof does not check."""
+    proof = _read_proof(path)
+    verdict = rl.check_proof(proof)
+    if not verdict:
+        print(f"step {verdict.step}: {verdict.message}", file=sys.stderr)
+        return None
+    return compile_proof(proof)
+
+
 def _read_library(path: str) -> dict[str, gm.GameNode]:
     text = _read_text(path)
     try:
@@ -78,12 +89,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    proof = _read_proof(args.proof)
-    verdict = rl.check_proof(proof)
-    if not verdict:
-        print(f"step {verdict.step}: {verdict.message}", file=sys.stderr)
+    compiled = _compile_checked(args.proof)
+    if compiled is None:
         return EXIT_FAIL
-    compiled = compile_proof(proof)
     if args.out:
         Path(args.out).write_text(compiled.bundle + "\n")
     else:
@@ -93,12 +101,9 @@ def cmd_compile(args) -> int:
 
 
 def cmd_play(args) -> int:
-    proof = _read_proof(args.proof)
-    verdict = rl.check_proof(proof)
-    if not verdict:
-        print(f"step {verdict.step}: {verdict.message}", file=sys.stderr)
+    compiled = _compile_checked(args.proof)
+    if compiled is None:
         return EXIT_FAIL
-    compiled = compile_proof(proof)
     lib = _read_library(args.atoms)
     _require_atoms(compiled.formula, lib)
     arena = hn.FormulaArena(gm.of_formula(compiled.formula, lib))
@@ -137,9 +142,7 @@ def cmd_eval(args) -> int:
         if args.formula is not None:
             f = fm.parse_formula(args.formula)
             _require_atoms(f, lib)
-            game = gm.of_formula(f, lib)
-            offender = gm.first_offender(game, run)
-            won_by = gm.winner(game, run)
+            arena: hn.Arena = hn.FormulaArena(gm.of_formula(f, lib))
         else:
             # a literal always starts with the keyword; anything else is a path
             text = args.cirquent
@@ -149,8 +152,10 @@ def cmd_eval(args) -> int:
             for f in c.oformulas:
                 _require_atoms(f, lib)
             print(cq.diagram(c))
-            offender = cq.first_offender(c, lib, run)
-            won_by = cq.winner(c, lib, run)
+            arena = hn.CirquentArena(c, lib)
+        # the arena keeps the judged path, so winner does not judge again
+        offender = arena.offender(run)
+        won_by = arena.winner(run)
     except (fm.FormulaError, cq.CirquentError) as e:
         raise CliError(str(e))
     if offender is None:
@@ -225,7 +230,7 @@ def cmd_repl(args) -> int:
             print(f"illegal, first offender {offender}")
         print(f"winner if play stops here: {arena.winner(tuple(run))}")
         for p in (TOP, BOT):
-            print(f"{p} can play: {', '.join(arena.frontier(tuple(run), p)) or '(nothing)'}")
+            print(f"{p} can play: {', '.join(arena.frontier(tuple(run), p, 2)) or '(nothing)'}")
 
     print(f"game for {fm.format_formula(f)}; 'help' lists commands")
     show()

@@ -23,7 +23,9 @@ from .rules import check_proof, conclusion_formula, parse_proof
 from .strategies import CompiledStrategy, Transducer, compile_proof
 
 JUNK_MOVE = "?!junk"
-NODE_CAP = 500_000  # positions an exhaustive check or a winnability search visits
+NODE_CAP = 500_000  # positions an exhaustive check visits
+PASS_RATE = 0.2  # how often RandomEnv passes
+JUNK_RATE = 0.05  # how often RandomEnv plays JUNK_MOVE
 
 
 class CapExceeded(RuntimeError):
@@ -44,7 +46,6 @@ class Arena:
     the moves after the cut.
     """
 
-    default_limit = 2
     _run: Run = ()  # the legal run the path holds the positions of
     _path: list | None = None  # built on the first query
 
@@ -81,12 +82,13 @@ class Arena:
     def offender(self, run: Run) -> Player | None:
         return self._judge(run)[1]
 
-    def frontier(self, run: Run, player: Player, limit: int | None = None) -> list[str]:
-        """Sorted legal moves for `player` after `run`; none if it is illegal."""
+    def frontier(self, run: Run, player: Player, limit: int) -> list[str]:
+        """Sorted legal moves for `player` after `run`, with copy addresses
+        of at most `limit` bits; none if the run is illegal."""
         pos, off = self._judge(run)
         if off is not None:
             return []
-        return sorted(pos.moves(player, self.default_limit if limit is None else limit))
+        return sorted(pos.moves(player, limit))
 
 
 @dataclass
@@ -102,7 +104,6 @@ class CirquentArena(Arena):
     cirquent: cq.Cirquent
     interp: Mapping[str, gm.GameNode]
     cap: int = 100_000
-    default_limit = 1
 
     def start(self) -> cq.Position:
         return cq.start(self.cirquent, self.interp, self.cap)
@@ -120,21 +121,18 @@ class RandomEnv(EnvPolicy):
     """Seeded random opponent: passes sometimes, occasionally probes with an
     ill-formed move, otherwise samples the 2-bit legal frontier."""
 
-    def __init__(self, seed: int, max_moves: int = 6,
-                 pass_rate: float = 0.2, junk_rate: float = 0.05):
+    def __init__(self, seed: int, max_moves: int = 6):
         self.rng = random.Random(seed)
         self.left = max_moves
-        self.pass_rate = pass_rate
-        self.junk_rate = junk_rate
 
     def next_moves(self, arena, run: Run) -> list[str]:
         if self.left <= 0:
             return []
         roll = self.rng.random()
-        if roll < self.pass_rate:
+        if roll < PASS_RATE:
             return []
         self.left -= 1
-        if roll < self.pass_rate + self.junk_rate:
+        if roll < PASS_RATE + JUNK_RATE:
             return [JUNK_MOVE]
         cands = arena.frontier(run, BOT, 2)
         if not cands:
@@ -279,38 +277,6 @@ def exhaustive_env_check(
 
     witness = rec([])
     return witness is None, witness
-
-
-def winnability(arena, max_moves: int, limit: int = 2) -> bool:
-    """Bounded double-sided search: can the machine force a won position
-    within the move budget, letting either side pass?"""
-    nodes = 0
-
-    def bump() -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > NODE_CAP:
-            raise CapExceeded(f"winnability search exceeded {NODE_CAP} nodes")
-
-    def top_turn(run: Run, k: int) -> bool:
-        bump()
-        if k > 0:
-            for m in arena.frontier(run, TOP, limit):
-                if bot_turn(run + (Labmove(TOP, m),), k - 1, False):
-                    return True
-        return bot_turn(run, k, True)
-
-    def bot_turn(run: Run, k: int, top_passed: bool) -> bool:
-        bump()
-        if k > 0:
-            for m in arena.frontier(run, BOT, limit):
-                if not top_turn(run + (Labmove(BOT, m),), k - 1):
-                    return False
-        if top_passed:
-            return arena.winner(run) is TOP
-        return top_turn(run, k)
-
-    return top_turn((), max_moves)
 
 
 # ------------------------------------------------------------------ corpus

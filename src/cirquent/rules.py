@@ -1,5 +1,14 @@
 """The deep-inference rules, proof checking, and the proof file format.
 
+The ten rules come in families: the axiom; exchange of adjacent undergroups,
+oformulas or overgroups; weakening; duplication of an undergroup or an
+overgroup; merging of adjacent overgroups; the splitting family, where one
+conclusion oformula stands for two premise oformulas wired alike
+(contraction: `?F` for `?F, ?F`; disjunction and conjunction introduction:
+`F | G` or `F & G` for `F, G`, the conjunction's undergroups as siblings);
+and the modality pair, recurrence and corecurrence introduction (`!F` or
+`?F` for `F`, with the overgroups around it changed).
+
 A proof is a sequence of steps, each carrying a rule application and the
 cirquent it concludes.  Step 1 must be an axiom; for every later step, the
 recorded rule applied to the recorded cirquent must reproduce the previous
@@ -174,6 +183,25 @@ def _overgroup(c: Cirquent, pos: int) -> frozenset[int]:
 
 # ----------------------------------------------------- conclusion -> premise
 
+# The oformula kind each rule takes apart, read from conclusion to premise,
+# and what it says when the oformula is of another kind.
+_TAKES_APART = {
+    Contraction: (fm.Cobrec, "contraction needs a '?' oformula"),
+    DisjIntro: (fm.Or, "disjunction introduction needs a '|' oformula"),
+    ConjIntro: (fm.And, "conjunction introduction needs a '&' oformula"),
+    RecIntro: (fm.Brec, "recurrence introduction needs a '!' oformula"),
+    CorecIntro: (fm.Cobrec, "corecurrence introduction needs a '?' oformula"),
+}
+
+
+def _undup(groups: tuple, pos: int, kind: str) -> tuple:
+    """`groups` without group `pos + 1`, which must repeat group `pos`."""
+    if not 1 <= pos <= len(groups) - 1:
+        raise RuleError(f"{kind} position {pos} out of range for duplication")
+    if groups[pos - 1] != groups[pos]:
+        raise RuleError(f"{kind}s {pos} and {pos + 1} differ")
+    return groups[: pos - 1] + groups[pos:]
+
 
 def premise_of(conclusion: Cirquent, app: RuleApp) -> Cirquent:
     c = conclusion
@@ -220,41 +248,10 @@ def premise_of(conclusion: Cirquent, app: RuleApp) -> Cirquent:
                 raise RuleError("deleting the oformula would leave no overgroups")
             p = Cirquent(ofs, new_under, new_over)
 
-    elif isinstance(app, Contraction):
-        a = app.oformula
-        f = _oformula(c, a)
-        if not isinstance(f, fm.Cobrec):
-            raise RuleError(f"contraction needs a '?' oformula at {a}")
-        ofs = c.oformulas[: a - 1] + (f, f) + c.oformulas[a:]
-
-        p = Cirquent(
-            ofs,
-            tuple(_expand(g, a) for g in c.undergroups),
-            tuple(_expand(g, a) for g in c.overgroups),
-        )
-
     elif isinstance(app, UnderDuplication):
-        pos = app.pos
-        if not 1 <= pos <= len(c.undergroups) - 1:
-            raise RuleError(f"undergroup position {pos} out of range for duplication")
-        if c.undergroups[pos - 1] != c.undergroups[pos]:
-            raise RuleError(f"undergroups {pos} and {pos + 1} differ")
-        p = Cirquent(
-            c.oformulas,
-            c.undergroups[: pos - 1] + c.undergroups[pos:],
-            c.overgroups,
-        )
+        p = Cirquent(c.oformulas, _undup(c.undergroups, app.pos, "undergroup"), c.overgroups)
     elif isinstance(app, OverDuplication):
-        pos = app.pos
-        if not 1 <= pos <= len(c.overgroups) - 1:
-            raise RuleError(f"overgroup position {pos} out of range for duplication")
-        if c.overgroups[pos - 1] != c.overgroups[pos]:
-            raise RuleError(f"overgroups {pos} and {pos + 1} differ")
-        p = Cirquent(
-            c.oformulas,
-            c.undergroups,
-            c.overgroups[: pos - 1] + c.overgroups[pos:],
-        )
+        p = Cirquent(c.oformulas, c.undergroups, _undup(c.overgroups, app.pos, "overgroup"))
 
     elif isinstance(app, Merging):
         merged = _overgroup(c, app.pos)
@@ -273,62 +270,52 @@ def premise_of(conclusion: Cirquent, app: RuleApp) -> Cirquent:
             + c.overgroups[app.pos :],
         )
 
-    elif isinstance(app, DisjIntro):
+    elif isinstance(app, (Contraction, DisjIntro, ConjIntro)):
+        # oformula a becomes the two oformulas a, a + 1, both in every group
+        # that held a, except that conjunction introduction splits each
+        # undergroup through a into two siblings, one per conjunct
         a = app.oformula
         f = _oformula(c, a)
-        if not isinstance(f, fm.Or):
-            raise RuleError(f"disjunction introduction needs a '|' oformula at {a}")
-        ofs = c.oformulas[: a - 1] + (f.left, f.right) + c.oformulas[a:]
-
+        kind, need = _TAKES_APART[type(app)]
+        if not isinstance(f, kind):
+            raise RuleError(f"{need} at {a}")
+        parts = (f, f) if isinstance(app, Contraction) else (f.left, f.right)
+        under: list[frozenset[int]] = []
+        for g in c.undergroups:
+            if isinstance(app, ConjIntro) and a in g:
+                base = _shift_up(g - {a}, a + 1)
+                under += (base | {a}, base | {a + 1})
+            else:
+                under.append(_expand(g, a))
         p = Cirquent(
-            ofs,
-            tuple(_expand(g, a) for g in c.undergroups),
+            c.oformulas[: a - 1] + parts + c.oformulas[a:],
+            tuple(under),
             tuple(_expand(g, a) for g in c.overgroups),
         )
 
-    elif isinstance(app, ConjIntro):
+    elif isinstance(app, (RecIntro, CorecIntro)):
+        # oformula a loses its modality and joins overgroups: recurrence
+        # introduction's fresh singleton, corecurrence introduction's added
         a = app.oformula
         f = _oformula(c, a)
-        if not isinstance(f, fm.And):
-            raise RuleError(f"conjunction introduction needs a '&' oformula at {a}")
-        ofs = c.oformulas[: a - 1] + (f.left, f.right) + c.oformulas[a:]
-
-        under: list[frozenset[int]] = []
-        for g in c.undergroups:
-            if a in g:
-                base = frozenset(i + 1 if i > a else i for i in g if i != a)
-                under.append(base | {a})
-                under.append(base | {a + 1})
-            else:
-                under.append(_shift_up(g, a + 1))
-        p = Cirquent(ofs, tuple(under), tuple(_expand(g, a) for g in c.overgroups))
-
-    elif isinstance(app, RecIntro):
-        a = app.oformula
-        f = _oformula(c, a)
-        if not isinstance(f, fm.Brec):
-            raise RuleError(f"recurrence introduction needs a '!' oformula at {a}")
-        j = app.overgroup
-        if not 1 <= j <= len(c.overgroups) + 1:
-            raise RuleError(f"overgroup insertion position {j} out of range")
-        ofs = c.oformulas[: a - 1] + (f.body,) + c.oformulas[a:]
-        over = c.overgroups[: j - 1] + (frozenset({a}),) + c.overgroups[j - 1 :]
-        p = Cirquent(ofs, c.undergroups, over)
-
-    elif isinstance(app, CorecIntro):
-        a = app.oformula
-        f = _oformula(c, a)
-        if not isinstance(f, fm.Cobrec):
-            raise RuleError(f"corecurrence introduction needs a '?' oformula at {a}")
+        kind, need = _TAKES_APART[type(app)]
+        if not isinstance(f, kind):
+            raise RuleError(f"{need} at {a}")
         over = list(c.overgroups)
-        for j in sorted(app.added):
-            if not 1 <= j <= len(over):
-                raise RuleError(f"overgroup position {j} out of range")
-            if a in over[j - 1]:
-                raise RuleError(
-                    f"oformula {a} is already in overgroup {j}; additions must be new"
-                )
-            over[j - 1] = over[j - 1] | {a}
+        if isinstance(app, RecIntro):
+            j = app.overgroup
+            if not 1 <= j <= len(over) + 1:
+                raise RuleError(f"overgroup insertion position {j} out of range")
+            over.insert(j - 1, frozenset({a}))
+        else:
+            for j in sorted(app.added):
+                if not 1 <= j <= len(over):
+                    raise RuleError(f"overgroup position {j} out of range")
+                if a in over[j - 1]:
+                    raise RuleError(
+                        f"oformula {a} is already in overgroup {j}; additions must be new"
+                    )
+                over[j - 1] = over[j - 1] | {a}
         ofs = c.oformulas[: a - 1] + (f.body,) + c.oformulas[a:]
         p = Cirquent(ofs, c.undergroups, tuple(over))
 
@@ -340,6 +327,13 @@ def premise_of(conclusion: Cirquent, app: RuleApp) -> Cirquent:
 
 
 # ----------------------------------------------------- premise -> conclusion
+
+
+def _dup(groups: tuple, pos: int, kind: str) -> tuple:
+    """`groups` with group `pos` repeated right after itself."""
+    if not 1 <= pos <= len(groups):
+        raise RuleError(f"{kind} position {pos} out of range")
+    return groups[:pos] + (groups[pos - 1],) + groups[pos:]
 
 
 def conclusion_of(premise: Cirquent, app: RuleApp) -> Cirquent:
@@ -376,39 +370,10 @@ def conclusion_of(premise: Cirquent, app: RuleApp) -> Cirquent:
         under[i - 1] = under[i - 1] | {a}
         c = Cirquent(p.oformulas, tuple(under), p.overgroups)
 
-    elif isinstance(app, Contraction):
-        a = app.oformula
-        f = _oformula(p, a)
-        if a + 1 > p.width or p.oformulas[a] != f or not isinstance(f, fm.Cobrec):
-            raise RuleError(f"contraction needs adjacent equal '?' oformulas at {a}")
-        for g in p.undergroups + p.overgroups:
-            if (a in g) != (a + 1 in g):
-                raise RuleError(f"oformulas {a} and {a + 1} are not grouped alike")
-        ofs = p.oformulas[: a] + p.oformulas[a + 1 :]
-        c = Cirquent(
-            ofs,
-            tuple(_shift_down(g - {a + 1}, a + 1) for g in p.undergroups),
-            tuple(_shift_down(g - {a + 1}, a + 1) for g in p.overgroups),
-        )
-
     elif isinstance(app, UnderDuplication):
-        pos = app.pos
-        if not 1 <= pos <= len(p.undergroups):
-            raise RuleError(f"undergroup position {pos} out of range")
-        c = Cirquent(
-            p.oformulas,
-            p.undergroups[:pos] + (p.undergroups[pos - 1],) + p.undergroups[pos:],
-            p.overgroups,
-        )
+        c = Cirquent(p.oformulas, _dup(p.undergroups, app.pos, "undergroup"), p.overgroups)
     elif isinstance(app, OverDuplication):
-        pos = app.pos
-        if not 1 <= pos <= len(p.overgroups):
-            raise RuleError(f"overgroup position {pos} out of range")
-        c = Cirquent(
-            p.oformulas,
-            p.undergroups,
-            p.overgroups[:pos] + (p.overgroups[pos - 1],) + p.overgroups[pos:],
-        )
+        c = Cirquent(p.oformulas, p.undergroups, _dup(p.overgroups, app.pos, "overgroup"))
 
     elif isinstance(app, Merging):
         pos = app.pos
@@ -424,71 +389,63 @@ def conclusion_of(premise: Cirquent, app: RuleApp) -> Cirquent:
             + p.overgroups[pos + 1 :],
         )
 
-    elif isinstance(app, (DisjIntro, ConjIntro)):
+    elif isinstance(app, (Contraction, DisjIntro, ConjIntro)):
+        # oformulas a and a + 1 become one oformula a, in every group that
+        # held them; they must be grouped alike, except that in conjunction
+        # introduction each undergroup through a comes with a sibling
+        # through a + 1 that agrees everywhere else, and the two collapse
         a = app.oformula
-        if a + 1 > p.width:
+        if not 1 <= a < p.width:
             raise RuleError(f"need two oformulas at {a}, {a + 1}")
-        f, g_ = p.oformulas[a - 1], p.oformulas[a]
-        joined: fm.Formula = fm.Or(f, g_) if isinstance(app, DisjIntro) else fm.And(f, g_)
-        for grp in p.overgroups:
-            if (a in grp) != (a + 1 in grp):
-                raise RuleError(f"oformulas {a} and {a + 1} not alike in overgroups")
-        ofs = p.oformulas[: a - 1] + (joined,) + p.oformulas[a + 1 :]
-        over = tuple(_shift_down(g - {a + 1}, a + 1) for g in p.overgroups)
-        if isinstance(app, DisjIntro):
-            for grp in p.undergroups:
-                if (a in grp) != (a + 1 in grp):
-                    raise RuleError(f"oformulas {a} and {a + 1} not alike in undergroups")
-            under = tuple(_shift_down(g - {a + 1}, a + 1) for g in p.undergroups)
+        f, g = p.oformulas[a - 1], p.oformulas[a]
+        if isinstance(app, Contraction):
+            if f != g or not isinstance(f, fm.Cobrec):
+                raise RuleError(f"contraction needs adjacent equal '?' oformulas at {a}")
+            joined = f
         else:
-            # undergroups touching the pair must come as adjacent siblings
-            # (.. a ..), (.. a+1 ..) agreeing everywhere else; each pair
-            # collapses to one conclusion group holding the conjunction
-            out: list[frozenset[int]] = []
-            groups = list(p.undergroups)
-            i = 0
-            while i < len(groups):
-                grp = groups[i]
-                if a in grp or a + 1 in grp:
-                    if a not in grp or a + 1 in grp:
-                        raise RuleError(
-                            f"undergroup {i + 1} should hold {a} without {a + 1}"
-                        )
-                    if i + 1 >= len(groups) or groups[i + 1] != (grp - {a}) | {a + 1}:
-                        raise RuleError(
-                            f"undergroups {i + 1} and {i + 2} are not siblings"
-                        )
-                    i += 2
-                else:
-                    i += 1
-                out.append(_shift_down(grp, a + 1))
-            under = tuple(out)
-        c = Cirquent(ofs, under, over)
+            joined = (fm.Or if isinstance(app, DisjIntro) else fm.And)(f, g)
+        alike = p.overgroups if isinstance(app, ConjIntro) else p.undergroups + p.overgroups
+        if any((a in grp) != (a + 1 in grp) for grp in alike):
+            raise RuleError(f"oformulas {a} and {a + 1} are not grouped alike")
+        under = []
+        i = 0
+        while i < len(p.undergroups):
+            grp = p.undergroups[i]
+            i += 1
+            if isinstance(app, ConjIntro) and (a in grp or a + 1 in grp):
+                if a not in grp or a + 1 in grp:
+                    raise RuleError(f"undergroup {i} should hold {a} without {a + 1}")
+                if p.undergroups[i : i + 1] != ((grp - {a}) | {a + 1},):
+                    raise RuleError(f"undergroups {i} and {i + 1} are not siblings")
+                i += 1
+            under.append(_shift_down(grp - {a + 1}, a + 1))
+        c = Cirquent(
+            p.oformulas[: a - 1] + (joined,) + p.oformulas[a + 1 :],
+            tuple(under),
+            tuple(_shift_down(grp - {a + 1}, a + 1) for grp in p.overgroups),
+        )
 
-    elif isinstance(app, RecIntro):
-        a, j = app.oformula, app.overgroup
-        if not 1 <= a <= p.width:
-            raise RuleError(f"oformula index {a} out of range")
-        if not 1 <= j <= len(p.overgroups):
-            raise RuleError(f"overgroup position {j} out of range")
-        if p.overgroups[j - 1] != frozenset({a}):
-            raise RuleError(f"overgroup {j} must contain exactly oformula {a}")
-        ofs = p.oformulas[: a - 1] + (fm.Brec(p.oformulas[a - 1]),) + p.oformulas[a:]
-        over = p.overgroups[: j - 1] + p.overgroups[j:]
-        c = Cirquent(ofs, p.undergroups, over)
-
-    elif isinstance(app, CorecIntro):
+    elif isinstance(app, (RecIntro, CorecIntro)):
+        # oformula a gains the modality and leaves overgroups: recurrence
+        # introduction's singleton, corecurrence introduction's added
         a = app.oformula
-        if not 1 <= a <= p.width:
-            raise RuleError(f"oformula index {a} out of range")
+        body = _oformula(p, a)
         over = list(p.overgroups)
-        for j in sorted(app.added):
+        if isinstance(app, RecIntro):
+            j = app.overgroup
             if not 1 <= j <= len(over):
                 raise RuleError(f"overgroup position {j} out of range")
-            if a not in over[j - 1]:
-                raise RuleError(f"oformula {a} not in overgroup {j} to withdraw from")
-            over[j - 1] = over[j - 1] - {a}
-        ofs = p.oformulas[: a - 1] + (fm.Cobrec(p.oformulas[a - 1]),) + p.oformulas[a:]
+            if over.pop(j - 1) != frozenset({a}):
+                raise RuleError(f"overgroup {j} must contain exactly oformula {a}")
+        else:
+            for j in sorted(app.added):
+                if not 1 <= j <= len(over):
+                    raise RuleError(f"overgroup position {j} out of range")
+                if a not in over[j - 1]:
+                    raise RuleError(f"oformula {a} not in overgroup {j} to withdraw from")
+                over[j - 1] = over[j - 1] - {a}
+        wrapped = (fm.Brec if isinstance(app, RecIntro) else fm.Cobrec)(body)
+        ofs = p.oformulas[: a - 1] + (wrapped,) + p.oformulas[a:]
         c = Cirquent(ofs, p.undergroups, tuple(over))
 
     else:

@@ -3,6 +3,9 @@ position referee replaced, with only its imports made absolute.
 
 Every function here re-projects the whole run on every query; positions
 must give the same answers.  Do not edit.
+
+`winnability`, at the end, is a bounded game search over an arena that only
+the tests use; it moved here from `cirquent.harness`.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from cirquent.games import (
     split_address,
     thread_classes,
 )
+from cirquent.harness import NODE_CAP, CapExceeded
 
 
 def negate_run(run: Run) -> Run:
@@ -209,3 +213,38 @@ def winner(g: Game, run: Run) -> Player:
     if off is not None:
         return off.other
     return _winner_of_legal(g, run)
+
+
+# ------------------------------------------------------------- winnability
+
+
+def winnability(arena, max_moves: int, limit: int = 2) -> bool:
+    """Bounded double-sided search: can the machine force a won position
+    within the move budget, letting either side pass?"""
+    nodes = 0
+
+    def bump() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > NODE_CAP:
+            raise CapExceeded(f"winnability search exceeded {NODE_CAP} nodes")
+
+    def top_turn(run: Run, k: int) -> bool:
+        bump()
+        if k > 0:
+            for m in arena.frontier(run, TOP, limit):
+                if bot_turn(run + (Labmove(TOP, m),), k - 1, False):
+                    return True
+        return bot_turn(run, k, True)
+
+    def bot_turn(run: Run, k: int, top_passed: bool) -> bool:
+        bump()
+        if k > 0:
+            for m in arena.frontier(run, BOT, limit):
+                if not top_turn(run + (Labmove(BOT, m),), k - 1):
+                    return False
+        if top_passed:
+            return arena.winner(run) is TOP
+        return top_turn(run, k)
+
+    return top_turn((), max_moves)

@@ -7,6 +7,7 @@ from cirquent import rules as R
 from cirquent.formulas import parse_formula
 from cirquent.games import BOT, TOP, Labmove, Tree, of_formula, parse_game
 from cirquent.harness import (
+    JUNK_MOVE,
     CapExceeded,
     FormulaArena,
     CirquentArena,
@@ -16,9 +17,9 @@ from cirquent.harness import (
     exhaustive_env_check,
     play,
     run_corpus,
-    winnability,
 )
 from cirquent.strategies import Transducer, cirquent_strategy_factories, compile_proof
+from referee_oracle import winnability
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 RELAY = parse_game('node winner=T { B"q" -> node winner=B { T"a" -> node winner=T {} } }')
@@ -75,10 +76,10 @@ def test_play_budget_truncation_is_inconclusive():
 
 def test_frontier_is_legal_and_sorted():
     arena = arena_for("F | F")
-    assert arena.frontier((), BOT) == ["0.q", "1.q"]
-    assert arena.frontier((), TOP) == []
+    assert arena.frontier((), BOT, 2) == ["0.q", "1.q"]
+    assert arena.frontier((), TOP, 2) == []
     run = (Labmove(BOT, "0.q"),)
-    assert arena.frontier(run, TOP) == ["0.a"]
+    assert arena.frontier(run, TOP, 2) == ["0.a"]
 
 
 def test_random_env_is_seed_deterministic():
@@ -97,6 +98,7 @@ def test_random_env_is_seed_deterministic():
     assert rollout(3) == rollout(3)
     trails = {tuple(rollout(s)) for s in range(12)}
     assert len(trails) > 1
+    assert JUNK_MOVE in rollout(3)
 
 
 def test_spoiler_punishes_silence():
@@ -184,6 +186,6 @@ def test_compiled_strategy_survives_junk_probes():
     proof = R.parse_proof((CORPUS / "brec_elim" / "proof.cl15").read_text())
     compiled = compile_proof(proof)
     arena = arena_for("?~F | F")
-    env = RandomEnv(seed=1, junk_rate=1.0, pass_rate=0.0, max_moves=3)
-    result = play(compiled.fresh(), env, arena)
+    result = play(compiled.fresh(), ScriptedEnv([JUNK_MOVE] * 3), arena)
     assert result.won  # junk makes the environment the first offender
+    assert result.offender is BOT

@@ -200,7 +200,7 @@ def test_cirquent_frontier_matches_whole_run_filter():
             assert cq.legal(c, GRID_INTERP, prefix) == legal, (c, prefix)
             for player in (TOP, BOT):
                 want = oracle_frontier(c, GRID_INTERP, prefix, player)
-                assert arena.frontier(prefix, player) == want, (c, prefix, player)
+                assert arena.frontier(prefix, player, 1) == want, (c, prefix, player)
                 checked += bool(want)
     assert len(steps) == 69
     assert checked > 1000

@@ -3,10 +3,11 @@
 `premise_of` reconstructs a step's premise from its conclusion (that is what
 checking needs); `conclusion_of` pushes a premise forward. The two were
 written against the rule definitions separately, so the round-trip tests over
-the corpus proofs cross-validate them.
+the corpus proofs and over generated cirquents cross-validate them.
 """
 
 import importlib.util
+from itertools import combinations
 from pathlib import Path
 from typing import get_type_hints
 
@@ -96,6 +97,69 @@ def test_premise_and_conclusion_agree(name):
             continue
         assert forward == step.cirquent
     assert intro_weakenings <= 1
+
+
+# The oformulas the splitting and modality rules take apart, and a bystander.
+ROUND_TRIP_POOL = tuple(parse_formula(s) for s in ("F", "?F", "!F", "F | G", "F & G"))
+
+
+def _is_valid(c: Cirquent) -> bool:
+    try:
+        validate_cirquent(c)
+    except CirquentError:
+        return False
+    return True
+
+
+@st.composite
+def wired_cirquents(draw):
+    """Cirquents of 1-5 oformulas from ROUND_TRIP_POOL with 1-5 random
+    non-empty groups on each side (drawn whole, then kept if valid)."""
+    k = draw(st.integers(1, 5))
+    ofs = tuple(draw(st.lists(st.sampled_from(ROUND_TRIP_POOL), min_size=k, max_size=k)))
+    groups = st.lists(st.frozensets(st.integers(1, k), min_size=1), min_size=1, max_size=5)
+    return Cirquent(ofs, tuple(draw(groups)), tuple(draw(groups)))
+
+
+def round_trip_apps(c: Cirquent):
+    """Every application of the splitting, duplication and modality rules
+    whose params name oformulas and groups of `c`, or one group past them."""
+    overs = range(1, len(c.overgroups) + 1)
+    for a in range(1, c.width + 1):
+        yield from (R.Contraction(a), R.DisjIntro(a), R.ConjIntro(a))
+        yield from (R.RecIntro(a, j) for j in range(1, len(c.overgroups) + 2))
+        for n in range(len(overs) + 1):
+            yield from (R.CorecIntro(a, frozenset(s)) for s in combinations(overs, n))
+    yield from (R.UnderDuplication(pos) for pos in range(1, len(c.undergroups) + 1))
+    yield from (R.OverDuplication(pos) for pos in range(1, len(c.overgroups) + 1))
+
+
+@given(wired_cirquents().filter(_is_valid))
+@settings(max_examples=300)
+def test_each_direction_undoes_the_other(c):
+    for app in round_trip_apps(c):
+        try:
+            forward = R.conclusion_of(c, app)
+        except (R.RuleError, CirquentError):
+            pass
+        else:
+            assert R.premise_of(forward, app) == c, app
+        try:
+            back = R.premise_of(c, app)
+        except (R.RuleError, CirquentError):
+            pass
+        else:
+            assert R.conclusion_of(back, app) == c, app
+
+
+def test_forward_splitting_needs_two_oformulas_of_the_premise():
+    # a negative index used to slip past the range check of disjunction and
+    # conjunction introduction: IndexError on one oformula, CirquentError on two
+    for c in (cq(["F | G"], [{1}], [{1}]), cq(["?F", "?F"], [{1, 2}], [{1, 2}])):
+        for a in (-1, 0, c.width):
+            for rule in (R.Contraction, R.DisjIntro, R.ConjIntro):
+                with pytest.raises(R.RuleError):
+                    R.conclusion_of(c, rule(a))
 
 
 def test_axiom_shape():
