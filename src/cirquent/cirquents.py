@@ -21,7 +21,6 @@ from typing import Mapping, NamedTuple
 from . import formulas as fm
 from . import games as gm
 from .games import BOT, TOP, Labmove, Player, Run
-from .games import ClassCapExceeded  # noqa: F401  (positions raise it; callers catch it here)
 from .reader import Reader
 
 
@@ -137,7 +136,7 @@ class CirquentMove(NamedTuple):
     inner: str
 
 
-_MOVE = re.compile(r"(\d+);([01,]*)\.(.*)", re.DOTALL)
+_MOVE = re.compile(r"([0-9]+);([01,]*)\.(.*)", re.DOTALL)
 
 
 def parse_move(n_overgroups: int, move: str) -> CirquentMove | None:
@@ -191,18 +190,19 @@ class Position(gm.Copies):
     a `games.Copies` table whose members are the oformulas and whose
     dimensions are the overgroups, `own[a - 1]` holding oformula a.  The
     protocol is the one of `games.Position`; `winner()` asks each undergroup
-    for a member that wins on every class vector, and ClassCapExceeded also
-    fires when those vectors exceed `cap`.
+    for a member that wins on every class vector, and `games.CapExceeded`
+    also fires when those vectors exceed `cap`.
     """
 
-    __slots__ = ("cirquent", "own", "cap")
+    __slots__ = ("cirquent", "own")
+    cap = 100_000  # class vectors of one member, or of the whole cirquent
 
-    def __init__(self, cirquent: Cirquent, own, cap, used, classes, members):
-        self.cirquent, self.own, self.cap = cirquent, own, cap
+    def __init__(self, cirquent: Cirquent, own, used, classes, members):
+        self.cirquent, self.own = cirquent, own
         self.used, self.classes, self.members = used, classes, members
 
     def _next(self, used, classes, members) -> Position:
-        return Position(self.cirquent, self.own, self.cap, used, classes, members)
+        return Position(self.cirquent, self.own, used, classes, members)
 
     def advance(self, lm: Labmove) -> Position | None:
         mv = parse_move(len(self.used), lm.move)
@@ -236,14 +236,14 @@ class Position(gm.Copies):
         return TOP
 
 
-def start(c: Cirquent, interp: Mapping[str, gm.GameNode], cap: int = 100_000) -> Position:
+def start(c: Cirquent, interp: Mapping[str, gm.GameNode]) -> Position:
     """The position of the empty run."""
     own = tuple(
         tuple(j for j, group in enumerate(c.overgroups) if a in group)
         for a in range(1, c.width + 1)
     )
     return Position(
-        c, own, cap,
+        c, own,
         tuple(frozenset() for _ in c.overgroups),
         tuple((None,) for _ in c.overgroups),
         tuple({(None,) * len(js): gm.start(gm.of_formula(f, interp))}
@@ -251,19 +251,16 @@ def start(c: Cirquent, interp: Mapping[str, gm.GameNode], cap: int = 100_000) ->
     )
 
 
-def legal(c: Cirquent, interp: Mapping[str, gm.GameNode], run: Run,
-          cap: int = 100_000) -> bool:
-    return first_offender(c, interp, run, cap) is None
+def legal(c: Cirquent, interp: Mapping[str, gm.GameNode], run: Run) -> bool:
+    return first_offender(c, interp, run) is None
 
 
-def first_offender(c: Cirquent, interp: Mapping[str, gm.GameNode], run: Run,
-                   cap: int = 100_000) -> Player | None:
-    return gm.judge(start(c, interp, cap), run)[1]
+def first_offender(c: Cirquent, interp: Mapping[str, gm.GameNode], run: Run) -> Player | None:
+    return gm.judge(start(c, interp), run)[1]
 
 
-def winner(c: Cirquent, interp: Mapping[str, gm.GameNode], run: Run,
-           cap: int = 100_000) -> Player:
-    pos, off = gm.judge(start(c, interp, cap), run)
+def winner(c: Cirquent, interp: Mapping[str, gm.GameNode], run: Run) -> Player:
+    pos, off = gm.judge(start(c, interp), run)
     return pos.winner() if off is None else off.other
 
 

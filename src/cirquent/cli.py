@@ -17,7 +17,7 @@ from cirquent import formulas as fm
 from cirquent import games as gm
 from cirquent import harness as hn
 from cirquent import rules as rl
-from cirquent.fusion import FusionCapExceeded, defusion, fusions
+from cirquent.fusion import defusion, fusions
 from cirquent.games import BOT, TOP
 from cirquent.strategies import CompiledStrategy, compile_proof
 
@@ -190,7 +190,7 @@ def cmd_corpus(args) -> int:
         raise CliError(f"no corpus directory at {root}")
     try:
         reports = hn.run_corpus(root, budget=args.budget)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, gm.GameError,
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, gm.GameError,
             hn.CorpusError, *PARSE_ERRORS) as e:
         raise CliError(f"{root}: {e}")
     if not reports:
@@ -335,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except (hn.CapExceeded, FusionCapExceeded, cq.ClassCapExceeded) as e:
+    except gm.CapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAP
     except BrokenPipeError:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from itertools import product
 
+from .games import CapExceeded
 
-class FusionCapExceeded(RuntimeError):
-    pass
+WORD_CAP = 4096  # words one fusion may have
 
 
 def _check_bits(s: str, what: str) -> None:
@@ -21,7 +21,7 @@ def _check_bits(s: str, what: str) -> None:
         raise ValueError(f"{what} must be a bitstring, got {s!r}")
 
 
-def fusions(parts: list[str] | tuple[str, ...], cap: int = 4096) -> tuple[str, ...]:
+def fusions(parts: list[str] | tuple[str, ...]) -> tuple[str, ...]:
     """All fusions of the given bitstrings, sorted; no inputs fuse to epsilon."""
     n = len(parts)
     if n == 0:
@@ -36,8 +36,8 @@ def fusions(parts: list[str] | tuple[str, ...], cap: int = 4096) -> tuple[str, .
         for pos in range(length)
     )
     free = template.count("%s")
-    if 2 ** free > cap:
-        raise FusionCapExceeded(f"{free} free positions exceed cap {cap}")
+    if 2 ** free > WORD_CAP:
+        raise CapExceeded(f"2**{free} fusion words exceed cap {WORD_CAP}")
     # product() counts up in binary, so the words come out sorted
     return tuple(template % bits for bits in product("01", repeat=free))
 

@@ -51,6 +51,10 @@ class GameError(ValueError):
     """Malformed run literal or game text."""
 
 
+class CapExceeded(RuntimeError):
+    """A resource cap was hit; the message names it and the count over it."""
+
+
 class Labmove(NamedTuple):
     label: Player
     move: str
@@ -415,10 +419,6 @@ class _Parallel(Position):
         return left if left is self.decisive else self.parts[1].winner()
 
 
-class ClassCapExceeded(RuntimeError):
-    pass
-
-
 class Copies(Position):
     """Members played in copy dimensions that the opponent splits by address:
     Rep or Corep is one member in one dimension, a cirquent its oformulas in
@@ -432,8 +432,8 @@ class Copies(Position):
     vector keeping its position, and then a's vectors through w take the
     move, which must be legal on each; so the moves open at w are those open
     on every vector through w.  A subclass parses and formats moves, scores
-    `winner()` and provides `own`, `cap` and `_next(used, classes, members)`,
-    the table with those contents.
+    `winner()` and provides `own`, the class attribute `cap` and
+    `_next(used, classes, members)`, the table with those contents.
     """
 
     __slots__ = ("used", "classes", "members")
@@ -442,12 +442,12 @@ class Copies(Position):
 
     def _check_cap(self, total: int) -> None:
         if total > self.cap:
-            raise ClassCapExceeded(f"{total} copy-address classes exceed cap {self.cap}")
+            raise CapExceeded(f"{total} copy-class vectors exceed cap {self.cap}")
 
     def advance_at(self, a: int, slots: tuple[str, ...], inner: Labmove) -> Copies | None:
         """The table once member a plays `inner` at `slots`, one address per
         dimension; None when the move is illegal on a vector through them.
-        The split pass runs first, so ClassCapExceeded fires, legal move or
+        The split pass runs first, so CapExceeded fires, legal move or
         not, when it gives a member more than `cap` vectors; a frontier goes
         through some of a member's vectors only."""
         own, used, classes = self.own, self.used, self.classes
@@ -679,14 +679,14 @@ def is_static_bounded(g: Game, maxlen: int) -> StaticReport:
     alphabet = sorted(g.root.moves()) + ["zz"]
 
     def violates(gamma: Run) -> StaticReport | None:
+        off, won = first_offender(g, gamma), winner(g, gamma)
         for pi in (TOP, BOT):
-            off = first_offender(g, gamma)
             if off is pi:
                 continue  # gamma is not pi-legal; nothing to preserve
             for ups in _delays(pi, gamma):
                 if off is None and first_offender(g, ups) is pi:
                     return StaticReport(False, pi, gamma, ups)
-                if winner(g, gamma) is pi and winner(g, ups) is not pi:
+                if won is pi and winner(g, ups) is not pi:
                     return StaticReport(False, pi, gamma, ups)
         return None
 

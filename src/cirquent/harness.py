@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 from . import cirquents as cq
 from . import formulas as fm
 from . import games as gm
-from .games import BOT, TOP, Labmove, Player, Run
+from .games import BOT, TOP, CapExceeded, Labmove, Player, Run
 from .rules import check_proof, conclusion_formula, parse_proof
 from .strategies import CompiledStrategy, Transducer, compile_proof
 
@@ -28,12 +28,9 @@ PASS_RATE = 0.2  # how often RandomEnv passes
 JUNK_RATE = 0.05  # how often RandomEnv plays JUNK_MOVE
 
 
-class CapExceeded(RuntimeError):
-    pass
-
-
 class CorpusError(ValueError):
-    """A corpus case whose expect.json does not have the expected shape."""
+    """A corpus case whose expect.json does not have the expected shape, or
+    whose atoms.game leaves an atom of its proof without a game."""
 
 
 class Arena:
@@ -103,10 +100,9 @@ class FormulaArena(Arena):
 class CirquentArena(Arena):
     cirquent: cq.Cirquent
     interp: Mapping[str, gm.GameNode]
-    cap: int = 100_000
 
     def start(self) -> cq.Position:
-        return cq.start(self.cirquent, self.interp, self.cap)
+        return cq.start(self.cirquent, self.interp)
 
 
 # ------------------------------------------------------------ environments
@@ -305,7 +301,7 @@ def load_interpretation(path: Path, atoms: set[str]) -> dict[str, gm.GameNode]:
     lib = gm.parse_game_library(path.read_text())
     missing = atoms - set(lib)
     if missing:
-        raise KeyError(f"{path} assigns no game to atoms {sorted(missing)}")
+        raise CorpusError(f"{path} assigns no game to atoms {', '.join(sorted(missing))}")
     return lib
 
 

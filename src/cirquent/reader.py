@@ -20,7 +20,7 @@ import re
 _TOKEN = re.compile(
     r"""\s*(
         ([A-Za-z_][A-Za-z0-9_]*)
-      | (-?\d+)
+      | (-?[0-9]+)
       | ("[^"\n]*")
       | ->
       | \#[^\n]*

@@ -6,7 +6,7 @@ from cirquent.cirquents import (
     Cirquent,
     CirquentError,
     CirquentMove,
-    ClassCapExceeded,
+    Position,
     club,
     diagram,
     first_offender,
@@ -21,7 +21,7 @@ from cirquent.cirquents import (
     winner,
 )
 from cirquent.formulas import FormulaError, parse_formula
-from cirquent.games import BOT, TOP, Labmove, parse_game, parse_run
+from cirquent.games import BOT, TOP, CapExceeded, Labmove, parse_game, parse_run
 
 BEACON = parse_game("node winner=T {}")
 PITFALL = parse_game("node winner=B {}")
@@ -202,6 +202,9 @@ def test_move_shape():
     assert parse_move(2, "3;00.q") is None  # arity mismatch
     assert parse_move(2, "3;00,x.q") is None
     assert parse_move(2, "junk") is None
+    # only ASCII digits are digits: "١" and "٢" are Arabic-Indic one and two
+    assert parse_move(1, "\u0661;.q") is None
+    assert parse_move(2, "\u0662;,.q") is None
 
 
 WIDE = cq(
@@ -258,14 +261,15 @@ def test_replication_through_slots():
     assert winner(c, interp, parse_run("B:1;.q,T:1;.a")) is TOP
 
 
-def test_class_vector_cap():
+def test_class_vector_cap(monkeypatch):
+    monkeypatch.setattr(Position, "cap", 8)
     interp = {"F": RELAY}
     c = cq(["F", "F"], [{1, 2}], [{1}, {2}])
     moves = [f"B:1;{addr},.q" for addr in ("00", "010", "0110")]
     moves += [f"B:2;,{addr}.q" for addr in ("10", "111", "1101")]
     r = parse_run(",".join(moves))
-    with pytest.raises(ClassCapExceeded):
-        winner(c, interp, r, cap=8)
+    with pytest.raises(CapExceeded):
+        winner(c, interp, r)
 
 
 def test_a_move_at_used_addresses_keeps_the_table():
@@ -285,10 +289,12 @@ def test_a_move_at_used_addresses_keeps_the_table():
     ([{1, 2}, {1}], "1;,0.q", "2;0,."),  # and before it
 ])
 @pytest.mark.parametrize("label, inner", [(BOT, "q"), (TOP, "a")])
-def test_the_split_pass_checks_the_cap_before_the_move(over, first, then, label, inner):
-    pos = start(cq(["F", "F"], [{1, 2}], over), {"F": RELAY}, cap=3)
+def test_the_split_pass_checks_the_cap_before_the_move(monkeypatch, over, first, then,
+                                                       label, inner):
+    monkeypatch.setattr(Position, "cap", 3)
+    pos = start(cq(["F", "F"], [{1, 2}], over), {"F": RELAY})
     pos = pos.advance(Labmove(BOT, first))
-    with pytest.raises(ClassCapExceeded):
+    with pytest.raises(CapExceeded):
         pos.advance(Labmove(label, then + inner))
 
 

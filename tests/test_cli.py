@@ -150,6 +150,15 @@ def test_eval_calls_an_index_too_long_for_int_illegal():
     assert "Traceback" not in r.stderr
 
 
+def test_eval_calls_an_index_in_non_ascii_digits_illegal():
+    # "\u0662" is the Arabic-Indic digit two; only 0-9 spell an index
+    literal = 'cirquent { oformulas: ["~F", "F"]; under: [[1, 2]]; over: [[1, 2]] }'
+    r = cli("eval", "--cirquent", literal, "--atoms", str(ATOMS), "--run", "B:\u0662;.q")
+    assert r.returncode == 0, r.stderr
+    assert "first offender B" in r.stdout
+    assert "Traceback" not in r.stderr
+
+
 def test_eval_judges_a_move_under_a_long_address():
     # the move at "" reaches the copy at 3000 zeros, which already asked q
     r = cli("eval", "--formula", "!F", "--atoms", str(ATOMS), "--run",
@@ -195,7 +204,11 @@ def test_repl_session():
 # `{bad_lib}` a broken game library, `{bad_corpus}` a corpus whose one case
 # has an unreadable expect.json, `{empty}` an empty directory, `{name_group}`
 # and `{name_param}` proofs with a name where an index belongs, `{long_index}`
-# one with an index of more digits than int() converts. `{parens}`, `{bangs}`
+# one with an index of more digits than int() converts, `{digit_param}` one
+# whose oformula param is a non-ASCII digit. `{missing_atom}` is a corpus
+# whose one case has no game for F. `{class_cap}` is a run of 47 B moves in
+# each overgroup of `{three}`, at disjoint addresses: 48**3 = 110,592 class
+# vectors, over the cap of 100,000. `{parens}`, `{bangs}`
 # and `{chain}` are formulas nested past the depth bound (300 parentheses,
 # 450 `!`, a left-deep chain of 2,001 atoms), `{deep_lib}` a library with a
 # 2,000-move-deep tree and `{deep_axiom}` a proof whose Axiom formula has 300
@@ -220,6 +233,7 @@ MALFORMED = [
     (["check", "{param_colour}"], 2),
     (["check", "{cirquent_colour}"], 2),
     (["check", "{long_index}"], 2),
+    (["check", "{digit_param}"], 2),
     (["check", "{deep_axiom}"], 2),
     (["compile", "{bin}"], 2),
     (["compile", "{bad_proof}"], 2),
@@ -239,12 +253,14 @@ MALFORMED = [
     (["eval", "--formula", "{bangs}", *ELIM[1:]], 2),
     (["eval", "--formula", "{chain}", *ELIM[1:]], 2),
     (["eval", "--formula", "F", "--atoms", "{deep_lib}"], 2),
+    (["eval", "--cirquent", "{three}", *ELIM[1:], "--run", "{class_cap}"], 3),
     (["fuse", "012"], 2),
     (["fuse", "0", "1" * 20], 3),
     (["defuse", "012", "--n", "2"], 2),
     (["defuse", "0101", "--n", "0"], 2),
     (["corpus", "{bad_corpus}"], 2),
     (["corpus", "{empty}"], 2),
+    (["corpus", "{missing_atom}"], 2),
     (["corpus", "corpus/atoms"], 2),
     (["corpus", "corpus", "--budget", "-3"], 2),
     *((["corpus", "{%s}" % name], 2) for name in EXPECTS),
@@ -264,6 +280,11 @@ def malformed_files(tmp_path_factory):
     (case / "proof.cl15").write_text(PROOF.read_text())
     (case / "expect.json").write_text("{bad")
     (d / "empty").mkdir()
+    case = d / "missing_atom" / "case"
+    case.mkdir(parents=True)
+    (case / "proof.cl15").write_text(PROOF.read_text())
+    (case / "atoms.game").write_text("game G = node winner=T {}\n")
+    (case / "expect.json").write_text("{}")
     for name, text in EXPECTS.items():
         case = d / name / "brec_elim"
         case.mkdir(parents=True)
@@ -272,6 +293,12 @@ def malformed_files(tmp_path_factory):
         (case / "expect.json").write_text(text)
     (d / "group.cl15").write_text(PROOF.read_text().replace("under: [[1, 2]]", "under: [[x, 2]]", 1))
     (d / "param.cl15").write_text(PROOF.read_text().replace("added: []", "added: [x]", 1))
+    (d / "digit.cl15").write_text(
+        PROOF.read_text().replace("oformula: 1; added", "oformula: \u0661; added", 1))
+    (d / "three.cq").write_text(
+        'cirquent { oformulas: ["F", "F", "F"]; under: [[1, 2, 3]]; over: [[1], [2], [3]] }')
+    class_cap = ",".join(f"B:{a};{','.join(w if j == a else '' for j in (1, 2, 3))}.q"
+                         for a in (1, 2, 3) for w in ("1" * i + "0" for i in range(47)))
     (d / "long.cl15").write_text(
         PROOF.read_text().replace("under: [[1, 2]]", f"under: [[{'1' * 5000}, 2]]", 1))
     parens = "(" * 300 + "F" + ")" * 300
@@ -297,7 +324,9 @@ def malformed_files(tmp_path_factory):
     return {"bin": d / "bin", "bad_proof": d / "bad.cl15",
             "bad_lib": d / "bad.game", "bad_corpus": d / "corpus", "empty": d / "empty",
             "name_group": d / "group.cl15", "name_param": d / "param.cl15",
-            "long_index": d / "long.cl15",
+            "long_index": d / "long.cl15", "digit_param": d / "digit.cl15",
+            "missing_atom": d / "missing_atom", "three": d / "three.cq",
+            "class_cap": class_cap,
             "parens": parens, "bangs": "!" * 450 + "F", "chain": " | ".join(["F"] * 2001),
             "deep_lib": d / "deep.game", "deep_axiom": d / "deep_axiom.cl15",
             "oformulas_twice": d / "oformulas_twice", "colour": d / "colour",
@@ -312,6 +341,14 @@ def test_malformed_input_exit_codes(malformed_files, args, code):
     assert r.returncode == code, r.stderr
     assert "error:" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_corpus_names_a_missing_atom_without_quotes(malformed_files):
+    r = cli("corpus", str(malformed_files["missing_atom"]))
+    assert r.returncode == 2
+    [line] = r.stderr.splitlines()
+    assert line.endswith("atoms.game assigns no game to atoms F")
+    assert not set("'\"") & set(line)
 
 
 def test_a_formula_error_quotes_a_short_excerpt(malformed_files):

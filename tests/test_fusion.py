@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cirquent.fusion import FusionCapExceeded, defusion, fusions
+from cirquent.fusion import defusion, fusions
+from cirquent.games import CapExceeded
 
 
 def oracle(parts: tuple[str, ...]) -> set[str]:
@@ -79,7 +80,7 @@ def test_agrees_with_oracle(parts):
     parts = tuple(parts)
     try:
         got = fusions(parts)
-    except FusionCapExceeded:
+    except CapExceeded:
         return
     assert set(got) == oracle(parts)
     assert list(got) == sorted(got)
@@ -91,7 +92,7 @@ def test_defusion_recovers_prefixes(parts):
     parts = tuple(parts)
     try:
         webs = fusions(parts)
-    except FusionCapExceeded:
+    except CapExceeded:
         return
     for w in webs:
         back = defusion(w, len(parts))
@@ -114,5 +115,5 @@ def test_rejects_non_bits():
 
 
 def test_cap():
-    with pytest.raises(FusionCapExceeded):
-        fusions(("", "0" * 40), cap=16)
+    with pytest.raises(CapExceeded):
+        fusions(("", "0" * 40))

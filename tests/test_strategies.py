@@ -276,9 +276,9 @@ def step_or_raise(t, run):
     """`t.step(run)`, or the class of what it raised."""
     fused = 0
 
-    def budgeted(parts, cap=4096):
+    def budgeted(parts):
         nonlocal fused
-        words = fusions(parts, cap)
+        words = fusions(parts)
         fused += len(words)
         if fused > FANOUT_BUDGET:
             raise FanoutBudget
