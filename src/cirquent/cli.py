@@ -1,13 +1,19 @@
 """Command line front end.
 
 Exit codes: 0 success (or machine win), 1 failed check or lost play,
-2 usage and parse errors, 3 blown enumeration caps.
+2 usage errors and malformed input, 3 blown resource caps.
+
+Each reader raises its own error class: the parsers of formulas, proofs,
+cirquents, runs and game libraries, `games.of_formula` for an atom the
+library assigns no game, `fusion` for a non-bitstring, the corpus harness
+for a malformed case, and the file system.  `main` is the one place that
+turns those (`INPUT_ERRORS`) into exit 2, as it turns `games.CapExceeded`
+into exit 3.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -26,36 +32,31 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
+# what unreadable files and malformed text raise; main maps them to EXIT_USAGE
+INPUT_ERRORS = (OSError, UnicodeDecodeError, rl.RuleError, cq.CirquentError,
+                fm.FormulaError, gm.GameError, hn.CorpusError)
+
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+    """A usage error, or an input error with the file it came from named."""
 
 
-# what a malformed proof text raises, cirquents and formulas inside it included
-PARSE_ERRORS = (rl.RuleError, cq.CirquentError, fm.FormulaError)
-
-
-def _read_text(path: str) -> str:
+def _load(path: str, parse):
+    """`parse` of the text of the file at `path`; either error names the file."""
     try:
-        return Path(path).read_text()
+        text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as e:
         raise CliError(f"cannot read {path}: {e}")
-
-
-def _read_proof(path: str) -> rl.Proof:
-    text = _read_text(path)
     try:
-        return rl.parse_proof(text)
-    except PARSE_ERRORS as e:
+        return parse(text)
+    except INPUT_ERRORS as e:
         raise CliError(f"{path}: {e}")
 
 
 def _compile_checked(path: str) -> CompiledStrategy | None:
     """The strategy of the proof at `path`, or None, with the failing step
     on stderr, when the proof does not check."""
-    proof = _read_proof(path)
+    proof = _load(path, rl.parse_proof)
     verdict = rl.check_proof(proof)
     if not verdict:
         print(f"step {verdict.step}: {verdict.message}", file=sys.stderr)
@@ -63,22 +64,8 @@ def _compile_checked(path: str) -> CompiledStrategy | None:
     return compile_proof(proof)
 
 
-def _read_library(path: str) -> dict[str, gm.GameNode]:
-    text = _read_text(path)
-    try:
-        return gm.parse_game_library(text)
-    except gm.GameError as e:
-        raise CliError(f"{path}: {e}")
-
-
-def _require_atoms(formula: fm.Formula, lib: dict[str, gm.GameNode]) -> None:
-    missing = sorted(fm.atoms_of(formula) - set(lib))
-    if missing:
-        raise CliError(f"library assigns no game to atoms: {', '.join(missing)}")
-
-
 def cmd_check(args) -> int:
-    proof = _read_proof(args.proof)
+    proof = _load(args.proof, rl.parse_proof)
     verdict = rl.check_proof(proof)
     if verdict:
         formula = fm.format_formula(rl.conclusion_formula(proof))
@@ -104,8 +91,7 @@ def cmd_play(args) -> int:
     compiled = _compile_checked(args.proof)
     if compiled is None:
         return EXIT_FAIL
-    lib = _read_library(args.atoms)
-    _require_atoms(compiled.formula, lib)
+    lib = _load(args.atoms, gm.parse_game_library)
     arena = hn.FormulaArena(gm.of_formula(compiled.formula, lib))
     if args.moves is not None:
         script = [m if m else None for m in args.moves.split(",")]
@@ -124,40 +110,27 @@ def cmd_play(args) -> int:
     return EXIT_OK if result.winner is TOP else EXIT_FAIL
 
 
-def _parse_run_arg(text: str | None):
-    if not text:
-        return ()
-    try:
-        return gm.parse_run(text)
-    except gm.GameError as e:
-        raise CliError(str(e))
-
-
 def cmd_eval(args) -> int:
     if (args.formula is None) == (args.cirquent is None):
         raise CliError("need exactly one of --formula or --cirquent")
-    run = _parse_run_arg(args.run)
-    lib = _read_library(args.atoms)
-    try:
-        if args.formula is not None:
-            f = fm.parse_formula(args.formula)
-            _require_atoms(f, lib)
-            arena: hn.Arena = hn.FormulaArena(gm.of_formula(f, lib))
-        else:
-            # a literal always starts with the keyword; anything else is a path
-            text = args.cirquent
-            if not text.lstrip().startswith("cirquent"):
-                text = _read_text(text)
-            c = cq.parse_cirquent(text)
-            for f in c.oformulas:
-                _require_atoms(f, lib)
-            print(cq.diagram(c))
-            arena = hn.CirquentArena(c, lib)
-        # the arena keeps the judged path, so winner does not judge again
-        offender = arena.offender(run)
-        won_by = arena.winner(run)
-    except (fm.FormulaError, cq.CirquentError) as e:
-        raise CliError(str(e))
+    run = gm.parse_run(args.run or "")
+    lib = _load(args.atoms, gm.parse_game_library)
+    if args.formula is not None:
+        c = None
+        arena: hn.Arena = hn.FormulaArena(gm.of_formula(fm.parse_formula(args.formula), lib))
+    else:
+        # a literal always starts with the keyword; anything else is a path
+        text = args.cirquent
+        if not text.lstrip().startswith("cirquent"):
+            text = _load(text, str)  # parsed below, so errors name no file
+        c = cq.parse_cirquent(text)
+        arena = hn.CirquentArena(c, lib)
+    # the arena keeps the judged path, so winner does not judge again; both
+    # come before any output, so an atom without a game prints nothing
+    offender = arena.offender(run)
+    won_by = arena.winner(run)
+    if c is not None:
+        print(cq.diagram(c))
     if offender is None:
         print("run: legal")
     else:
@@ -167,20 +140,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_fuse(args) -> int:
-    try:
-        for z in fusions(tuple(args.bits)):
-            print(z)
-    except ValueError as e:
-        raise CliError(str(e))
+    for z in fusions(tuple(args.bits)):
+        print(z)
     return EXIT_OK
 
 
 def cmd_defuse(args) -> int:
-    try:
-        parts = defusion(args.bits, args.n)
-    except ValueError as e:
-        raise CliError(str(e))
-    print(" ".join(parts))
+    print(" ".join(defusion(args.bits, args.n)))
     return EXIT_OK
 
 
@@ -190,8 +156,7 @@ def cmd_corpus(args) -> int:
         raise CliError(f"no corpus directory at {root}")
     try:
         reports = hn.run_corpus(root, budget=args.budget)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, gm.GameError,
-            hn.CorpusError, *PARSE_ERRORS) as e:
+    except INPUT_ERRORS as e:
         raise CliError(f"{root}: {e}")
     if not reports:
         raise CliError(f"no corpus cases under {root}")
@@ -214,12 +179,8 @@ commands:
 
 
 def cmd_repl(args) -> int:
-    try:
-        f = fm.parse_formula(args.formula)
-    except fm.FormulaError as e:
-        raise CliError(str(e))
-    lib = _read_library(args.atoms)
-    _require_atoms(f, lib)
+    f = fm.parse_formula(args.formula)
+    lib = _load(args.atoms, gm.parse_game_library)
     arena = hn.FormulaArena(gm.of_formula(f, lib))
     run: list[gm.Labmove] = []
 
@@ -332,17 +293,18 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
-    except gm.CapExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CAP
     except BrokenPipeError:
-        # reader went away (e.g. piped into head); not our error
+        # reader went away (e.g. piped into head); not our error.  It is an
+        # OSError, so this clause comes before INPUT_ERRORS
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_OK
+    except (CliError, *INPUT_ERRORS) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except gm.CapExceeded as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_CAP
 
 
 if __name__ == "__main__":

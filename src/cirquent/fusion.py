@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from itertools import product
 
-from .games import CapExceeded
+from .games import CapExceeded, GameError
 
-WORD_CAP = 4096  # words one fusion may have
+WORD_CAP = 4096  # words one fusion, or parts one defusion, may have
 
 
 def _check_bits(s: str, what: str) -> None:
     if s.strip("01"):
-        raise ValueError(f"{what} must be a bitstring, got {s!r}")
+        raise GameError(f"{what} must be a bitstring, got {s!r}")
 
 
 def fusions(parts: list[str] | tuple[str, ...]) -> tuple[str, ...]:
@@ -45,6 +45,8 @@ def fusions(parts: list[str] | tuple[str, ...]) -> tuple[str, ...]:
 def defusion(z: str, n: int) -> tuple[str, ...]:
     """Split z into its n round-robin subsequences."""
     if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+        raise GameError(f"need n >= 1, got {n}")
     _check_bits(z, "defusion input")
+    if n > WORD_CAP:
+        raise CapExceeded(f"{n} defusion parts exceed cap {WORD_CAP}")
     return tuple(z[i::n] for i in range(n))

@@ -48,7 +48,8 @@ BOT = Player.BOT
 
 
 class GameError(ValueError):
-    """Malformed run literal or game text."""
+    """Malformed run literal, game text or fusion input, or an atom that an
+    interpretation assigns no game."""
 
 
 class CapExceeded(RuntimeError):
@@ -212,22 +213,25 @@ Game = Union[Tree, Neg, Conj, Disj, Rep, Corep]
 
 
 def of_formula(f, interp: Mapping[str, GameNode]) -> Game:
+    missing = fm.atoms_of(f) - set(interp)
+    if missing:
+        raise GameError(f"no game assigned to atoms {', '.join(sorted(missing))}")
+    return _of_formula(f, interp)
+
+
+def _of_formula(f, interp: Mapping[str, GameNode]) -> Game:
     if isinstance(f, fm.PosLiteral):
-        if f.atom not in interp:
-            raise KeyError(f"no game assigned to atom {f.atom!r}")
         return Tree(interp[f.atom])
     if isinstance(f, fm.NegLiteral):
-        if f.atom not in interp:
-            raise KeyError(f"no game assigned to atom {f.atom!r}")
         return Neg(Tree(interp[f.atom]))
     if isinstance(f, fm.And):
-        return Conj(of_formula(f.left, interp), of_formula(f.right, interp))
+        return Conj(_of_formula(f.left, interp), _of_formula(f.right, interp))
     if isinstance(f, fm.Or):
-        return Disj(of_formula(f.left, interp), of_formula(f.right, interp))
+        return Disj(_of_formula(f.left, interp), _of_formula(f.right, interp))
     if isinstance(f, fm.Brec):
-        return Rep(of_formula(f.body, interp))
+        return Rep(_of_formula(f.body, interp))
     if isinstance(f, fm.Cobrec):
-        return Corep(of_formula(f.body, interp))
+        return Corep(_of_formula(f.body, interp))
     raise TypeError(f"not a formula: {f!r}")
 
 

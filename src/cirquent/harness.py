@@ -24,13 +24,15 @@ from .strategies import CompiledStrategy, Transducer, compile_proof
 
 JUNK_MOVE = "?!junk"
 NODE_CAP = 500_000  # positions an exhaustive check visits
+QUIESCE_STEPS = 16  # machine steps after each environment move in that check
 PASS_RATE = 0.2  # how often RandomEnv passes
 JUNK_RATE = 0.05  # how often RandomEnv plays JUNK_MOVE
 
 
 class CorpusError(ValueError):
-    """A corpus case whose expect.json does not have the expected shape, or
-    whose atoms.game leaves an atom of its proof without a game."""
+    """A corpus case whose expect.json is not JSON or does not have the
+    expected shape, or whose atoms.game leaves an atom of its proof without
+    a game."""
 
 
 class Arena:
@@ -239,14 +241,15 @@ def exhaustive_env_check(
     nodes = 0
 
     def poll(t: Transducer, run: Run) -> Run:
-        for _ in range(16):
+        for _ in range(QUIESCE_STEPS):
             block = t.step(run)
             if not block:
                 return run
             run = run + tuple(Labmove(TOP, m) for m in block)
             if len(run) > budget:
-                raise CapExceeded("machine exceeded the labmove budget")
-        raise CapExceeded("machine would not quiesce")
+                raise CapExceeded(f"machine took the run to {len(run)} labmoves, "
+                                  f"over the budget of {budget}")
+        raise CapExceeded(f"machine would not quiesce within {QUIESCE_STEPS} steps")
 
     def replay(schedule: list[str]) -> Run:
         t = factory()
@@ -308,7 +311,10 @@ def load_interpretation(path: Path, atoms: set[str]) -> dict[str, gm.GameNode]:
 def run_case(case_dir: Path, budget: int | None = None) -> CaseReport:
     name = case_dir.name
     path = case_dir / "expect.json"
-    expect = json.loads(path.read_text())
+    try:
+        expect = json.loads(path.read_text())
+    except ValueError as e:  # not UTF-8, or not JSON
+        raise CorpusError(f"{path}: {e}")
     roll = expect.get("rollouts", {}) if isinstance(expect, dict) else None
     if not isinstance(roll, dict):
         raise CorpusError(f"{path}: expected an object, with an object as rollouts")

@@ -212,8 +212,10 @@ def test_repl_session():
 # and `{chain}` are formulas nested past the depth bound (300 parentheses,
 # 450 `!`, a left-deep chain of 2,001 atoms), `{deep_lib}` a library with a
 # 2,000-move-deep tree and `{deep_axiom}` a proof whose Axiom formula has 300
-# parentheses. Each name in EXPECTS is a corpus whose one case has that
-# expect.json.
+# parentheses. `{dir}` is a directory, so `compile -o` cannot write there,
+# and `{needs_g}` a cirquent literal with an atom G that no library in the
+# corpus assigns a game. Each name in EXPECTS is a corpus whose one case has
+# that expect.json.
 ELIM = ["corpus/brec_elim/proof.cl15", "--atoms", "corpus/brec_elim/atoms.game"]
 EXPECTS = {
     "expect_list": '[{"rollouts": {"seeds": 1}}]',
@@ -237,6 +239,8 @@ MALFORMED = [
     (["check", "{deep_axiom}"], 2),
     (["compile", "{bin}"], 2),
     (["compile", "{bad_proof}"], 2),
+    (["compile", ELIM[0], "-o", "{dir}"], 2),
+    (["compile", ELIM[0], "-o", "{dir}/missing/x.json"], 2),
     (["play", ELIM[0], "--atoms", "{bin}"], 2),
     (["play", ELIM[0], "--atoms", "{bad_lib}"], 2),
     (["play", *ELIM, "--budget", "-3"], 2),
@@ -248,6 +252,7 @@ MALFORMED = [
     (["eval", "--cirquent", "{bin}", *ELIM[1:]], 2),
     (["eval", "--cirquent", "{oformulas_twice}", *ELIM[1:]], 2),
     (["eval", "--cirquent", "{colour}", *ELIM[1:]], 2),
+    (["eval", "--cirquent", "{needs_g}", *ELIM[1:]], 2),
     (["eval", "--formula", "F", "--atoms", "{bad_lib}"], 2),
     (["eval", "--formula", "{parens}", *ELIM[1:]], 2),
     (["eval", "--formula", "{bangs}", *ELIM[1:]], 2),
@@ -258,6 +263,7 @@ MALFORMED = [
     (["fuse", "0", "1" * 20], 3),
     (["defuse", "012", "--n", "2"], 2),
     (["defuse", "0101", "--n", "0"], 2),
+    (["defuse", "0101", "--n", "10000000"], 3),
     (["corpus", "{bad_corpus}"], 2),
     (["corpus", "{empty}"], 2),
     (["corpus", "{missing_atom}"], 2),
@@ -330,6 +336,8 @@ def malformed_files(tmp_path_factory):
             "parens": parens, "bangs": "!" * 450 + "F", "chain": " | ".join(["F"] * 2001),
             "deep_lib": d / "deep.game", "deep_axiom": d / "deep_axiom.cl15",
             "oformulas_twice": d / "oformulas_twice", "colour": d / "colour",
+            "dir": d, "needs_g":
+                'cirquent { oformulas: ["F", "G"]; under: [[1, 2]]; over: [[1], [2]] }',
             **{name: d / name for name in EXPECTS},
             **{name: d / f"{name}.cl15" for name in edits}}
 
@@ -341,6 +349,10 @@ def test_malformed_input_exit_codes(malformed_files, args, code):
     assert r.returncode == code, r.stderr
     assert "error:" in r.stderr
     assert "Traceback" not in r.stderr
+    if code == 2:
+        assert r.stdout == ""
+    if "{bad_corpus}" in args:
+        assert "expect.json" in r.stderr
 
 
 def test_corpus_names_a_missing_atom_without_quotes(malformed_files):

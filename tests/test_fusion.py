@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cirquent.fusion import defusion, fusions
+from cirquent.fusion import WORD_CAP, defusion, fusions
 from cirquent.games import CapExceeded
 
 
@@ -117,3 +117,9 @@ def test_rejects_non_bits():
 def test_cap():
     with pytest.raises(CapExceeded):
         fusions(("", "0" * 40))
+
+
+def test_defusion_cap():
+    assert len(defusion("0101", WORD_CAP)) == WORD_CAP
+    with pytest.raises(CapExceeded, match=f"{WORD_CAP + 1} defusion parts exceed cap {WORD_CAP}"):
+        defusion("0101", WORD_CAP + 1)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cirquent.formulas import parse_formula
 from cirquent.games import (
     BOT,
     TOP,
@@ -29,6 +30,7 @@ from cirquent.games import (
     is_delay_of,
     is_static_bounded,
     legal,
+    of_formula,
     parse_game,
     parse_game_library,
     parse_run,
@@ -173,6 +175,14 @@ def test_offender_and_illegal_runs():
     # the opponent of the first offender wins, whatever follows
     assert winner(Tree(RELAY), run("T:a")) is BOT
     assert winner(Tree(RELAY), run("B:zz", "T:zz")) is TOP
+
+
+def test_of_formula_names_every_atom_without_a_game():
+    f = parse_formula("G | H & F")
+    with pytest.raises(GameError, match="^no game assigned to atoms G, H$"):
+        of_formula(f, {"F": GameNode(TOP)})
+    assert of_formula(f, dict.fromkeys("FGH", GameNode(TOP))) == Disj(
+        Tree(GameNode(TOP)), Conj(Tree(GameNode(TOP)), Tree(GameNode(TOP))))
 
 
 def test_game_text_round_trip():

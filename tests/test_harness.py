@@ -121,8 +121,19 @@ def test_exhaustive_check_finds_the_losing_line():
 
 
 def test_exhaustive_check_rejects_a_babbling_machine():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="to 20 labmoves, over the budget of 16$"):
         exhaustive_env_check(Spammer, FormulaArena(Tree(RELAY)), budget=16)
+
+
+class Chatterer(Transducer):
+    def step(self, observed):
+        return ["q"]
+
+
+def test_exhaustive_check_rejects_a_machine_that_never_goes_quiet():
+    steps = harness.QUIESCE_STEPS
+    with pytest.raises(CapExceeded, match=f"would not quiesce within {steps} steps$"):
+        exhaustive_env_check(Chatterer, FormulaArena(Tree(RELAY)), budget=64)
 
 
 def test_winnability_frozen():
