@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -118,12 +119,10 @@ def cmd_eval(args) -> int:
     if args.formula is not None:
         c = None
         arena: hn.Arena = hn.FormulaArena(gm.of_formula(fm.parse_formula(args.formula), lib))
-    else:
-        # a literal always starts with the keyword; anything else is a path
+    else:  # a literal opens with `cirquent {`; anything else is a path
         text = args.cirquent
-        if not text.lstrip().startswith("cirquent"):
-            text = _load(text, str)  # parsed below, so errors name no file
-        c = cq.parse_cirquent(text)
+        c = (cq.parse_cirquent(text) if re.match(r"\s*cirquent\s*\{", text)
+             else _load(text, cq.parse_cirquent))
         arena = hn.CirquentArena(c, lib)
     # the arena keeps the judged path, so winner does not judge again; both
     # come before any output, so an atom without a game prints nothing
@@ -274,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="check and play every case in a corpus tree")
     p.add_argument("root", nargs="?",
                    help="defaults to $CIRQUENT_CORPUS, then ./corpus")
-    p.add_argument("--budget", type=non_negative_int, default=None)
+    p.add_argument("--budget", type=non_negative_int, default=64)
     p.set_defaults(fn=cmd_corpus)
 
     p = sub.add_parser("repl", help="step through a formula game by hand")

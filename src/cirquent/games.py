@@ -17,11 +17,12 @@ classes its new addresses refine, then plays in the classes it reaches.
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import product
+from itertools import chain, product
 from math import inf, prod
 from typing import Iterable, Mapping, NamedTuple, Union
 
@@ -596,34 +597,6 @@ def winner(g: Game, run: Run) -> Player:
 # ------------------------------------------------------------- static check
 
 
-def _subsequence(run: Run, player: Player) -> tuple[str, ...]:
-    return tuple(lm.move for lm in run if lm.label is player)
-
-
-def is_delay_of(pi: Player, gamma: Run, upsilon: Run) -> bool:
-    """upsilon postpones pi's moves in gamma without reordering either side."""
-    if _subsequence(gamma, pi) != _subsequence(upsilon, pi):
-        return False
-    if _subsequence(gamma, pi.other) != _subsequence(upsilon, pi.other):
-        return False
-
-    def opponents_before(run: Run) -> list[int]:
-        # for the n'th pi move, how many opponent moves precede it
-        k, out = 0, []
-        for lm in run:
-            if lm.label is pi:
-                out.append(k)
-            else:
-                k += 1
-        return out
-
-    # an opponent move before the n'th pi move in gamma must stay before it
-    return all(
-        k_u >= k_g
-        for k_g, k_u in zip(opponents_before(gamma), opponents_before(upsilon))
-    )
-
-
 @dataclass
 class StaticReport:
     ok: bool
@@ -636,76 +609,63 @@ class StaticReport:
 
 
 def _delays(pi: Player, gamma: Run) -> list[Run]:
-    """All interleavings of gamma's two subsequences that pi-delay gamma."""
+    """Every pi-delay of gamma: each merge of its pi moves and its opponent
+    moves, both in order, that keeps every pi move after the opponent moves
+    it follows in gamma; merges placing pi's moves earlier come first."""
     mine = [lm for lm in gamma if lm.label is pi]
     theirs = [lm for lm in gamma if lm.label is not pi]
+    # the i'th pi move, at place k in gamma, follows k - i opponent moves
+    need = [k - i for i, k in enumerate(k for k, lm in enumerate(gamma) if lm.label is pi)]
     out: list[Run] = []
 
-    def build(acc: list[Labmove], i: int, j: int) -> None:
+    def build(acc: Run, i: int, j: int) -> None:
         if i == len(mine) and j == len(theirs):
-            cand = tuple(acc)
-            if is_delay_of(pi, gamma, cand):
-                out.append(cand)
+            out.append(acc)
             return
-        if i < len(mine):
-            build(acc + [mine[i]], i + 1, j)
+        if i < len(mine) and j >= need[i]:
+            build(acc + (mine[i],), i + 1, j)
         if j < len(theirs):
-            build(acc + [theirs[j]], i, j + 1)
+            build(acc + (theirs[j],), i, j + 1)
 
-    build([], 0, 0)
+    build((), 0, 0)
     return out
 
 
-def _legal_runs(g: Game, alphabet: list[str], maxlen: int) -> list[Run]:
+def _legal_runs(root: GameNode, maxlen: int) -> list[Run]:
+    """The runs of at most maxlen moves down the tree at root, shortest
+    first, those of one length ordered by move, T before B."""
     out: list[Run] = [()]
-    frontier: list[tuple[Run, Position]] = [((), start(g))]
+    frontier: list[tuple[Run, GameNode]] = [((), root)]
     for _ in range(maxlen):
-        nxt = []
-        for run, pos in frontier:
-            for m in alphabet:
-                for lab in (TOP, BOT):
-                    lm = Labmove(lab, m)
-                    after = pos.advance(lm)
-                    if after is not None:
-                        nxt.append((run + (lm,), after))
-        out.extend(run for run, _ in nxt)
-        frontier = nxt
+        frontier = [(run + (Labmove(lab, m),), child)
+                    for run, node in frontier
+                    for lab, m, child in sorted(node.edges, key=lambda e: (e[1], e[0] is BOT))]
+        out.extend(run for run, _ in frontier)
     return out
 
 
 def is_static_bounded(g: Game, maxlen: int) -> StaticReport:
     """Check the delay conditions over all legal runs of atom game g up to
     maxlen, plus 300 seeded runs wandering into illegal territory."""
-    import random as _random
-
     if not isinstance(g, Tree):
         raise ValueError("the static check takes an atom game")
-    alphabet = sorted(g.root.moves()) + ["zz"]
 
-    def violates(gamma: Run) -> StaticReport | None:
-        off, won = first_offender(g, gamma), winner(g, gamma)
+    def outcome(run: Run) -> tuple[Player | None, Player]:
+        pos, off = judge(start(g), run)
+        return off, pos.winner() if off is None else off.other
+
+    alphabet = sorted(g.root.moves()) + ["zz"]
+    rng = random.Random(0)
+    wandering = (tuple(Labmove(rng.choice((TOP, BOT)), rng.choice(alphabet))
+                       for _ in range(rng.randint(1, maxlen)))
+                 for _ in range(300))
+    for gamma in chain(_legal_runs(g.root, maxlen), wandering):
+        off, won = outcome(gamma)
         for pi in (TOP, BOT):
             if off is pi:
                 continue  # gamma is not pi-legal; nothing to preserve
             for ups in _delays(pi, gamma):
-                if off is None and first_offender(g, ups) is pi:
+                off_u, won_u = outcome(ups)
+                if (off is None and off_u is pi) or (won is pi and won_u is not pi):
                     return StaticReport(False, pi, gamma, ups)
-                if won is pi and winner(g, ups) is not pi:
-                    return StaticReport(False, pi, gamma, ups)
-        return None
-
-    for gamma in _legal_runs(g, alphabet, maxlen):
-        bad = violates(gamma)
-        if bad is not None:
-            return bad
-
-    rng = _random.Random(0)
-    for _ in range(300):
-        n = rng.randint(1, maxlen)
-        gamma = tuple(
-            Labmove(rng.choice((TOP, BOT)), rng.choice(alphabet)) for _ in range(n)
-        )
-        bad = violates(gamma)
-        if bad is not None:
-            return bad
     return StaticReport(True)

@@ -24,15 +24,17 @@ from .strategies import CompiledStrategy, Transducer, compile_proof
 
 JUNK_MOVE = "?!junk"
 NODE_CAP = 500_000  # positions an exhaustive check visits
+CORPUS_SEEDS = 30  # plays against RandomEnv per corpus case
+CORPUS_ENV_MOVES = 6  # environment moves in each of them
 QUIESCE_STEPS = 16  # machine steps after each environment move in that check
 PASS_RATE = 0.2  # how often RandomEnv passes
 JUNK_RATE = 0.05  # how often RandomEnv plays JUNK_MOVE
 
 
 class CorpusError(ValueError):
-    """A corpus case whose expect.json is not JSON or does not have the
-    expected shape, or whose atoms.game leaves an atom of its proof without
-    a game."""
+    """A corpus case whose expect.json is not JSON or not exactly
+    `{"formula": "<conclusion>"}` with a formula that parses, or whose
+    atoms.game leaves an atom of its proof without a game."""
 
 
 class Arena:
@@ -283,9 +285,11 @@ def exhaustive_env_check(
 
 @dataclass
 class CaseReport:
+    """What `run_case` found: `message` says why a case failed before its
+    plays, and the counts tell how they went otherwise."""
+
     name: str
     ok: bool
-    check_ok: bool
     formula: str = ""
     wins: int = 0
     losses: int = 0
@@ -308,52 +312,48 @@ def load_interpretation(path: Path, atoms: set[str]) -> dict[str, gm.GameNode]:
     return lib
 
 
-def run_case(case_dir: Path, budget: int | None = None) -> CaseReport:
+def run_case(case_dir: Path, budget: int = 64) -> CaseReport:
+    """The case passes when its proof checks, concludes the formula that
+    its expect.json, `{"formula": "<conclusion>"}`, records, and wins all
+    CORPUS_SEEDS plays against `RandomEnv(seed, CORPUS_ENV_MOVES)` under
+    its atoms.game, each within `budget` labmoves."""
     name = case_dir.name
     path = case_dir / "expect.json"
     try:
         expect = json.loads(path.read_text())
-    except ValueError as e:  # not UTF-8, or not JSON
+        if not (isinstance(expect, dict) and set(expect) == {"formula"}
+                and isinstance(expect["formula"], str)):
+            raise ValueError('expected {"formula": "<conclusion>"} and nothing else')
+        want = fm.parse_formula(expect["formula"])
+    except ValueError as e:  # not UTF-8, not JSON, another shape or no formula
         raise CorpusError(f"{path}: {e}")
-    roll = expect.get("rollouts", {}) if isinstance(expect, dict) else None
-    if not isinstance(roll, dict):
-        raise CorpusError(f"{path}: expected an object, with an object as rollouts")
-    counts = roll.get("seeds", 25), roll.get("env_moves", 6), roll.get("budget", 64)
-    if not all(type(n) is int and n >= 0 for n in counts):
-        raise CorpusError(f"{path}: seeds, env_moves and budget must be non-negative integers")
-    seeds, env_moves, case_budget = counts
     proof = parse_proof((case_dir / "proof.cl15").read_text())
     verdict = check_proof(proof)
-    want_check = expect.get("check", "ok") == "ok"
     if not verdict:
-        ok = not want_check
-        return CaseReport(name, ok, False,
-                          message=f"step {verdict.step}: {verdict.message}")
-    if not want_check:
-        return CaseReport(name, False, True, message="expected the check to fail")
-
+        return CaseReport(name, False, message=f"step {verdict.step}: {verdict.message}")
     formula = conclusion_formula(proof)
-    compiled = compile_proof(proof)
-    atoms = fm.atoms_of(formula)
-    interp = load_interpretation(case_dir / "atoms.game", atoms)
-    arena = FormulaArena(gm.of_formula(formula, interp))
+    shown = fm.format_formula(formula)
+    if formula != want:
+        return CaseReport(name, False, shown, message=(
+            f"concludes {shown}, but expect.json records {expect['formula']}"))
 
-    use_budget = case_budget if budget is None else budget
+    compiled = compile_proof(proof)
+    interp = load_interpretation(case_dir / "atoms.game", fm.atoms_of(formula))
+    arena = FormulaArena(gm.of_formula(formula, interp))
     wins = losses = inconclusive = 0
-    for seed in range(seeds):
-        result = play(compiled.fresh(), RandomEnv(seed, env_moves), arena, use_budget)
+    for seed in range(CORPUS_SEEDS):
+        result = play(compiled.fresh(), RandomEnv(seed, CORPUS_ENV_MOVES), arena, budget)
         if result.inconclusive:
             inconclusive += 1
         elif result.winner is TOP:
             wins += 1
         else:
             losses += 1
-    ok = losses == 0 and inconclusive == 0 if expect.get("win_all", True) else True
-    return CaseReport(name, ok, True, fm.format_formula(formula),
+    return CaseReport(name, losses == 0 and inconclusive == 0, shown,
                       wins, losses, inconclusive)
 
 
-def run_corpus(root: Path, budget: int | None = None) -> list[CaseReport]:
+def run_corpus(root: Path, budget: int = 64) -> list[CaseReport]:
     reports = []
     for case_dir in sorted(p for p in root.iterdir() if (p / "proof.cl15").exists()):
         reports.append(run_case(case_dir, budget))

@@ -4,8 +4,11 @@ position referee replaced, with only its imports made absolute.
 Every function here re-projects the whole run on every query; positions
 must give the same answers.  Do not edit.
 
-`winnability`, at the end, is a bounded game search over an arena that only
-the tests use; it moved here from `cirquent.harness`.
+`winnability` is a bounded game search over an arena that only the tests
+use; it moved here from `cirquent.harness`.  `is_delay_of`, at the end, is
+the delay relation as a test of two runs, the reference for
+`games._delays`, which builds the delays directly; it moved here from
+`cirquent.games`.
 """
 
 from __future__ import annotations
@@ -248,3 +251,34 @@ def winnability(arena, max_moves: int, limit: int = 2) -> bool:
         return top_turn(run, k)
 
     return top_turn((), max_moves)
+
+
+# ------------------------------------------------------------------ delays
+
+
+def _subsequence(run: Run, player: Player) -> tuple[str, ...]:
+    return tuple(lm.move for lm in run if lm.label is player)
+
+
+def is_delay_of(pi: Player, gamma: Run, upsilon: Run) -> bool:
+    """upsilon postpones pi's moves in gamma without reordering either side."""
+    if _subsequence(gamma, pi) != _subsequence(upsilon, pi):
+        return False
+    if _subsequence(gamma, pi.other) != _subsequence(upsilon, pi.other):
+        return False
+
+    def opponents_before(run: Run) -> list[int]:
+        # for the n'th pi move, how many opponent moves precede it
+        k, out = 0, []
+        for lm in run:
+            if lm.label is pi:
+                out.append(k)
+            else:
+                k += 1
+        return out
+
+    # an opponent move before the n'th pi move in gamma must stay before it
+    return all(
+        k_u >= k_g
+        for k_g, k_u in zip(opponents_before(gamma), opponents_before(upsilon))
+    )

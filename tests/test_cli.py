@@ -14,7 +14,7 @@ PROOF = CORPUS / "brec_elim" / "proof.cl15"
 ATOMS = CORPUS / "brec_elim" / "atoms.game"
 
 
-def cli(*args: str, stdin: str = "", env: dict | None = None):
+def cli(*args: str, stdin: str = "", env: dict | None = None, cwd: Path = ROOT):
     full_env = dict(os.environ)
     # the child imports the package from this checkout, installed or not
     full_env["PYTHONPATH"] = os.pathsep.join(
@@ -27,7 +27,7 @@ def cli(*args: str, stdin: str = "", env: dict | None = None):
         capture_output=True,
         text=True,
         input=stdin,
-        cwd=ROOT,
+        cwd=cwd,
         env=full_env,
         timeout=120,
     )
@@ -134,6 +134,15 @@ def test_eval_cirquent_diagram(tmp_path):
     assert "winner: B" in r.stdout
 
 
+def test_eval_reads_a_file_whose_name_starts_with_cirquent(tmp_path):
+    # run where the file is, so the argument itself starts with "cirquent"
+    (tmp_path / "cirquent_axiom.txt").write_text(
+        'cirquent { oformulas: ["~F", "F"]; under: [[1, 2]]; over: [[1, 2]] }')
+    r = cli("eval", "--cirquent", "cirquent_axiom.txt", "--atoms", str(ATOMS), cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert "winner: T" in r.stdout
+
+
 def test_eval_accepts_a_cirquent_literal():
     literal = 'cirquent { oformulas: ["~F", "F"]; under: [[1, 2]]; over: [[1, 2]] }'
     r = cli("eval", "--cirquent", literal, "--atoms", str(ATOMS), "--run", "B:2;.q")
@@ -183,6 +192,22 @@ def test_corpus_runs_every_case():
     assert r.stdout.count("PASS") == 7
 
 
+# the brec_elim case concludes ?~F | F; a formula is compared as parsed
+@pytest.mark.parametrize("recorded, code, line", [
+    ("(?~F)|F", 0, "PASS brec_elim: 30 won, 0 lost, 0 inconclusive"),
+    ("F & G", 1, "FAIL brec_elim: concludes ?~F | F, but expect.json records F & G"),
+])
+def test_corpus_checks_the_recorded_conclusion(tmp_path, recorded, code, line):
+    case = tmp_path / "brec_elim"
+    case.mkdir()
+    for f in ("proof.cl15", "atoms.game"):
+        (case / f).write_text((CORPUS / "brec_elim" / f).read_text())
+    (case / "expect.json").write_text(json.dumps({"formula": recorded}))
+    r = cli("corpus", str(tmp_path))
+    assert r.returncode == code, r.stderr
+    assert r.stdout.splitlines() == [line, f"{1 - code}/1 cases pass"]
+
+
 def test_corpus_default_root_from_env(tmp_path):
     r = cli("corpus", env={"CIRQUENT_CORPUS": str(CORPUS)})
     assert r.returncode == 0
@@ -218,12 +243,12 @@ def test_repl_session():
 # that expect.json.
 ELIM = ["corpus/brec_elim/proof.cl15", "--atoms", "corpus/brec_elim/atoms.game"]
 EXPECTS = {
-    "expect_list": '[{"rollouts": {"seeds": 1}}]',
-    "rollouts_list": '{"rollouts": [30, 6, 64]}',
-    "seeds_text": '{"rollouts": {"seeds": "x"}}',
-    "seeds_negative": '{"rollouts": {"seeds": -5}}',
-    "env_moves_float": '{"rollouts": {"env_moves": 1.5}}',
-    "budget_bool": '{"rollouts": {"budget": true}}',
+    "expect_list": '[{"formula": "?~F | F"}]',
+    "expect_empty": '{}',
+    "formula_number": '{"formula": 5}',
+    "formula_unparsed": '{"formula": "F |"}',
+    "expect_extra_key": '{"formula": "?~F | F", "seeds": 5}',
+    "formula_null": '{"formula": null}',
 }
 MALFORMED = [
     (["check", "{bin}"], 2),
@@ -290,7 +315,7 @@ def malformed_files(tmp_path_factory):
     case.mkdir(parents=True)
     (case / "proof.cl15").write_text(PROOF.read_text())
     (case / "atoms.game").write_text("game G = node winner=T {}\n")
-    (case / "expect.json").write_text("{}")
+    (case / "expect.json").write_text('{"formula": "?~F | F"}')
     for name, text in EXPECTS.items():
         case = d / name / "brec_elim"
         case.mkdir(parents=True)
@@ -351,8 +376,10 @@ def test_malformed_input_exit_codes(malformed_files, args, code):
     assert "Traceback" not in r.stderr
     if code == 2:
         assert r.stdout == ""
-    if "{bad_corpus}" in args:
+    if "{bad_corpus}" in args or any("{%s}" % name in args for name in EXPECTS):
         assert "expect.json" in r.stderr
+    if "{oformulas_twice}" in args:
+        assert f"error: {malformed_files['oformulas_twice']}: " in r.stderr
 
 
 def test_corpus_names_a_missing_atom_without_quotes(malformed_files):

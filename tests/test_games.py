@@ -5,6 +5,8 @@ from the address semantics (every move in a replicated component carries a
 bitstring naming the copies it acts in) before the implementation existed.
 """
 
+from itertools import combinations, product
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,8 @@ from cirquent.games import (
     GameError,
     GameNode,
     Labmove,
+    _delays,
+    _legal_runs,
     Neg,
     Rep,
     Tree,
@@ -27,7 +31,6 @@ from cirquent.games import (
     first_offender,
     format_game,
     format_run,
-    is_delay_of,
     is_static_bounded,
     legal,
     of_formula,
@@ -41,7 +44,7 @@ from cirquent.games import (
     winner,
 )
 from cirquent.reader import MAX_DEPTH
-from referee_oracle import negate_run, project_prefix, project_thread, walk
+from referee_oracle import is_delay_of, negate_run, project_prefix, project_thread, walk
 
 
 def run(*items: str):
@@ -313,6 +316,45 @@ def test_delay_relation():
     assert is_delay_of(TOP, gamma, gamma)
     # dropping a move is not a delay
     assert not is_delay_of(TOP, gamma, run("B:a", "T:b"))
+
+
+def interleavings(pi, gamma):
+    """Every merge of gamma's pi moves and opponent moves, each side in its
+    order, those with pi's moves at lexicographically smaller places first."""
+    mine = [lm for lm in gamma if lm.label is pi]
+    theirs = [lm for lm in gamma if lm.label is not pi]
+    for places in combinations(range(len(gamma)), len(mine)):
+        m, t = iter(mine), iter(theirs)
+        yield tuple(next(m) if i in places else next(t) for i in range(len(gamma)))
+
+
+@given(st.lists(st.builds(Labmove, st.sampled_from([TOP, BOT]), st.sampled_from("abc")),
+                max_size=7),
+       st.sampled_from([TOP, BOT]))
+@settings(max_examples=300)
+def test_delays_are_the_interleavings_the_delay_relation_accepts(gamma, pi):
+    gamma = tuple(gamma)
+    want = [u for u in interleavings(pi, gamma) if is_delay_of(pi, gamma, u)]
+    assert _delays(pi, gamma) == want
+
+
+trees = st.recursive(
+    st.builds(GameNode, st.sampled_from([TOP, BOT])),
+    lambda kids: st.builds(
+        GameNode, st.sampled_from([TOP, BOT]),
+        st.lists(st.tuples(st.sampled_from([TOP, BOT]), st.sampled_from("abc"), kids),
+                 max_size=3, unique_by=lambda e: e[:2]).map(tuple)),
+    max_leaves=8,
+)
+
+
+@given(trees, st.integers(0, 3))
+@settings(max_examples=200)
+def test_legal_runs_are_the_legal_runs_over_the_tree_moves(node, maxlen):
+    labmoves = [Labmove(lab, m) for m in sorted(node.moves()) for lab in (TOP, BOT)]
+    want = [r for n in range(maxlen + 1) for r in product(labmoves, repeat=n)
+            if legal(Tree(node), r)]
+    assert _legal_runs(node, maxlen) == want
 
 
 RACE = parse_game(
