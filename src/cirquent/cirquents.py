@@ -21,7 +21,7 @@ from typing import Mapping, NamedTuple
 from . import formulas as fm
 from . import games as gm
 from .games import BOT, TOP, Labmove, Player, Run
-from .reader import Reader
+from .reader import Reader, is_string
 
 
 class CirquentError(ValueError):
@@ -72,16 +72,15 @@ def club(f: fm.Formula) -> Cirquent:
 # The body after the keyword is also the `cirquent` field of a proof step.
 
 
-def read_formulas(r: Reader, formulas: dict[str, fm.Formula]) -> tuple[fm.Formula, ...]:
-    """`[ "text", ... ]`, each text looked up in or added to the memo
-    `formulas`, which is keyed by the quoted token."""
+def read_formulas(r: Reader) -> tuple[fm.Formula, ...]:
+    """`[ "text", ... ]`, each text looked up in or added to `r.memo`."""
     def one() -> fm.Formula:
-        tok, _, _, string = r.take()
-        if not string:
+        tok = r.take()
+        if not is_string(tok):
             raise r.error(f"expected a quoted formula, got {tok!r}")
-        f = formulas.get(string)
+        f = r.memo.get(tok)
         if f is None:
-            f = formulas[string] = fm.parse_formula(string[1:-1])
+            f = r.memo[tok] = fm.parse_formula(tok[1:-1])
         return f
 
     return tuple(r.items(one))
@@ -90,17 +89,17 @@ def read_formulas(r: Reader, formulas: dict[str, fm.Formula]) -> tuple[fm.Formul
 _FIELDS = ("oformulas", "under", "over")
 
 
-def read_body(r: Reader, formulas: dict[str, fm.Formula]) -> Cirquent:
+def read_body(r: Reader) -> Cirquent:
     """`{ oformulas: ...; under: ...; over: ... }`, in that order; errors are
     CirquentErrors (FormulaErrors in oformula text), whatever `r` raises
-    elsewhere.  `formulas` is a formula memo as `read_formulas` takes it."""
+    elsewhere."""
     outer, r.error = r.error, CirquentError
 
     def group() -> frozenset[int]:
         return frozenset(r.items(r.integer))
 
     r.field(_FIELDS, 0)
-    ofs = read_formulas(r, formulas)
+    ofs = read_formulas(r)
     r.field(_FIELDS, 1)
     under = tuple(r.items(group))
     r.field(_FIELDS, 2)
@@ -115,7 +114,7 @@ def read_body(r: Reader, formulas: dict[str, fm.Formula]) -> Cirquent:
 def parse_cirquent(text: str) -> Cirquent:
     r = Reader(text, CirquentError)
     r.take("cirquent")
-    c = read_body(r, {})
+    c = read_body(r)
     r.end()
     return c
 

@@ -153,10 +153,7 @@ def cmd_corpus(args) -> int:
     root = Path(args.root or os.environ.get("CIRQUENT_CORPUS", "corpus"))
     if not root.is_dir():
         raise CliError(f"no corpus directory at {root}")
-    try:
-        reports = hn.run_corpus(root, budget=args.budget)
-    except INPUT_ERRORS as e:
-        raise CliError(f"{root}: {e}")
+    reports = hn.run_corpus(root, budget=args.budget)
     if not reports:
         raise CliError(f"no corpus cases under {root}")
     for r in reports:

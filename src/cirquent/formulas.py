@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .reader import MAX_DEPTH, Reader
+from .reader import MAX_DEPTH, Reader, is_name
 
 
 @dataclass(frozen=True)
@@ -105,18 +105,18 @@ def _binary(r: Reader, d: int, floor: int = 0) -> tuple[Formula, int]:
 
 def _prefixed(r: Reader, d: int) -> tuple[Formula, int]:
     negated = False
-    tok, name, _, _ = r.take()
+    tok = r.take()
     while tok == "~":
         negated = not negated
-        tok, name, _, _ = r.take()
+        tok = r.take()
     if tok == "!" or tok == "?":
         f, h = _prefixed(r, _above(d))
         f, h = Brec(f) if tok == "!" else Cobrec(f), _above(h)
     elif tok == "(":
         f, h = _binary(r, _above(d))
         r.take(")")
-    elif name:
-        f, h = PosLiteral(name), 0
+    elif is_name(tok):
+        f, h = PosLiteral(tok), 0
     else:
         raise FormulaError(f"unexpected token {tok!r}")
     return (negate(f) if negated else f), h

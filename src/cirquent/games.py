@@ -27,7 +27,7 @@ from math import inf, prod
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from . import formulas as fm
-from .reader import MAX_DEPTH, Reader
+from .reader import MAX_DEPTH, Reader, is_name, is_string
 
 
 class Player(Enum):
@@ -117,16 +117,16 @@ def _node(r: Reader, depth: int = 0) -> GameNode:
     r.take("node")
     r.take("winner")
     r.take("=")
-    winner = _parse_player(r.take()[0])
+    winner = _parse_player(r.take())
     r.take("{")
     edges = []
     seen = set()
     while r.peek() != "}":
-        label = _parse_player(r.take()[0])
-        tok, _, _, string = r.take()
-        if not string:
+        label = _parse_player(r.take())
+        tok = r.take()
+        if not is_string(tok):
             raise GameError(f"expected a quoted move, got {tok!r}")
-        move = string[1:-1]
+        move = tok[1:-1]
         if not move:
             raise GameError("empty move string in game tree")
         if (label, move) in seen:
@@ -151,9 +151,9 @@ def parse_game_library(text: str) -> dict[str, GameNode]:
     lib: dict[str, GameNode] = {}
     while r.peek() is not None:
         r.take("game")
-        tok, name, _, _ = r.take()
-        if not name:
-            raise GameError(f"bad game name {tok!r}")
+        name = r.take()
+        if not is_name(name):
+            raise GameError(f"bad game name {name!r}")
         if name in lib:
             raise GameError(f"duplicate game name {name!r}")
         r.take("=")

@@ -32,9 +32,9 @@ JUNK_RATE = 0.05  # how often RandomEnv plays JUNK_MOVE
 
 
 class CorpusError(ValueError):
-    """A corpus case whose expect.json is not JSON or not exactly
-    `{"formula": "<conclusion>"}` with a formula that parses, or whose
-    atoms.game leaves an atom of its proof without a game."""
+    """A corpus case file that cannot be read or parsed, an expect.json not
+    exactly `{"formula": "<conclusion>"}`, or an atoms.game without a game
+    for an atom of its proof; the message starts with the file's path."""
 
 
 class Arena:
@@ -304,12 +304,23 @@ class CaseReport:
         return f"{mark} {self.name}: {detail}"
 
 
-def load_interpretation(path: Path, atoms: set[str]) -> dict[str, gm.GameNode]:
-    lib = gm.parse_game_library(path.read_text())
-    missing = atoms - set(lib)
-    if missing:
-        raise CorpusError(f"{path} assigns no game to atoms {', '.join(sorted(missing))}")
-    return lib
+def _read(path: Path, parse):
+    """`parse` of the text of the file at `path`; any error names the file."""
+    try:
+        return parse(path.read_text())
+    except OSError as e:
+        raise CorpusError(f"{path}: {e.strerror}") from None
+    except ValueError as e:  # not UTF-8, or malformed text
+        raise CorpusError(f"{path}: {e}") from None
+
+
+def _recorded(text: str) -> tuple[str, fm.Formula]:
+    """The formula of an expect.json, as written and as parsed."""
+    expect = json.loads(text)
+    if not (isinstance(expect, dict) and set(expect) == {"formula"}
+            and isinstance(expect["formula"], str)):
+        raise ValueError('expected {"formula": "<conclusion>"} and nothing else')
+    return expect["formula"], fm.parse_formula(expect["formula"])
 
 
 def run_case(case_dir: Path, budget: int = 64) -> CaseReport:
@@ -318,16 +329,8 @@ def run_case(case_dir: Path, budget: int = 64) -> CaseReport:
     CORPUS_SEEDS plays against `RandomEnv(seed, CORPUS_ENV_MOVES)` under
     its atoms.game, each within `budget` labmoves."""
     name = case_dir.name
-    path = case_dir / "expect.json"
-    try:
-        expect = json.loads(path.read_text())
-        if not (isinstance(expect, dict) and set(expect) == {"formula"}
-                and isinstance(expect["formula"], str)):
-            raise ValueError('expected {"formula": "<conclusion>"} and nothing else')
-        want = fm.parse_formula(expect["formula"])
-    except ValueError as e:  # not UTF-8, not JSON, another shape or no formula
-        raise CorpusError(f"{path}: {e}")
-    proof = parse_proof((case_dir / "proof.cl15").read_text())
+    recorded, want = _read(case_dir / "expect.json", _recorded)
+    proof = _read(case_dir / "proof.cl15", parse_proof)
     verdict = check_proof(proof)
     if not verdict:
         return CaseReport(name, False, message=f"step {verdict.step}: {verdict.message}")
@@ -335,10 +338,14 @@ def run_case(case_dir: Path, budget: int = 64) -> CaseReport:
     shown = fm.format_formula(formula)
     if formula != want:
         return CaseReport(name, False, shown, message=(
-            f"concludes {shown}, but expect.json records {expect['formula']}"))
+            f"concludes {shown}, but expect.json records {recorded}"))
 
     compiled = compile_proof(proof)
-    interp = load_interpretation(case_dir / "atoms.game", fm.atoms_of(formula))
+    path = case_dir / "atoms.game"
+    interp = _read(path, gm.parse_game_library)
+    missing = fm.atoms_of(formula) - set(interp)
+    if missing:
+        raise CorpusError(f"{path} assigns no game to atoms {', '.join(sorted(missing))}")
     arena = FormulaArena(gm.of_formula(formula, interp))
     wins = losses = inconclusive = 0
     for seed in range(CORPUS_SEEDS):

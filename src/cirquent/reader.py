@@ -1,85 +1,83 @@
 """The one tokenizer and token reader behind every text format.
 
 Formulas, atom game libraries, cirquents and proofs share one token set:
-identifiers, integers, double-quoted strings (no newline inside), `->`, and
-single characters.  `#` outside a quoted string starts a comment that runs
-to the end of the line; formula text has no comments.  Each grammar lives in
-its own module and reads tokens through `Reader`, which raises that
-module's own error class.  `Reader` also reads the pieces that cirquent and
-proof text share: integer tokens, `[ , ]` lists and `{ name: value; ... }`
-records whose fields come in one fixed order.
+names, integers, double-quoted strings (no newline inside), `->`, and
+single characters; a token is its text.  `#` outside a quoted string starts
+a comment that runs to the end of the line; formula text has no comments.
+Each grammar lives in its own module and reads tokens through `Reader`,
+which raises that module's own error class.  `Reader` also reads the pieces
+that cirquent and proof text share: integer tokens, `[ , ]` lists and
+`{ name: value; ... }` records whose fields come in one fixed order.
 """
 
 from __future__ import annotations
 
 import re
 
-# One match per token; findall returns (text, name, int, string) tuples in
-# which at most one of the last three is set.  Comments and stray characters
-# are tokens too, so that every non-blank character is matched in order.
-_TOKEN = re.compile(
-    r"""\s*(
-        ([A-Za-z_][A-Za-z0-9_]*)
-      | (-?[0-9]+)
-      | ("[^"\n]*")
-      | ->
-      | \#[^\n]*
-      | \S
-    )""",
-    re.VERBOSE,
-)
-
-Token = tuple[str, str, str, str]
+# One match per token, whose first character tells its kind.  Comments and
+# stray characters are tokens too, so that every non-blank character is
+# matched in order.
+_TOKEN = re.compile(r'[A-Za-z_][A-Za-z0-9_]*|-?[0-9]+|"[^"\n]*"|->|#[^\n]*|\S')
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 # The deepest nesting any grammar reads: formula operators and parentheses,
 # moves down a game tree.  Deeper input is an error of that grammar, so the
 # recursive functions over formulas and games stay far from Python's limit.
 MAX_DEPTH = 100
 
-# Closes every token list, so that looking ahead needs no bounds check.
-_END = (None, "", "", "")
+
+def is_name(tok: str) -> bool:
+    return tok[0] in _NAME_START
+
+
+def is_string(tok: str) -> bool:
+    """A quoted string, quotes included; a lone `"` is a stray character."""
+    return tok[0] == '"' and len(tok) > 1
 
 
 class Reader:
-    """Tokens of `text`, comments dropped, read front to back.  `error` is
-    the class raised; a grammar may switch it while it reads a nested record.
+    """Tokens of `text`, comments dropped, then None, read front to back.
+    `error` is the class raised; a grammar may switch it while it reads a
+    nested record.  `memo` keeps the text's quoted formulas once parsed.
     """
 
     def __init__(self, text: str, error: type[Exception]):
-        toks = _TOKEN.findall(text)
+        toks: list[str | None] = _TOKEN.findall(text)
         if "#" in text:
-            toks = [t for t in toks if t[0][0] != "#"]
-        toks.append(_END)
+            toks = [t for t in toks if t[0] != "#"]
+        toks.append(None)
         self.toks = toks
         self.pos = 0
         self.error = error
+        self.memo: dict = {}
 
     def peek(self) -> str | None:
-        """The next token's text, None at the end."""
-        return self.toks[self.pos][0]
+        """The next token, None at the end."""
+        return self.toks[self.pos]
 
-    def take(self, expected: str | None = None) -> Token:
-        """The next token; with `expected`, its text must be that."""
+    def take(self, expected: str | None = None) -> str:
+        """The next token; with `expected`, it must be that."""
         tok = self.toks[self.pos]
-        if tok is _END:
+        if tok is None:
             raise self.error("unexpected end of input")
         self.pos += 1
-        if expected is not None and tok[0] != expected:
-            raise self.error(f"expected {expected!r}, got {tok[0]!r}")
+        if expected is not None and tok != expected:
+            raise self.error(f"expected {expected!r}, got {tok!r}")
         return tok
 
     def end(self) -> None:
         """Fail unless every token has been read."""
-        if self.toks[self.pos] is not _END:
-            rest = " ".join(t[0] for t in self.toks[self.pos:-1][:5])
+        if self.toks[self.pos] is not None:
+            rest = " ".join(self.toks[self.pos:-1][:5])
             raise self.error(f"trailing tokens: {rest!r}")
 
     def integer(self) -> int:
-        tok, _, num, _ = self.take()
-        if not num:
+        tok = self.take()
+        digit = tok[1:2] if tok[0] == "-" else tok[0]
+        if not "0" <= digit <= "9":
             raise self.error(f"expected an integer, got {tok!r}")
         try:
-            return int(num)
+            return int(tok)
         except ValueError:  # more digits than int() converts
             raise self.error("integer too long") from None
 
@@ -87,8 +85,8 @@ class Reader:
         """`[ x , ... ]`, possibly empty, each x read by `item()`."""
         toks = self.toks
         self.take("[")
-        out = [] if toks[self.pos][0] == "]" else [item()]
-        while toks[self.pos][0] == ",":
+        out = [] if toks[self.pos] == "]" else [item()]
+        while toks[self.pos] == ",":
             self.pos += 1
             out.append(item())
         self.take("]")
@@ -109,12 +107,12 @@ class Reader:
 
     def _expect(self, names: tuple[str, ...], i: int) -> None:
         """Field name i of `names`, or `}` for i == len(names)."""
-        tok, name, _, _ = self.take()
+        tok = self.take()
         want = names[i] if i < len(names) else "}"
         if tok == want:
             return
-        if name in names[:i]:
-            raise self.error(f"field {name!r} given twice")
-        if name and name not in names:
-            raise self.error(f"unknown field {name!r}")
+        if tok in names[:i]:
+            raise self.error(f"field {tok!r} given twice")
+        if is_name(tok) and tok not in names:
+            raise self.error(f"unknown field {tok!r}")
         raise self.error(f"expected {want!r}, got {tok!r}")

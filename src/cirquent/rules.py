@@ -515,12 +515,12 @@ def _list(items) -> str:
 
 
 # How each type of rule field prints in, and reads back from, the proof
-# format; a reader takes the Reader and the formula memo of `parse_proof`.
+# format; a reader takes the Reader of `parse_proof`.
 _FIELD_TEXT = {
-    int: (str, lambda r, _formulas: r.integer()),
+    int: (str, Reader.integer),
     frozenset[int]: (
         lambda s: _list(str(i) for i in sorted(s)),
-        lambda r, _formulas: frozenset(r.items(r.integer)),
+        lambda r: frozenset(r.items(r.integer)),
     ),
     tuple[fm.Formula, ...]: (
         lambda fs: _list(f'"{fm.format_formula(f)}"' for f in fs),
@@ -545,9 +545,9 @@ def _format_params(app: RuleApp) -> str:
     return "{ " + "; ".join(fields) + " }"
 
 
-def _read_app(r: Reader, name: str, formulas: dict[str, fm.Formula]) -> RuleApp:
+def _read_app(r: Reader, name: str) -> RuleApp:
     """The rule named `name`, its params record read from `r` in `_PARAMS`
-    order; `formulas` is a formula memo as `read_formulas` takes it."""
+    order."""
     cls = RULES_BY_NAME.get(name)
     if cls is None:
         raise RuleError(f"unknown rule name {name!r}")
@@ -556,7 +556,7 @@ def _read_app(r: Reader, name: str, formulas: dict[str, fm.Formula]) -> RuleApp:
     try:
         for i, (_, _, read) in enumerate(_PARAMS[cls]):
             r.field(names, i)
-            args.append(read(r, formulas))
+            args.append(read(r))
     except fm.FormulaError as e:
         raise RuleError(f"bad params for {name}: {e}") from e
     r.close(names)
@@ -581,19 +581,17 @@ def parse_proof(text: str) -> Proof:
     RuleErrors."""
     r = Reader(text, RuleError)
     steps: list[Step] = []
-    # every step restates the whole cirquent, so most oformula texts repeat
-    formulas: dict[str, fm.Formula] = {}
     while r.peek() is not None:
         r.take("step")
         num = r.integer()
         if num != len(steps) + 1:
             raise RuleError(f"expected step {len(steps) + 1}, found {num}")
         r.field(_STEP_FIELDS, 0)
-        name = r.take()[0]
+        name = r.take()
         r.field(_STEP_FIELDS, 1)
-        app = _read_app(r, name, formulas)
+        app = _read_app(r, name)
         r.field(_STEP_FIELDS, 2)
-        steps.append(Step(app, read_body(r, formulas)))
+        steps.append(Step(app, read_body(r)))
         r.close(_STEP_FIELDS)
     if not steps:
         raise RuleError("no steps found")

@@ -208,6 +208,35 @@ def test_corpus_checks_the_recorded_conclusion(tmp_path, recorded, code, line):
     assert r.stdout.splitlines() == [line, f"{1 - code}/1 cases pass"]
 
 
+# A corpus case with one broken file, how it is broken, and the reason the
+# error gives after that file's path.
+BROKEN_CASE_FILES = {
+    "truncated proof": ("proof.cl15", lambda t: t.rstrip()[:-1], "unexpected end of input"),
+    "truncated atoms": ("atoms.game", lambda t: t.rstrip()[:-1], "unexpected end of input"),
+    "missing atoms": ("atoms.game", None, "No such file or directory"),
+    "malformed expect": ("expect.json", lambda t: "{bad", "Expecting property name"),
+}
+
+
+@pytest.mark.parametrize("name, edit, reason", BROKEN_CASE_FILES.values(),
+                         ids=list(BROKEN_CASE_FILES))
+def test_corpus_errors_name_their_file_once(tmp_path, name, edit, reason):
+    case = tmp_path / "brec_elim"
+    case.mkdir()
+    for f in ("proof.cl15", "atoms.game", "expect.json"):
+        (case / f).write_text((CORPUS / "brec_elim" / f).read_text())
+    path = case / name
+    if edit is None:
+        path.unlink()
+    else:
+        path.write_text(edit(path.read_text()))
+    r = cli("corpus", str(tmp_path))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith(f"error: {path}: {reason}")
+    assert r.stderr.count(case.name) == 1
+
+
 def test_corpus_default_root_from_env(tmp_path):
     r = cli("corpus", env={"CIRQUENT_CORPUS": str(CORPUS)})
     assert r.returncode == 0

@@ -265,14 +265,15 @@ def test_a_move_at_used_addresses_splits_nothing():
     assert pos.winner() is BOT and nxt.winner() is TOP
 
 
-dualizable = st.deferred(
-    lambda: st.sampled_from([Tree(RELAY), Tree(BEACON), Tree(PITFALL)])
-    | st.builds(Neg, dualizable)
-    | st.builds(Conj, dualizable, dualizable)
-    | st.builds(Disj, dualizable, dualizable)
-    | st.builds(Rep, dualizable)
-    | st.builds(Corep, dualizable)
-)
+# Games at most 8 operators deep: each level is a leaf or an operator over
+# the level below, so a draw stops at the bottom level instead of recursing on.
+leaves = st.sampled_from([Tree(RELAY), Tree(BEACON), Tree(PITFALL)])
+dualizable = leaves
+for _ in range(8):
+    dualizable = (leaves | st.builds(Neg, dualizable)
+                  | st.builds(Conj, dualizable, dualizable)
+                  | st.builds(Disj, dualizable, dualizable)
+                  | st.builds(Rep, dualizable) | st.builds(Corep, dualizable))
 
 move_texts = st.sampled_from(
     ["q", "a", "zz", "0.q", "1.q", "0.a", "1.a", ".q", ".a", "0.0.q",

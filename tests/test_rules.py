@@ -34,7 +34,7 @@ def read_params(name: str, text: str) -> R.RuleApp:
     """The rule `name` with the params record `text`, as a proof step
     reads them."""
     r = Reader(text, R.RuleError)
-    app = R._read_app(r, name, {})
+    app = R._read_app(r, name)
     r.end()
     return app
 
