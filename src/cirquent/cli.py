@@ -46,7 +46,9 @@ def _load(path: str, parse):
     """`parse` of the text of the file at `path`; either error names the file."""
     try:
         text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as e:
+    except OSError as e:  # its own text names the path again
+        raise CliError(f"cannot read {path}: {e.strerror or e}")
+    except UnicodeDecodeError as e:
         raise CliError(f"cannot read {path}: {e}")
     try:
         return parse(text)

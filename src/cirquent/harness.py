@@ -238,8 +238,9 @@ def exhaustive_env_check(
     limit: int = 2,
     budget: int = 64,
 ) -> tuple[bool, Run | None]:
-    """Replay the strategy against every legal environment line (with passes)
-    up to env_depth opponent moves; returns (all positions won, witness)."""
+    """Play the strategy against every legal environment line (with passes)
+    up to env_depth opponent moves, forking it at each environment move;
+    returns (all positions won, witness)."""
     nodes = 0
 
     def poll(t: Transducer, run: Run) -> Run:
@@ -253,30 +254,22 @@ def exhaustive_env_check(
                                   f"over the budget of {budget}")
         raise CapExceeded(f"machine would not quiesce within {QUIESCE_STEPS} steps")
 
-    def replay(schedule: list[str]) -> Run:
-        t = factory()
-        run = poll(t, ())
-        for m in schedule:
-            run = run + (Labmove(BOT, m),)
-            run = poll(t, run)
-        return run
-
-    def rec(schedule: list[str]) -> Run | None:
+    def rec(t: Transducer, run: Run, depth: int) -> Run | None:
         nonlocal nodes
         nodes += 1
         if nodes > NODE_CAP:
             raise CapExceeded(f"exhaustive check exceeded {NODE_CAP} nodes")
-        run = replay(schedule)
+        run = poll(t, run)
         if arena.winner(run) is not TOP:
             return run
-        if len(schedule) < env_depth:
+        if depth < env_depth:
             for m in arena.frontier(run, BOT, limit):
-                witness = rec(schedule + [m])
+                witness = rec(t.fork(), run + (Labmove(BOT, m),), depth + 1)
                 if witness is not None:
                     return witness
         return None
 
-    witness = rec([])
+    witness = rec(factory(), (), 0)
     return witness is None, witness
 
 

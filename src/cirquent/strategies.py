@@ -22,6 +22,7 @@ the compiled strategy is the same whatever games the atoms denote.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from functools import partial
@@ -36,7 +37,7 @@ from .rules import RuleApp
 
 
 class Transducer:
-    """Single-use reactive strategy for a cirquent with `n` overgroups.
+    """Reactive strategy for a cirquent with `n` overgroups.
 
     `advance` gets the opponent moves new since its last call and returns
     the moves it wants appended; a stack drives its core through it.
@@ -65,6 +66,10 @@ class Transducer:
         out = [m for m in map(self.write, block) if m is not None]
         self._observed = len(observed) + len(out)
         return out
+
+    def fork(self) -> Transducer:
+        """An independent copy that answers from now on as this one would."""
+        return copy.deepcopy(self)
 
 
 class AxiomCopycat(Transducer):

@@ -5,7 +5,10 @@ Every function here re-projects the whole run on every query; positions
 must give the same answers.  Do not edit.
 
 `winnability` is a bounded game search over an arena that only the tests
-use; it moved here from `cirquent.harness`.  `is_delay_of`, at the end, is
+use; it moved here from `cirquent.harness`.  `replay_env_check` is the
+exhaustive environment sweep as it was before strategies could fork: it
+builds a fresh strategy and replays the whole line at every node, the
+reference for `harness.exhaustive_env_check`.  `is_delay_of`, at the end, is
 the delay relation as a test of two runs, the reference for
 `games._delays`, which builds the delays directly; it moved here from
 `cirquent.games`.
@@ -34,7 +37,8 @@ from cirquent.games import (
     split_address,
     thread_classes,
 )
-from cirquent.harness import NODE_CAP, CapExceeded
+from cirquent.harness import NODE_CAP, QUIESCE_STEPS, CapExceeded
+from cirquent.strategies import Transducer
 
 
 def negate_run(run: Run) -> Run:
@@ -251,6 +255,55 @@ def winnability(arena, max_moves: int, limit: int = 2) -> bool:
         return top_turn(run, k)
 
     return top_turn((), max_moves)
+
+
+def replay_env_check(
+    factory,
+    arena,
+    env_depth: int = 2,
+    limit: int = 2,
+    budget: int = 64,
+) -> tuple[bool, Run | None]:
+    """Replay the strategy against every legal environment line (with passes)
+    up to env_depth opponent moves; returns (all positions won, witness)."""
+    nodes = 0
+
+    def poll(t: Transducer, run: Run) -> Run:
+        for _ in range(QUIESCE_STEPS):
+            block = t.step(run)
+            if not block:
+                return run
+            run = run + tuple(Labmove(TOP, m) for m in block)
+            if len(run) > budget:
+                raise CapExceeded(f"machine took the run to {len(run)} labmoves, "
+                                  f"over the budget of {budget}")
+        raise CapExceeded(f"machine would not quiesce within {QUIESCE_STEPS} steps")
+
+    def replay(schedule: list[str]) -> Run:
+        t = factory()
+        run = poll(t, ())
+        for m in schedule:
+            run = run + (Labmove(BOT, m),)
+            run = poll(t, run)
+        return run
+
+    def rec(schedule: list[str]) -> Run | None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > NODE_CAP:
+            raise CapExceeded(f"exhaustive check exceeded {NODE_CAP} nodes")
+        run = replay(schedule)
+        if arena.winner(run) is not TOP:
+            return run
+        if len(schedule) < env_depth:
+            for m in arena.frontier(run, BOT, limit):
+                witness = rec(schedule + [m])
+                if witness is not None:
+                    return witness
+        return None
+
+    witness = rec([])
+    return witness is None, witness
 
 
 # ------------------------------------------------------------------ delays

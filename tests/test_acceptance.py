@@ -408,18 +408,22 @@ def test_criterion_07_per_rule_preservation():
 
 
 def test_criterion_08_negative_control():
+    # beacon and pitfall are left out: the environment has no move there, so
+    # the swapped copycat is never asked to answer and survives
     axiom = R.axiom_conclusion((parse_formula("F"),))
-    arena = CirquentArena(axiom, {"F": STANDARD["choice"]})
-    ok, witness = exhaustive_env_check(
-        lambda: AxiomCopycat(1, pairing="swapped"), arena, env_depth=2, limit=2
-    )
-    assert not ok
-    assert witness is not None and len(witness) >= 1
-    # the honest pairing survives the identical sweep
-    ok, witness = exhaustive_env_check(
-        lambda: AxiomCopycat(1), arena, env_depth=2, limit=2
-    )
-    assert ok, witness
+    for game_name in ("choice", "ladder", "relay"):
+        arena = CirquentArena(axiom, {"F": STANDARD[game_name]})
+        for depth in (2, 3):
+            ok, witness = exhaustive_env_check(
+                lambda: AxiomCopycat(1, pairing="swapped"), arena, env_depth=depth, limit=2
+            )
+            assert not ok, (game_name, depth)
+            assert witness is not None and len(witness) >= 1
+            # the honest pairing survives the identical sweep
+            ok, witness = exhaustive_env_check(
+                lambda: AxiomCopycat(1), arena, env_depth=depth, limit=2
+            )
+            assert ok, (game_name, depth, witness)
 
 
 # --------------------------------------------------------------- criterion 9

@@ -55,6 +55,18 @@ def test_missing_file_exits_2():
     assert "error:" in r.stderr
 
 
+# an unreadable file is named once, with the system's reason
+@pytest.mark.parametrize("args, path", [
+    (("check", "no/such/file.cl15"), "no/such/file.cl15"),
+    (("play", str(PROOF), "--atoms", "no/such/lib.game"), "no/such/lib.game"),
+], ids=["check a missing proof", "play --atoms a missing library"])
+def test_a_missing_file_is_named_once(args, path):
+    r = cli(*args)
+    assert r.returncode == 2
+    assert r.stderr == f"error: cannot read {path}: No such file or directory\n"
+    assert r.stderr.count(path) == 1
+
+
 def test_usage_error_exits_2():
     assert cli("frobnicate").returncode == 2
     assert cli().returncode == 2

@@ -1,3 +1,4 @@
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -18,8 +19,14 @@ from cirquent.harness import (
     play,
     run_corpus,
 )
-from cirquent.strategies import Transducer, cirquent_strategy_factories, compile_proof
-from referee_oracle import winnability
+from cirquent.strategies import (
+    AxiomCopycat,
+    Transducer,
+    cirquent_strategy_factories,
+    compile_proof,
+)
+from referee_oracle import replay_env_check, winnability
+from test_acceptance import STANDARD
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 RELAY = parse_game('node winner=T { B"q" -> node winner=B { T"a" -> node winner=T {} } }')
@@ -118,6 +125,41 @@ def test_exhaustive_check_finds_the_losing_line():
     assert witness == (Labmove(BOT, "q"),)
     ok, witness = exhaustive_env_check(Answerer, FormulaArena(Tree(RELAY)))
     assert ok and witness is None
+
+
+def copycat_arena(game_name: str) -> CirquentArena:
+    """Criterion 8's arena: the axiom cirquent of F under a library game."""
+    return CirquentArena(R.axiom_conclusion((parse_formula("F"),)),
+                         {"F": STANDARD[game_name]})
+
+
+SWEEPS = {
+    **{f"{pairing} copycat on {game} at depth {depth}":
+       (partial(AxiomCopycat, 1, pairing), partial(copycat_arena, game), depth)
+       for pairing in ("swapped", "standard")
+       for game in ("choice", "ladder", "relay")
+       for depth in (2, 3)},
+    **{f"{t.__name__} at depth {depth}": (t, lambda: FormulaArena(Tree(RELAY)), depth)
+       for t in (Silent, Answerer) for depth in (2, 3)},
+}
+
+
+@pytest.mark.parametrize("factory, arena, depth", SWEEPS.values(), ids=list(SWEEPS))
+def test_exhaustive_check_matches_the_replay_oracle(factory, arena, depth):
+    assert (exhaustive_env_check(factory, arena(), env_depth=depth)
+            == replay_env_check(factory, arena(), env_depth=depth))
+
+
+def test_exhaustive_check_builds_one_strategy():
+    built = []
+
+    def factory():
+        built.append(AxiomCopycat(1))
+        return built[-1]
+
+    ok, witness = exhaustive_env_check(factory, copycat_arena("choice"), env_depth=3)
+    assert ok, witness
+    assert len(built) == 1
 
 
 def test_exhaustive_check_rejects_a_babbling_machine():

@@ -5,6 +5,7 @@ suite; here we pin down the transducer contracts the compiler builds on.
 """
 
 import json
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -20,7 +21,13 @@ from cirquent.formulas import atoms_of, parse_formula
 from cirquent.fusion import fusions
 from cirquent.games import Labmove, of_formula, parse_run
 from cirquent.games import BOT, TOP
-from cirquent.harness import CirquentArena, RandomEnv, exhaustive_env_check, play
+from cirquent.harness import (
+    CirquentArena,
+    FormulaArena,
+    RandomEnv,
+    exhaustive_env_check,
+    play,
+)
 from cirquent.strategies import (
     AxiomCopycat,
     FormulaBridge,
@@ -292,15 +299,19 @@ def step_or_raise(t, run):
         return type(e)
 
 
+def draw_block(data, offered, synthetic):
+    """Up to three opponent moves, each one of `offered` or a synthetic string."""
+    move = st.one_of(st.sampled_from(offered), synthetic) if offered else synthetic
+    return tuple(Labmove(BOT, m) for m in data.draw(st.lists(move, max_size=3)))
+
+
 def assert_same_blocks(data, new, old, candidates, synthetic, rounds=6):
     """Feed both stacks the same opponent moves, round by round: a move the
     position offers (`candidates(run)`) or a synthetic string.  Each round
     must give the same real block, or raise the same exception class."""
     run = ()
     for _ in range(rounds):
-        offered = candidates(run)
-        move = st.one_of(st.sampled_from(offered), synthetic) if offered else synthetic
-        run += tuple(Labmove(BOT, m) for m in data.draw(st.lists(move, max_size=3)))
+        run += draw_block(data, candidates(run), synthetic)
         got, want = step_or_raise(new, run), step_or_raise(old, run)
         assert got == want, (run, got, want)
         if not isinstance(got, list):
@@ -340,3 +351,66 @@ def test_step_strategies_match_the_oracle(name, data):
         lambda run: arena.frontier(run, BOT, 2),
         st.one_of(cirquent_moves(c.width, len(c.overgroups)), JUNK),
     )
+
+
+# --------------------------------------------------- a fork against a replay
+
+
+def _compiled_subject(name: str, game_name: str):
+    compiled = compile_proof(PROOFS[name])
+    formula = compiled.formula
+    game = of_formula(formula, {a: STANDARD[game_name] for a in atoms_of(formula)})
+    return compiled.factory, FormulaArena(game), st.one_of(SHAPED, JUNK)
+
+
+def _step_subject(name: str, i: int):
+    c, factory = cirquent_strategy_factories(PROOFS[name])[i]
+    synthetic = st.one_of(cirquent_moves(c.width, len(c.overgroups)), JUNK)
+    return factory, CirquentArena(c, GRID_INTERP), synthetic
+
+
+def _swapped_subject(game_name: str):
+    axiom = R.axiom_conclusion((parse_formula("F"),))
+    synthetic = st.one_of(cirquent_moves(axiom.width, 1), JUNK)
+    return (partial(AxiomCopycat, 1, "swapped"),
+            CirquentArena(axiom, {"F": STANDARD[game_name]}), synthetic)
+
+
+# (factory, arena, synthetic moves): every corpus strategy on the formula
+# game, every step strategy of criterion 7's grid, and criterion 8's
+# swapped copycat
+FORK_SUBJECTS = st.one_of(
+    st.builds(_compiled_subject, st.sampled_from(CASES), st.sampled_from(sorted(STANDARD))),
+    st.sampled_from([(name, i) for name in CASES for i in range(len(PROOFS[name]))])
+    .map(lambda pair: _step_subject(*pair)),
+    st.builds(_swapped_subject, st.sampled_from(["choice", "ladder", "relay"])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(FORK_SUBJECTS, st.data())
+def test_a_fork_answers_as_a_replay_would(subject, data):
+    """Play random opponent blocks and fork at a random round; the fork then
+    plays on.  A fresh strategy replayed from the root answers every block
+    as the original and then the fork did, and the original, stepped after
+    the fork, answers the fork's rounds as the fork did."""
+    factory, arena, synthetic = subject
+    rounds = data.draw(st.integers(1, 6))
+    at = data.draw(st.integers(0, rounds - 1))
+    run, played = (), []  # (run presented to step, what it answered)
+    original = current = factory()
+    split = rounds
+    for r in range(rounds):
+        if r == at:
+            current, split = original.fork(), len(played)
+        run += draw_block(data, arena.frontier(run, BOT, 2), synthetic)
+        got = step_or_raise(current, run)
+        played.append((run, got))
+        if not isinstance(got, list):
+            break
+        run += tuple(Labmove(TOP, m) for m in got)
+    replayed = factory()
+    for r, got in played:
+        assert step_or_raise(replayed, r) == got, (r, got)
+    for r, got in played[split:]:
+        assert step_or_raise(original, r) == got, (r, got)
