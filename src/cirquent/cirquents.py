@@ -189,12 +189,13 @@ class Position(gm.Copies):
     a `games.Copies` table whose members are the oformulas and whose
     dimensions are the overgroups, `own[a - 1]` holding oformula a.  The
     protocol is the one of `games.Position`; `winner()` asks each undergroup
-    for a member that wins on every class vector, and `games.CapExceeded`
-    also fires when those vectors exceed `cap`.
+    for a member that wins on every class vector of the overgroups its
+    members belong to, and `games.CapExceeded` also fires when those vectors
+    exceed `cap`.
     """
 
     __slots__ = ("cirquent", "own")
-    cap = 100_000  # class vectors of one member, or of the whole cirquent
+    cap = 100_000  # class vectors of one member, or of one undergroup's overgroups
 
     def __init__(self, cirquent: Cirquent, own, used, classes, members):
         self.cirquent, self.own = cirquent, own
@@ -217,20 +218,18 @@ class Position(gm.Copies):
         return out
 
     def winner(self) -> Player:
-        own = self.own
-        self._check_cap(prod(map(len, self.classes)))
-        memo: dict[tuple, Player] = {}
-
-        def member_winner(a: int, vec: tuple) -> Player:
-            # oformula a sees only the classes of its own overgroups
-            key = (a, tuple(vec[j] for j in own[a - 1]))
-            if key not in memo:
-                memo[key] = self.members[a - 1][key[1]].winner()
-            return memo[key]
-
+        own, members = self.own, self.members
         for group in self.cirquent.undergroups:
-            for vec in product(*self.classes):
-                if not any(member_winner(a, vec) is TOP for a in group):
+            # the members see only the classes of their own overgroups, so
+            # one class stands for each other overgroup
+            seen = set().union(*[own[a - 1] for a in group])
+            lines = [cls if j in seen else cls[:1] for j, cls in enumerate(self.classes)]
+            self._check_cap(prod(map(len, lines)))
+            for vec in product(*lines):
+                for a in group:
+                    if members[a - 1][tuple([vec[j] for j in own[a - 1]])].winner() is TOP:
+                        break
+                else:
                     return BOT
         return TOP
 

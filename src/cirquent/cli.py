@@ -152,7 +152,7 @@ def cmd_defuse(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    root = Path(args.root or os.environ.get("CIRQUENT_CORPUS", "corpus"))
+    root = args.root
     if not root.is_dir():
         raise CliError(f"no corpus directory at {root}")
     reports = hn.run_corpus(root, budget=args.budget)
@@ -270,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_defuse)
 
     p = sub.add_parser("corpus", help="check and play every case in a corpus tree")
-    p.add_argument("root", nargs="?",
-                   help="defaults to $CIRQUENT_CORPUS, then ./corpus")
+    p.add_argument("root", nargs="?", type=Path, default=Path("corpus"),
+                   help="defaults to ./corpus")
     p.add_argument("--budget", type=non_negative_int, default=64)
     p.set_defaults(fn=cmd_corpus)
 

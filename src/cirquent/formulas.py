@@ -169,25 +169,9 @@ def format_formula(f: Formula) -> str:
     return f"{lt} {op} {rt}"
 
 
-def subformula_paths(f: Formula) -> list[tuple[str, Formula]]:
-    """Preorder listing of (path, node); path steps are '0', '1', 'b'."""
-    out: list[tuple[str, Formula]] = []
-
-    def walk(node: Formula, path: str) -> None:
-        out.append((path, node))
-        if isinstance(node, (And, Or)):
-            walk(node.left, path + "0")
-            walk(node.right, path + "1")
-        elif isinstance(node, (Brec, Cobrec)):
-            walk(node.body, path + "b")
-
-    walk(f, "")
-    return out
-
-
 def atoms_of(f: Formula) -> set[str]:
-    return {
-        node.atom
-        for _, node in subformula_paths(f)
-        if isinstance(node, (PosLiteral, NegLiteral))
-    }
+    if isinstance(f, (PosLiteral, NegLiteral)):
+        return {f.atom}
+    if isinstance(f, (Brec, Cobrec)):
+        return atoms_of(f.body)
+    return atoms_of(f.left) | atoms_of(f.right)

@@ -196,7 +196,6 @@ class PlayResult:
     winner: Player
     offender: Player | None
     inconclusive: bool
-    rounds: int
 
     @property
     def won(self) -> bool:
@@ -204,31 +203,22 @@ class PlayResult:
 
 
 def play(t: Transducer, env: EnvPolicy, arena, budget: int = 64) -> PlayResult:
+    """Rounds of the environment's moves, then the machine's block, until both
+    pass; the play is inconclusive when a block takes the run over `budget`
+    labmoves, and the run keeps only the moves up to it."""
     run: list[Labmove] = []
-    inconclusive = False
-    rounds = 0
     while True:
-        rounds += 1
         env_moves = env.next_moves(arena, tuple(run)) if len(run) < budget else []
-        for m in env_moves:
-            if len(run) < budget:
-                run.append(Labmove(BOT, m))
+        for m in env_moves[:budget - len(run)]:
+            run.append(Labmove(BOT, m))
         block = t.step(tuple(run))
-        if len(run) + len(block) > budget:
-            for m in block[: budget - len(run)]:
-                run.append(Labmove(TOP, m))
-            inconclusive = True
-            break
-        for m in block:
+        inconclusive = len(run) + len(block) > budget
+        for m in block[:budget - len(run)]:
             run.append(Labmove(TOP, m))
-        if not env_moves and not block:
-            break
-        if rounds > 4 * budget:
-            inconclusive = True
+        if inconclusive or not (env_moves or block):
             break
     final = tuple(run)
-    return PlayResult(final, arena.winner(final), arena.offender(final),
-                      inconclusive, rounds)
+    return PlayResult(final, arena.winner(final), arena.offender(final), inconclusive)
 
 
 def exhaustive_env_check(
@@ -334,12 +324,8 @@ def run_case(case_dir: Path, budget: int = 64) -> CaseReport:
             f"concludes {shown}, but expect.json records {recorded}"))
 
     compiled = compile_proof(proof)
-    path = case_dir / "atoms.game"
-    interp = _read(path, gm.parse_game_library)
-    missing = fm.atoms_of(formula) - set(interp)
-    if missing:
-        raise CorpusError(f"{path} assigns no game to atoms {', '.join(sorted(missing))}")
-    arena = FormulaArena(gm.of_formula(formula, interp))
+    arena = FormulaArena(_read(case_dir / "atoms.game",
+                               lambda t: gm.of_formula(formula, gm.parse_game_library(t))))
     wins = losses = inconclusive = 0
     for seed in range(CORPUS_SEEDS):
         result = play(compiled.fresh(), RandomEnv(seed, CORPUS_ENV_MOVES), arena, budget)

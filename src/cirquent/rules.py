@@ -26,6 +26,7 @@ from . import formulas as fm
 from .cirquents import (
     Cirquent,
     CirquentError,
+    club,
     format_cirquent,
     read_body,
     read_formulas,
@@ -601,8 +602,6 @@ def parse_proof(text: str) -> Proof:
 def conclusion_formula(proof: Proof) -> fm.Formula:
     """The single oformula of a club-shaped final cirquent."""
     last = proof[-1].cirquent
-    if last.width != 1 or last.undergroups != (frozenset({1}),) or last.overgroups != (
-        frozenset({1}),
-    ):
+    if last != club(last.oformulas[0]):
         raise RuleError("the final cirquent does not collapse to a single formula")
     return last.oformulas[0]

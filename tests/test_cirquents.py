@@ -272,6 +272,24 @@ def test_class_vector_cap(monkeypatch):
         winner(c, interp, r)
 
 
+# Member 1, in overgroup 1, loses every copy. Member 2, in overgroup 2 only,
+# loses the copies of one of its two classes: those through 0, or the rest.
+@pytest.mark.parametrize("run", ["B:1;,.q,B:2;,0.q", "B:1;,.q,B:2;,.q,T:2;,0.a"])
+def test_an_undergroup_is_scored_over_every_members_overgroups(run):
+    c = cq(["F", "F"], [{1, 2}], [{1}, {2}])
+    assert winner(c, {"F": RELAY}, parse_run(run)) is BOT
+
+
+def test_the_cap_counts_one_undergroups_overgroups(monkeypatch):
+    # 4 classes in each overgroup: 16 vectors in all, but each undergroup
+    # sees only the 4 of its own overgroup, each member its 4 copies
+    monkeypatch.setattr(Position, "cap", 8)
+    c = cq(["F", "F"], [{1}, {2}], [{1}, {2}])
+    moves = [f"B:1;{addr},.q" for addr in ("00", "010", "0110")]
+    moves += [f"B:2;,{addr}.q" for addr in ("10", "111", "1101")]
+    assert winner(c, {"F": RELAY}, parse_run(",".join(moves))) is BOT
+
+
 def test_a_move_at_used_addresses_keeps_the_table():
     c = cq(["F", "F", "F"], [{1, 2, 3}], [{1, 2}, {3}])
     pos = start(c, {"F": RELAY}).advance(Labmove(BOT, "1;0,.q"))

@@ -249,11 +249,13 @@ def test_corpus_errors_name_their_file_once(tmp_path, name, edit, reason):
     assert r.stderr.count(case.name) == 1
 
 
-def test_corpus_default_root_from_env(tmp_path):
-    r = cli("corpus", env={"CIRQUENT_CORPUS": str(CORPUS)})
+def test_corpus_default_root_is_the_corpus_directory(tmp_path):
+    r = cli("corpus")  # from the repository root
     assert r.returncode == 0
-    missing = cli("corpus", str(tmp_path / "nowhere"))
+    assert r.stdout.count("PASS") == 7
+    missing = cli("corpus", cwd=tmp_path)
     assert missing.returncode == 2
+    assert missing.stderr == "error: no corpus directory at corpus\n"
 
 
 def test_repl_session():
@@ -424,10 +426,11 @@ def test_malformed_input_exit_codes(malformed_files, args, code):
 
 
 def test_corpus_names_a_missing_atom_without_quotes(malformed_files):
-    r = cli("corpus", str(malformed_files["missing_atom"]))
+    root = malformed_files["missing_atom"]
+    r = cli("corpus", str(root))
     assert r.returncode == 2
     [line] = r.stderr.splitlines()
-    assert line.endswith("atoms.game assigns no game to atoms F")
+    assert line == f"error: {root / 'case' / 'atoms.game'}: no game assigned to atoms F"
     assert not set("'\"") & set(line)
 
 

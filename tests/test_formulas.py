@@ -14,7 +14,6 @@ from cirquent.formulas import (
     format_formula,
     negate,
     parse_formula,
-    subformula_paths,
 )
 from cirquent.reader import MAX_DEPTH
 
@@ -117,12 +116,3 @@ def test_nesting_is_at_most_max_depth_levels():
 
 def test_atoms_of():
     assert atoms_of(parse_formula("!(E | ~F) & E")) == {"E", "F"}
-
-
-def test_subformula_paths_addresses():
-    f = parse_formula("!(E | F)")
-    paths = dict(subformula_paths(f))
-    assert paths[""] == f
-    assert paths["b"] == parse_formula("E | F")
-    assert paths["b0"] == PosLiteral("E")
-    assert paths["b1"] == PosLiteral("F")

@@ -12,6 +12,7 @@ from cirquent.harness import (
     CapExceeded,
     FormulaArena,
     CirquentArena,
+    EnvPolicy,
     RandomEnv,
     ScriptedEnv,
     SpoilerEnv,
@@ -59,8 +60,13 @@ class Answerer(Transducer):
 
 
 class Spammer(Transducer):
+    """Plays `width` moves on every step."""
+
+    def __init__(self, width=10):
+        self.width = width
+
     def step(self, observed):
-        return ["q"] * 10
+        return ["q"] * self.width
 
 
 def test_play_scripted():
@@ -79,6 +85,28 @@ def test_play_budget_truncation_is_inconclusive():
     assert result.inconclusive
     assert not result.won
     assert len(result.run) == 8
+
+
+class CountingEnv(EnvPolicy):
+    """Plays `width` moves on every turn and counts the turns."""
+
+    def __init__(self, width):
+        self.width, self.asked = width, 0
+
+    def next_moves(self, arena, run):
+        self.asked += 1
+        return ["q"] * self.width
+
+
+@pytest.mark.parametrize("budget", range(6))
+@pytest.mark.parametrize("env_width, machine_width", [(1, 1), (1, 3), (3, 1)])
+def test_play_asks_the_environment_at_most_budget_plus_one_times(budget, env_width,
+                                                                 machine_width):
+    env = CountingEnv(env_width)
+    result = play(Spammer(machine_width), env, FormulaArena(Tree(RELAY)), budget=budget)
+    assert result.inconclusive
+    assert len(result.run) == budget
+    assert env.asked <= budget + 1
 
 
 def test_frontier_is_legal_and_sorted():
@@ -167,15 +195,10 @@ def test_exhaustive_check_rejects_a_babbling_machine():
         exhaustive_env_check(Spammer, FormulaArena(Tree(RELAY)), budget=16)
 
 
-class Chatterer(Transducer):
-    def step(self, observed):
-        return ["q"]
-
-
 def test_exhaustive_check_rejects_a_machine_that_never_goes_quiet():
     steps = harness.QUIESCE_STEPS
     with pytest.raises(CapExceeded, match=f"would not quiesce within {steps} steps$"):
-        exhaustive_env_check(Chatterer, FormulaArena(Tree(RELAY)), budget=64)
+        exhaustive_env_check(partial(Spammer, 1), FormulaArena(Tree(RELAY)), budget=64)
 
 
 def test_winnability_frozen():

@@ -28,6 +28,7 @@ from test_acceptance import (
     _random_run,
     load_proof,
 )
+from test_cirquents import valid_cirquents
 
 # criterion 7's interpretation
 GRID_INTERP = {
@@ -223,6 +224,35 @@ def test_cirquent_offender_and_winner_match_whole_run_oracles():
                 assert arena.winner(prefix) == oracle_cirquent_winner(
                     c, GRID_INTERP, prefix), (c, prefix)
                 assert cq.winner(c, GRID_INTERP, prefix) is arena.winner(prefix), (c, prefix)
+
+
+@st.composite
+def scored_plays(draw):
+    """A cirquent with at least two undergroups, a standard game for each
+    atom, and a run of up to 4 moves, each from its player's 1-bit frontier
+    (shorter only when that frontier is empty)."""
+    c = draw(valid_cirquents().filter(lambda c: len(c.undergroups) >= 2))
+    interp = {a: STANDARD[draw(st.sampled_from(sorted(STANDARD)))] for a in "EFG"}
+    arena = CirquentArena(c, interp)
+    run = ()
+    for _ in range(4):
+        player = draw(st.sampled_from((TOP, BOT)))
+        moves = arena.frontier(run, player, 1)
+        if not moves:
+            break
+        run += (Labmove(player, draw(st.sampled_from(moves))),)
+    return c, interp, run
+
+
+@settings(max_examples=500, deadline=None)
+@given(scored_plays())
+def test_each_undergroup_scored_over_its_own_overgroups_matches_the_oracle(drawn):
+    """The oracle scores every undergroup over all the overgroups."""
+    c, interp, run = drawn
+    arena = CirquentArena(c, interp)
+    for i in range(len(run) + 1):
+        assert arena.winner(run[:i]) is oracle_cirquent_winner(c, interp, run[:i]), (
+            c, run[:i])
 
 
 # ------------------------------------------------------------ arena cache
