@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from itertools import product
 from math import prod
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from . import formulas as fm
 from . import games as gm
@@ -198,7 +198,7 @@ class Position(gm.Copies):
     cap = 100_000  # class vectors of one member, or of one undergroup's overgroups
 
     def __init__(self, cirquent: Cirquent, own, used, classes, members):
-        self.cirquent, self.own = cirquent, own
+        self.cirquent, self.own, self._memo = cirquent, own, {}
         self.used, self.classes, self.members = used, classes, members
 
     def _next(self, used, classes, members) -> Position:
@@ -210,14 +210,13 @@ class Position(gm.Copies):
             return None
         return self.advance_at(mv.index - 1, mv.slots, Labmove(lm.label, mv.inner))
 
-    def moves(self, player: Player, limit: int) -> set[str]:
-        out: set[str] = set()
+    def _moves(self, player: Player, limit: int) -> Iterator[str]:
         for a, slots, found in self.open_moves(player, limit):
             head = f"{a + 1};{','.join(slots)}."
-            out.update(head + m for m in found)
-        return out
+            for m in found:
+                yield head + m
 
-    def winner(self) -> Player:
+    def _winner(self) -> Player:
         own, members = self.own, self.members
         for group in self.cirquent.undergroups:
             # the members see only the classes of their own overgroups, so

@@ -9,6 +9,10 @@ Legality is prefix-closed, so a referee judges a run one move at a time.
 `start(g)` is the position of the empty run.  A position is immutable:
 `advance(lm)` returns the next one (None when the move is illegal),
 `moves(player, limit)` the frontier and `winner()` the score of the run.
+Each position computes its frontier and its score once and keeps them, so
+a part or a copy a move leaves alone answers from its memo, and so does a
+position that a referee keeps across plays.  A frontier of more than
+`FRONTIER_CAP` moves raises `CapExceeded`.
 `Copies` is the one table of copy classes, each named by the longest used
 address on its copies: Rep and Corep use it with one dimension, and
 `cirquents.Position` with one per overgroup.  A move there first splits the
@@ -21,8 +25,8 @@ import random
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
-from itertools import chain, product
+from functools import cache, cached_property
+from itertools import chain, islice, product
 from math import inf, prod
 from typing import Iterable, Mapping, NamedTuple, Union
 
@@ -37,6 +41,10 @@ class Player(Enum):
     @property
     def other(self) -> "Player":
         return BOT if self is TOP else TOP
+
+    # a member is its one instance: hashing by identity stays in C, where
+    # Enum's own hash of the name is a Python call on every dict lookup
+    __hash__ = object.__hash__
 
     def __repr__(self) -> str:
         return self.value
@@ -55,6 +63,9 @@ class GameError(ValueError):
 
 class CapExceeded(RuntimeError):
     """A resource cap was hit; the message names it and the count over it."""
+
+
+FRONTIER_CAP = 200_000  # moves in one frontier, or slot tuples of one member
 
 
 class Labmove(NamedTuple):
@@ -95,6 +106,12 @@ class GameNode:
             if lab is label and m == move:
                 return node
         return None
+
+    @cached_property
+    def positions(self) -> tuple["_Node", "_Node"]:
+        """The position at this node, as played and flipped, built once, so
+        that every copy at this node shares one position and its memo."""
+        return _Node(self, False), _Node(self, True)
 
     def moves(self) -> set[str]:
         out = {m for _, m, _ in self.edges}
@@ -370,30 +387,53 @@ class Position:
     `advance(lm)` is the position one move later, or None when the move is
     illegal there; `moves(player, limit)` is the set of moves `player` can
     add, with copy addresses of at most `limit` bits at every level; and
-    `winner()` scores the run as it stands.
+    `winner()` scores the run as it stands.  Both are computed once, by the
+    subclass's `_moves`, which yields each move once, and `_winner`, and kept
+    in `_memo`, keyed by (player, limit) and by None for the winner; a
+    subclass starts each position with an empty `_memo`.  A `CapExceeded`
+    is raised again on every call, never kept.
     """
 
-    __slots__ = ()
+    __slots__ = ("_memo",)
+
+    def moves(self, player: Player, limit: int) -> frozenset[str]:
+        key = (player, limit)
+        found = self._memo.get(key)
+        if found is None:
+            more = iter(self._moves(player, limit))
+            # copied from a set, the kept frozenset's table is sized to fit
+            found = frozenset(set(islice(more, FRONTIER_CAP)))
+            if next(more, None) is not None:
+                raise CapExceeded(f"frontier exceeds cap of {FRONTIER_CAP} moves")
+            self._memo[key] = found
+        return found
+
+    def winner(self) -> Player:
+        won = self._memo.get(None)
+        if won is None:
+            won = self._memo[None] = self._winner()
+        return won
 
 
 class _Node(Position):
     """A node of an atom's tree; `flip` swaps the players' roles, for an atom
-    under an odd number of negations."""
+    under an odd number of negations.  Each tree node has one per flip,
+    `GameNode.positions`, which every copy at that node shares."""
 
     __slots__ = ("node", "flip")
 
     def __init__(self, node: GameNode, flip: bool):
-        self.node, self.flip = node, flip
+        self.node, self.flip, self._memo = node, flip, {}
 
     def advance(self, lm: Labmove) -> Position | None:
         child = self.node.child(lm.label.other if self.flip else lm.label, lm.move)
-        return None if child is None else _Node(child, self.flip)
+        return None if child is None else child.positions[self.flip]
 
-    def moves(self, player: Player, limit: int) -> set[str]:
+    def _moves(self, player: Player, limit: int) -> set[str]:
         player = player.other if self.flip else player
         return {m for lab, m, _ in self.node.edges if lab is player}
 
-    def winner(self) -> Player:
+    def _winner(self) -> Player:
         return self.node.winner.other if self.flip else self.node.winner
 
 
@@ -404,7 +444,7 @@ class _Parallel(Position):
     __slots__ = ("decisive", "parts")
 
     def __init__(self, decisive: Player, parts: tuple[Position, Position]):
-        self.decisive, self.parts = decisive, parts
+        self.decisive, self.parts, self._memo = decisive, parts, {}
 
     def advance(self, lm: Labmove) -> Position | None:
         m = lm.move
@@ -416,10 +456,10 @@ class _Parallel(Position):
             return None
         return _Parallel(self.decisive, (sub, self.parts[1]) if i == 0 else (self.parts[0], sub))
 
-    def moves(self, player: Player, limit: int) -> set[str]:
-        return {f"{i}.{m}" for i, p in enumerate(self.parts) for m in p.moves(player, limit)}
+    def _moves(self, player: Player, limit: int) -> Iterable[str]:
+        return (f"{i}.{m}" for i, p in enumerate(self.parts) for m in p.moves(player, limit))
 
-    def winner(self) -> Player:
+    def _winner(self) -> Player:
         left = self.parts[0].winner()
         return left if left is self.decisive else self.parts[1].winner()
 
@@ -437,8 +477,10 @@ class Copies(Position):
     vector keeping its position, and then a's vectors through w take the
     move, which must be legal on each; so the moves open at w are those open
     on every vector through w.  A subclass parses and formats moves, scores
-    `winner()` and provides `own`, the class attribute `cap` and
-    `_next(used, classes, members)`, the table with those contents.
+    the run in `_winner` and provides `own`, the class attribute `cap` and
+    `_next(used, classes, members)`, the table with those contents.  The
+    members a move leaves alone keep their positions, so they answer
+    `moves` and `winner` from their memos.
     """
 
     __slots__ = ("used", "classes", "members")
@@ -481,21 +523,23 @@ class Copies(Position):
 
     def open_moves(self, player: Player, limit: int):
         """(member, slots, moves) for each member and slots of at most `limit`
-        bits in its dimensions ("" in others) where `player` has moves."""
+        bits in its dimensions ("" in others) where `player` has moves.
+        CapExceeded fires when one member's slots make more than
+        `FRONTIER_CAP` tuples, moves or none."""
         used, n = self.used, len(self.used)
         ws = addresses(limit)
         named = [[class_of(u, w) for w in ws] for u in used]
         through: dict[tuple[int, str], list[str | None]] = {}
         for a, dims in enumerate(self.own):
+            tuples = len(ws) ** len(dims)
+            if tuples > FRONTIER_CAP:
+                raise CapExceeded(f"{tuples} slot tuples of one member exceed cap {FRONTIER_CAP}")
             positions = self.members[a]
-            memo: dict[tuple, set[str]] = {}
             for at, vec in zip(product(ws, repeat=len(dims)),
                                product(*[named[j] for j in dims])):
                 # start from the copy the slots name; the other vectors
                 # through them are looked up only while moves remain
-                found = memo.get(vec)
-                if found is None:
-                    found = memo[vec] = positions[vec].moves(player, limit)
+                found = positions[vec].moves(player, limit)
                 if not found:
                     continue
                 lines = []
@@ -505,9 +549,7 @@ class Copies(Position):
                         line = through[j, w] = through_classes(used[j], self.classes[j], w)
                     lines.append(line)
                 for vec in product(*lines):
-                    if vec not in memo:
-                        memo[vec] = positions[vec].moves(player, limit)
-                    found = found & memo[vec]
+                    found = found & positions[vec].moves(player, limit)
                     if not found:
                         break
                 if found:
@@ -515,16 +557,16 @@ class Copies(Position):
 
 
 class _Recurrence(Copies):
-    """Rep or Corep: one member in one dimension, with no cap.  A move `w.m`
-    is `m` in every copy whose address extends w.  `decisive` is the player
-    who wins by winning one copy."""
+    """Rep or Corep: one member in one dimension, no cap on its class
+    vectors.  A move `w.m` is `m` in every copy whose address extends w.
+    `decisive` is the player who wins by winning one copy."""
 
     __slots__ = ("decisive",)
     own = ((0,),)
     cap = inf
 
     def __init__(self, decisive: Player, used, classes, members):
-        self.decisive = decisive
+        self.decisive, self._memo = decisive, {}
         self.used, self.classes, self.members = used, classes, members
 
     def _next(self, used, classes, members) -> _Recurrence:
@@ -536,11 +578,11 @@ class _Recurrence(Copies):
             return None
         return self.advance_at(0, (parts[0],), Labmove(lm.label, parts[1]))
 
-    def moves(self, player: Player, limit: int) -> set[str]:
-        return {f"{slots[0]}.{m}"
-                for _, slots, found in self.open_moves(player, limit) for m in found}
+    def _moves(self, player: Player, limit: int) -> Iterable[str]:
+        return (f"{slots[0]}.{m}" for _, slots, found in self.open_moves(player, limit)
+                for m in found)
 
-    def winner(self) -> Player:
+    def _winner(self) -> Player:
         d = self.decisive
         return d if any(p.winner() is d for p in self.members[0].values()) else d.other
 
@@ -554,7 +596,7 @@ def _start(g: Game, flip: bool) -> Position:
     """`start` of `Neg(g)` when `flip` is set: negation is pushed down to the
     atoms by De Morgan's laws."""
     if isinstance(g, Tree):
-        return _Node(g.root, flip)
+        return g.root.positions[flip]
     if isinstance(g, Neg):
         return _start(g.sub, not flip)
     # a conjunction, or Rep, is lost by losing one part or copy; negation

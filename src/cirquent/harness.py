@@ -44,7 +44,9 @@ class Arena:
     It keeps the positions after each prefix of the last run it judged.  The
     runs of one play, one spoiler probe or one sweep extend one another, so
     a query cuts that path where its run leaves the last one and judges only
-    the moves after the cut.
+    the moves after the cut.  A position computes its frontier and its score
+    once, so the kept positions, the start position above all, carry them
+    from one play to the next.
     """
 
     _run: Run = ()  # the legal run the path holds the positions of

@@ -340,6 +340,8 @@ MALFORMED = [
     *((["corpus", "{%s}" % name], 2) for name in EXPECTS),
     (["repl", "--formula", "F &", *ELIM[1:]], 2),
     (["repl", "--formula", "F", "--atoms", "{bad_lib}"], 2),
+    (["repl", "--formula", "!" * 7 + "F", *ELIM[1:]], 3),
+    (["repl", "--formula", "!" * 10 + "F", *ELIM[1:]], 3),
 ]
 
 
@@ -460,3 +462,16 @@ def test_formulas_at_the_depth_bound_evaluate(formula, move):
     assert r.returncode == 0, r.stderr
     frontier = next(line for line in r.stdout.splitlines() if line.startswith("B can play: "))
     assert move in frontier.removeprefix("B can play: ").split(", ")
+
+
+# `!` k times over F has 7**k moves for B at 2 address bits: 117,649 are
+# listed, and 823,543 are over games.FRONTIER_CAP, one error line
+@pytest.mark.parametrize("k, code", [(6, 0), (7, 3), (10, 3)])
+def test_repl_lists_a_frontier_up_to_the_cap(k, code):
+    r = cli("repl", "--formula", "!" * k + "F", *ELIM[1:], stdin="show\nquit\n")
+    assert r.returncode == code, r.stderr
+    if code == 0:
+        frontier = next(line for line in r.stdout.splitlines() if line.startswith("B can play: "))
+        assert len(frontier.removeprefix("B can play: ").split(", ")) == 7 ** k
+    else:
+        assert r.stderr == "error: frontier exceeds cap of 200000 moves\n"

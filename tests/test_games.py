@@ -11,10 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cirquent import games
+from cirquent.cirquents import Cirquent
 from cirquent.formulas import parse_formula
 from cirquent.games import (
     BOT,
     TOP,
+    CapExceeded,
     Conj,
     Corep,
     Disj,
@@ -43,6 +46,7 @@ from cirquent.games import (
     through_classes,
     winner,
 )
+from cirquent.harness import CirquentArena
 from cirquent.reader import MAX_DEPTH
 from referee_oracle import is_delay_of, negate_run, project_prefix, project_thread, walk
 
@@ -263,6 +267,44 @@ def test_a_move_at_used_addresses_splits_nothing():
     assert nxt.used is pos.used and nxt.classes is pos.classes
     # the question in the copies through 0 is answered, and no other was asked
     assert pos.winner() is BOT and nxt.winner() is TOP
+
+
+def test_copies_at_one_tree_node_share_one_position():
+    """So a copy asks its tree node's frontier and winner once, whichever
+    table or game it sits in."""
+    assert start(Tree(RELAY)) is start(Tree(RELAY)) is not start(Neg(Tree(RELAY)))
+    asked = start(Tree(RELAY)).advance(Labmove(BOT, "q"))
+    split = start(Rep(Tree(RELAY))).advance(Labmove(BOT, "0.q"))
+    assert split.members[0][("0",)] is asked
+    assert split.members[0][(None,)] is start(Tree(RELAY))
+
+
+def bangs(k: int, g=Tree(RELAY)):
+    """`!` k times over g."""
+    for _ in range(k):
+        g = Rep(g)
+    return g
+
+
+def test_a_frontier_over_the_cap_raises_every_time(monkeypatch):
+    assert len(start(bangs(2)).moves(BOT, 2)) == 7 * 7  # 7 addresses per level
+    monkeypatch.setattr(games, "FRONTIER_CAP", 49)  # read where it is checked
+    assert len(start(bangs(2)).moves(BOT, 2)) == 49
+    monkeypatch.setattr(games, "FRONTIER_CAP", 48)
+    pos = start(bangs(2))
+    for _ in range(2):  # a CapExceeded is not kept as the answer
+        with pytest.raises(CapExceeded, match="cap of 48 moves"):
+            pos.moves(BOT, 2)
+    assert len(pos.moves(BOT, 1)) == 3 * 3
+
+
+def test_a_member_in_eight_overgroups_has_too_many_slot_tuples():
+    """7**8 slot tuples are over the cap, though no one has a move."""
+    c = Cirquent((parse_formula("F"),), (frozenset({1}),), (frozenset({1}),) * 8)
+    arena = CirquentArena(c, {"F": BEACON})
+    assert arena.frontier((), BOT, 1) == []
+    with pytest.raises(CapExceeded, match=f"{7 ** 8} slot tuples of one member exceed cap"):
+        arena.frontier((), BOT, 2)
 
 
 # Games at most 8 operators deep: each level is a leaf or an operator over

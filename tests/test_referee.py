@@ -11,6 +11,7 @@ import random
 from functools import cache
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -306,3 +307,109 @@ def test_arena_path_answers_as_a_fresh_arena_on_the_grid(seed):
         i = rng.randrange(len(runs[0]))
         runs.append(runs[0][:i] + (Labmove(runs[0][i].label.other, runs[0][i].move),))
     _same_answers(lambda: CirquentArena(c, GRID_INTERP), runs, rng)
+
+
+# ------------------------------------------------------------- position memo
+
+
+def _interleaved(a, b):
+    """The prefixes of two runs, alternately: each query leaves the path of
+    the other run, so a shared arena answers it after a cut."""
+    out = []
+    for i in range(max(len(a), len(b)) + 1):
+        out += [r[:i] for r in (a, b) if i <= len(r)]
+    return out
+
+
+def _memo_answers_as_fresh_and_oracle(make_arena, runs, frontier, winner):
+    """On one arena shared by both runs, each prefix's frontiers for both
+    players at limits 1 and 2, and its winner, equal those of a fresh arena
+    and of the oracles `frontier(run, player, limit)` and `winner(run)`."""
+    shared = make_arena()
+    for run in _interleaved(*runs):
+        legal = shared.offender(run) is None
+        for player, limit in product((TOP, BOT), (1, 2)):
+            got = shared.frontier(run, player, limit)
+            assert got == make_arena().frontier(run, player, limit), (run, player, limit)
+            assert got == (frontier(run, player, limit) if legal else []), (
+                run, player, limit)
+        assert shared.winner(run) is make_arena().winner(run) is winner(run), run
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_memo_answers_as_a_fresh_arena_and_the_oracle_on_formula_games(seed):
+    rng = random.Random(seed)
+    g = _random_game(rng, rng.randrange(1, 4))
+    runs = (_random_run(rng, g), _random_run(rng, g))
+    _memo_answers_as_fresh_and_oracle(
+        lambda: FormulaArena(g), runs,
+        lambda run, player, limit: oracle_legal_moves(g, run, player, limit),
+        lambda run: ro.winner(g, run))
+
+
+@cache
+def _grid_oracle_frontier(c, run, player, limit):
+    """`oracle_frontier` under the grid interpretation, each prefix judged
+    once however many examples ask for it."""
+    return oracle_frontier(c, GRID_INTERP, run, player, limit)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_memo_answers_as_a_fresh_arena_and_the_oracle_on_the_grid(seed):
+    rng = random.Random(seed)
+    plays = _grid_plays()
+    step, c, run = rng.choice(plays)
+    other = rng.choice([r for s, _, r in plays if s == step])
+    _memo_answers_as_fresh_and_oracle(
+        lambda: CirquentArena(c, GRID_INTERP), (run, other),
+        lambda run, player, limit: _grid_oracle_frontier(c, run, player, limit),
+        lambda run: oracle_cirquent_winner(c, GRID_INTERP, run))
+
+
+def _counting(monkeypatch, cls, name):
+    """Count the calls of `cls.name` from now on."""
+    calls = []
+    inner = getattr(cls, name)
+
+    def counted(self, *args):
+        calls.append(args)
+        return inner(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gm.start(gm.Rep(gm.Conj(gm.Tree(STANDARD["relay"]), gm.Tree(STANDARD["ladder"])))),
+    lambda: cq.start(cq.parse_cirquent(
+        'cirquent { oformulas: ["E", "!F"]; under: [[1, 2]]; over: [[1, 2], [2]] }'),
+        GRID_INTERP),
+], ids=["recurrence", "cirquent"])
+def test_a_position_computes_its_frontier_and_score_once(monkeypatch, make):
+    pos = make()
+    moves = _counting(monkeypatch, type(pos), "_moves")
+    wins = _counting(monkeypatch, type(pos), "_winner")
+    first = pos.moves(BOT, 2)
+    assert type(first) is frozenset and first
+    assert pos.moves(BOT, 2) is first
+    assert pos.moves(BOT, 1) <= first and pos.moves(TOP, 2) == pos.moves(TOP, 2)
+    assert moves == [(BOT, 2), (BOT, 1), (TOP, 2)]
+    assert pos.winner() is pos.winner()
+    assert len(wins) == 1
+    # a child keeps its parent's memo apart
+    child = pos.advance(Labmove(BOT, sorted(first)[0]))
+    assert child.moves(BOT, 2) is not first
+    assert moves[-1] == (BOT, 2)
+
+
+def test_an_arena_answers_the_opening_frontier_of_every_play_from_one_computation(monkeypatch):
+    c, run = next((c, run) for _, c, run in _grid_plays() if len(c.oformulas) > 1 and run)
+    arena = CirquentArena(c, GRID_INTERP)
+    moves = _counting(monkeypatch, cq.Position, "_moves")
+    opening = arena.frontier((), BOT, 2)
+    arena.frontier(run, BOT, 2)
+    asked = len(moves)
+    assert arena.frontier((), BOT, 2) == opening
+    assert len(moves) == asked
