@@ -60,7 +60,7 @@ def _compile_checked(path: str) -> CompiledStrategy | None:
     """The strategy of the proof at `path`, or None, with the failing step
     on stderr, when the proof does not check."""
     proof = _load(path, rl.parse_proof)
-    verdict = rl.check_proof(proof)
+    verdict = rl.check_formula_proof(proof)
     if not verdict:
         print(f"step {verdict.step}: {verdict.message}", file=sys.stderr)
         return None
@@ -69,7 +69,7 @@ def _compile_checked(path: str) -> CompiledStrategy | None:
 
 def cmd_check(args) -> int:
     proof = _load(args.proof, rl.parse_proof)
-    verdict = rl.check_proof(proof)
+    verdict = rl.check_formula_proof(proof)
     if verdict:
         formula = fm.format_formula(rl.conclusion_formula(proof))
         print(f"ok: {len(proof)} steps, concludes {formula}")

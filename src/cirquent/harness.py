@@ -19,7 +19,7 @@ from . import cirquents as cq
 from . import formulas as fm
 from . import games as gm
 from .games import BOT, TOP, CapExceeded, Labmove, Player, Run
-from .rules import check_proof, conclusion_formula, parse_proof
+from .rules import check_formula_proof, conclusion_formula, parse_proof
 from .strategies import CompiledStrategy, Transducer, compile_proof
 
 JUNK_MOVE = "?!junk"
@@ -316,7 +316,7 @@ def run_case(case_dir: Path, budget: int = 64) -> CaseReport:
     name = case_dir.name
     recorded, want = _read(case_dir / "expect.json", _recorded)
     proof = _read(case_dir / "proof.cl15", parse_proof)
-    verdict = check_proof(proof)
+    verdict = check_formula_proof(proof)
     if not verdict:
         return CaseReport(name, False, message=f"step {verdict.step}: {verdict.message}")
     formula = conclusion_formula(proof)

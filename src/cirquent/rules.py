@@ -521,7 +521,7 @@ _FIELD_TEXT = {
     int: (str, Reader.integer),
     frozenset[int]: (
         lambda s: _list(str(i) for i in sorted(s)),
-        lambda r: frozenset(r.items(r.integer)),
+        lambda r: frozenset(r.integers()),
     ),
     tuple[fm.Formula, ...]: (
         lambda fs: _list(f'"{fm.format_formula(f)}"' for f in fs),
@@ -599,9 +599,25 @@ def parse_proof(text: str) -> Proof:
     return tuple(steps)
 
 
+_NOT_A_FORMULA = "the final cirquent does not collapse to a single formula"
+
+
+def _is_club(c: Cirquent) -> bool:
+    return c == club(c.oformulas[0])
+
+
+def check_formula_proof(proof: Proof) -> Verdict:
+    """`check_proof`, and then the final cirquent must be club-shaped: the
+    verdict on a proof of `conclusion_formula(proof)`."""
+    verdict = check_proof(proof)
+    if verdict and not _is_club(proof[-1].cirquent):
+        return Verdict(False, len(proof), _NOT_A_FORMULA)
+    return verdict
+
+
 def conclusion_formula(proof: Proof) -> fm.Formula:
     """The single oformula of a club-shaped final cirquent."""
     last = proof[-1].cirquent
-    if last != club(last.oformulas[0]):
-        raise RuleError("the final cirquent does not collapse to a single formula")
+    if not _is_club(last):
+        raise RuleError(_NOT_A_FORMULA)
     return last.oformulas[0]

@@ -49,6 +49,49 @@ def test_check_failure_exits_1(tmp_path):
     assert "step" in r.stdout
 
 
+NOT_A_FORMULA = "step 1: the final cirquent does not collapse to a single formula\n"
+
+
+@pytest.fixture
+def one_step_proof(tmp_path):
+    """brec_elim's first step alone: an axiom that checks but concludes a
+    cirquent of two oformulas."""
+    path = tmp_path / "one_step.cl15"
+    path.write_text("".join(PROOF.read_text().splitlines(keepends=True)[:5]))
+    return path
+
+
+def test_check_fails_a_proof_of_no_single_formula(one_step_proof):
+    r = cli("check", str(one_step_proof))
+    assert r.returncode == 1, r.stderr
+    assert r.stdout == NOT_A_FORMULA
+    assert r.stderr == ""
+
+
+@pytest.mark.parametrize("extra", [(), ("--atoms", str(ATOMS))], ids=["compile", "play"])
+def test_compile_and_play_fail_a_proof_of_no_single_formula(one_step_proof, extra):
+    r = cli("compile" if not extra else "play", str(one_step_proof), *extra)
+    assert r.returncode == 1, r.stderr
+    assert r.stdout == ""
+    assert r.stderr == NOT_A_FORMULA
+
+
+def test_corpus_fails_a_case_of_no_single_formula_and_goes_on(tmp_path, one_step_proof):
+    for name in ("brec_elim", "one_step"):
+        case = tmp_path / name
+        case.mkdir()
+        for f in ("proof.cl15", "atoms.game", "expect.json"):
+            (case / f).write_text((CORPUS / "brec_elim" / f).read_text())
+    (tmp_path / "one_step" / "proof.cl15").write_text(one_step_proof.read_text())
+    r = cli("corpus", str(tmp_path))
+    assert r.returncode == 1, r.stderr
+    assert r.stdout.splitlines() == [
+        "PASS brec_elim: 30 won, 0 lost, 0 inconclusive",
+        "FAIL one_step: " + NOT_A_FORMULA.rstrip("\n"),
+        "1/2 cases pass",
+    ]
+
+
 def test_missing_file_exits_2():
     r = cli("check", "no/such/file.cl15")
     assert r.returncode == 2
@@ -195,6 +238,29 @@ def test_eval_reports_unreadable_and_malformed_cirquents():
     r = cli("eval", "--cirquent", "cirquent { oformulas: }", "--atoms", str(ATOMS), "--run", "")
     assert r.returncode == 2
     assert "error:" in r.stderr
+
+
+# An `under` list of a cirquent literal, and the one error line it gives.
+BROKEN_GROUP_LISTS = {
+    "missing comma": ("[[1 2]]", "expected ']', got '2'"),
+    "trailing comma": ("[[1,]]", "expected an integer, got ']'"),
+    "bare integer": ("[1]", "expected '[', got '1'"),
+    "unclosed list": ("[[1, 2]", "expected ']', got ';'"),
+    "non-ASCII digit": ("[[1, ٢]]", "expected an integer, got '٢'"),
+    "negative index": ("[[-1, 2]]", "undergroup [-1, 2] references a bad index"),
+    "5,000-digit index": ("[[" + "1" * 5000 + "]]", "integer too long"),
+    "no groups": ("[]", "a cirquent needs at least one group of each kind"),
+}
+
+
+@pytest.mark.parametrize("under, message", BROKEN_GROUP_LISTS.values(),
+                         ids=list(BROKEN_GROUP_LISTS))
+def test_eval_reports_a_broken_group_list(under, message):
+    literal = f'cirquent {{ oformulas: ["~F", "F"]; under: {under}; over: [[1, 2]] }}'
+    r = cli("eval", "--cirquent", literal, "--atoms", str(ATOMS))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == f"error: {message}\n"
 
 
 def test_corpus_runs_every_case():
