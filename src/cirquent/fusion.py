@@ -9,8 +9,6 @@ Defusion inverts the interleaving.
 
 from __future__ import annotations
 
-from itertools import product
-
 from .games import CapExceeded, GameError
 
 WORD_CAP = 4096  # words one fusion, or parts one defusion, may have
@@ -30,16 +28,22 @@ def fusions(parts: list[str] | tuple[str, ...]) -> tuple[str, ...]:
         _check_bits(p, "fusion input")
     # minimal length covering the last forced position of every input
     length = max((n * (len(p) - 1) + i + 1 for i, p in enumerate(parts) if p), default=0)
-    # a template with one %s per free position
-    template = "".join(
-        parts[pos % n][pos // n] if pos // n < len(parts[pos % n]) else "%s"
-        for pos in range(length)
-    )
-    free = template.count("%s")
-    if 2 ** free > WORD_CAP:
-        raise CapExceeded(f"2**{free} fusion words exceed cap {WORD_CAP}")
-    # product() counts up in binary, so the words come out sorted
-    return tuple(template % bits for bits in product("01", repeat=free))
+    # input i spells positions i, i + n, ...; "*" marks a free position
+    chars = ["*"] * length
+    for i, p in enumerate(parts):
+        chars[i:n * len(p) + i:n] = p
+    word = "".join(chars)
+    if "*" not in word:
+        return (word,)
+    first, *tails = word.split("*")
+    if 2 ** len(tails) > WORD_CAP:
+        raise CapExceeded(f"2**{len(tails)} fusion words exceed cap {WORD_CAP}")
+    # each free position doubles the words, "0" before "1", so they stay sorted
+    words = [first]
+    for tail in tails:
+        ends = ("0" + tail, "1" + tail)
+        words = [w + e for w in words for e in ends]
+    return tuple(words)
 
 
 def defusion(z: str, n: int) -> tuple[str, ...]:
@@ -49,4 +53,4 @@ def defusion(z: str, n: int) -> tuple[str, ...]:
     _check_bits(z, "defusion input")
     if n > WORD_CAP:
         raise CapExceeded(f"{n} defusion parts exceed cap {WORD_CAP}")
-    return tuple(z[i::n] for i in range(n))
+    return tuple([z[i::n] for i in range(n)])

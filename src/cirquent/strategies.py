@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -68,8 +68,11 @@ class Transducer:
         return out
 
     def fork(self) -> Transducer:
-        """An independent copy that answers from now on as this one would."""
-        return copy.deepcopy(self)
+        """An independent copy that answers from now on as this one would.
+
+        A shallow copy, which is enough while the play state is immutable
+        values; a subclass that keeps mutable play state overrides it."""
+        return copy.copy(self)
 
 
 class AxiomCopycat(Transducer):
@@ -86,14 +89,10 @@ class AxiomCopycat(Transducer):
         self.n = diamonds
         self.pairing = pairing
 
-    def _partner(self, a: int) -> int:
-        if self.pairing == "standard":
-            return a + 1 if a % 2 == 1 else a - 1
-        return a - 1 if a % 2 == 1 else a + 1
-
     def advance(self, moves: list[CirquentMove]) -> list[CirquentMove]:
-        return [mv._replace(index=self._partner(mv.index))
-                for mv in moves if 1 <= mv.index <= 2 * self.n]
+        top, up = 2 * self.n, 1 if self.pairing == "standard" else -1
+        return [CirquentMove(a + up if a % 2 == 1 else a - up, slots, inner)
+                for a, slots, inner in moves if 1 <= a <= top]
 
 
 class Translated(Transducer):
@@ -112,11 +111,24 @@ class Translated(Transducer):
     def __init__(self, core: Transducer, layers: list, n: int):
         self.core, self.layers, self.n = core, layers, n
 
+    def fork(self) -> Translated:
+        """Shares the core, a copycat without play state, and every layer but
+        the `_CorecFocus` ones, the only layers that record the play."""
+        layers = [_CorecFocus(layer.a, layer.used) if type(layer) is _CorecFocus else layer
+                  for layer in self.layers]
+        twin = type(self)(self.core, layers, self.n)
+        twin._observed = self._observed
+        return twin
+
     def advance(self, moves: list[CirquentMove]) -> list[CirquentMove]:
         for layer in self.layers:
+            if not moves:
+                break  # no layer below sees a move
             moves = [s for mv in moves for s in layer.env_to_sim(mv)]
         moves = self.core.advance(moves)
         for layer in reversed(self.layers):
+            if not moves:
+                break
             moves = [r for mv in moves for r in layer.sim_to_real(mv)]
         return moves
 
@@ -141,14 +153,14 @@ class _OformulaSwap(_Swap):
     def _map(self, mv: CirquentMove) -> CirquentMove:
         a = mv.index
         b = self.pos + 1 if a == self.pos else self.pos if a == self.pos + 1 else a
-        return mv._replace(index=b)
+        return CirquentMove(b, mv.slots, mv.inner)
 
 
 class _OverSwap(_Swap):
     def _map(self, mv: CirquentMove) -> CirquentMove:
         s = list(mv.slots)
         s[self.pos - 1], s[self.pos] = s[self.pos], s[self.pos - 1]
-        return mv._replace(slots=tuple(s))
+        return CirquentMove(mv.index, tuple(s), mv.inner)
 
 
 @dataclass
@@ -166,14 +178,14 @@ class _WeakeningDrop:
             return []  # addressed a copy dimension it may not touch
         slots = tuple(s for j, s in enumerate(mv.slots) if j not in self.dropped_slots)
         index = mv.index - 1 if mv.index > self.dropped else mv.index
-        return [mv._replace(index=index, slots=slots)]
+        return [CirquentMove(index, slots, mv.inner)]
 
     def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
         slots = list(mv.slots)
         for j in self.dropped_slots:
             slots.insert(j, "")
         index = mv.index + 1 if mv.index >= self.dropped else mv.index
-        return [mv._replace(index=index, slots=tuple(slots))]
+        return [CirquentMove(index, tuple(slots), mv.inner)]
 
 
 @dataclass
@@ -185,30 +197,29 @@ class _ContractionSplit:
     a: int
 
     def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
-        a = self.a
-        if mv.index < a:
+        a, (index, slots, inner) = self.a, mv
+        if index < a:
             return [mv]
-        if mv.index > a:
-            return [mv._replace(index=mv.index + 1)]
-        sp = split_address(mv.inner)
+        if index > a:
+            return [CirquentMove(index + 1, slots, inner)]
+        sp = split_address(inner)
         if sp is None:
             return []
         v, rest = sp
         if v == "":
-            return [mv, mv._replace(index=a + 1)]
-        return [mv._replace(index=a if v[0] == "0" else a + 1,
-                            inner=v[1:] + "." + rest)]
+            return [mv, CirquentMove(a + 1, slots, inner)]
+        return [CirquentMove(a if v[0] == "0" else a + 1, slots, v[1:] + "." + rest)]
 
     def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
-        a = self.a
-        if mv.index < a:
+        a, (index, slots, inner) = self.a, mv
+        if index < a:
             return [mv]
-        if mv.index > a + 1:
-            return [mv._replace(index=mv.index - 1)]
-        if split_address(mv.inner) is None:
-            return [mv._replace(index=a)]
-        bit = "0" if mv.index == a else "1"
-        return [mv._replace(index=a, inner=bit + mv.inner)]
+        if index > a + 1:
+            return [CirquentMove(index - 1, slots, inner)]
+        if split_address(inner) is None:
+            return [CirquentMove(a, slots, inner)]
+        bit = "0" if index == a else "1"
+        return [CirquentMove(a, slots, bit + inner)]
 
 
 @dataclass
@@ -219,13 +230,13 @@ class _OverDupJoin:
     pos: int  # 1-based; real slots pos-1 and pos merge
 
     def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
-        p, s = self.pos - 1, mv.slots
-        return [mv._replace(slots=s[:p] + (v,) + s[p + 2:])
+        p, (index, s, inner) = self.pos - 1, mv
+        return [CirquentMove(index, s[:p] + (v,) + s[p + 2:], inner)
                 for v in fusions((s[p], s[p + 1]))]
 
     def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
-        p, s = self.pos - 1, mv.slots
-        return [mv._replace(slots=s[:p] + defusion(s[p], 2) + s[p + 1:])]
+        p, (index, s, inner) = self.pos - 1, mv
+        return [CirquentMove(index, s[:p] + defusion(s[p], 2) + s[p + 1:], inner)]
 
 
 @dataclass
@@ -238,9 +249,9 @@ class _MergeSplit:
     right: frozenset[int]
 
     def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
-        p = self.pos - 1
-        u = mv.slots[p]
-        in_l, in_r = mv.index in self.left, mv.index in self.right
+        p, (index, s, inner) = self.pos - 1, mv
+        u = s[p]
+        in_l, in_r = index in self.left, index in self.right
         if in_l and in_r:
             parts = defusion(u, 2)
         elif in_l:
@@ -251,17 +262,17 @@ class _MergeSplit:
             if u:
                 return []
             parts = ("", "")
-        return [mv._replace(slots=mv.slots[:p] + parts + mv.slots[p + 1:])]
+        return [CirquentMove(index, s[:p] + parts + s[p + 1:], inner)]
 
     def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
-        p = self.pos - 1
-        u1, u2 = mv.slots[p], mv.slots[p + 1]
-        head, tail = mv.slots[:p], mv.slots[p + 2:]
-        in_l, in_r = mv.index in self.left, mv.index in self.right
+        p, (index, s, inner) = self.pos - 1, mv
+        u1, u2 = s[p], s[p + 1]
+        head, tail = s[:p], s[p + 2:]
+        in_l, in_r = index in self.left, index in self.right
         if in_l and in_r:
-            return [mv._replace(slots=head + (v,) + tail) for v in fusions((u1, u2))]
+            return [CirquentMove(index, head + (v,) + tail, inner) for v in fusions((u1, u2))]
         u = u1 if in_l else u2 if in_r else ""
-        return [mv._replace(slots=head + (u,) + tail)]
+        return [CirquentMove(index, head + (u,) + tail, inner)]
 
 
 @dataclass
@@ -271,26 +282,26 @@ class _BinarySplit:
     a: int
 
     def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
-        a = self.a
-        if mv.index < a:
+        a, (index, slots, inner) = self.a, mv
+        if index < a:
             return [mv]
-        if mv.index > a:
-            return [mv._replace(index=mv.index + 1)]
-        if mv.inner.startswith("0."):
-            return [mv._replace(inner=mv.inner[2:])]
-        if mv.inner.startswith("1."):
-            return [mv._replace(index=a + 1, inner=mv.inner[2:])]
+        if index > a:
+            return [CirquentMove(index + 1, slots, inner)]
+        if inner.startswith("0."):
+            return [CirquentMove(a, slots, inner[2:])]
+        if inner.startswith("1."):
+            return [CirquentMove(a + 1, slots, inner[2:])]
         return []
 
     def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
-        a = self.a
-        if mv.index < a:
+        a, (index, slots, inner) = self.a, mv
+        if index < a:
             return [mv]
-        if mv.index == a:
-            return [mv._replace(inner="0." + mv.inner)]
-        if mv.index == a + 1:
-            return [mv._replace(index=a, inner="1." + mv.inner)]
-        return [mv._replace(index=mv.index - 1)]
+        if index == a:
+            return [CirquentMove(a, slots, "0." + inner)]
+        if index == a + 1:
+            return [CirquentMove(a, slots, "1." + inner)]
+        return [CirquentMove(index - 1, slots, inner)]
 
 
 @dataclass
@@ -301,21 +312,21 @@ class _RecFold:
     j: int
 
     def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
-        p, s = self.j - 1, mv.slots
-        if mv.index != self.a:
-            return [mv._replace(slots=s[:p] + ("",) + s[p:])]
-        sp = split_address(mv.inner)
+        p, (index, s, inner) = self.j - 1, mv
+        if index != self.a:
+            return [CirquentMove(index, s[:p] + ("",) + s[p:], inner)]
+        sp = split_address(inner)
         if sp is None:
             return []
         w, rest = sp
-        return [mv._replace(slots=s[:p] + (w,) + s[p:], inner=rest)]
+        return [CirquentMove(index, s[:p] + (w,) + s[p:], rest)]
 
     def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
-        p, s = self.j - 1, mv.slots
+        p, (index, s, inner) = self.j - 1, mv
         slots = s[:p] + s[p + 1:]
-        if mv.index != self.a:
-            return [mv._replace(slots=slots)]
-        return [mv._replace(slots=slots, inner=s[p] + "." + mv.inner)]
+        if index != self.a:
+            return [CirquentMove(index, slots, inner)]
+        return [CirquentMove(index, slots, s[p] + "." + inner)]
 
 
 @dataclass
@@ -323,31 +334,34 @@ class _CorecFocus:
     """No overgroups added: the machine plays the '?' oformula inside a
     single all-zeros copy, padded just enough to dodge addresses already
     committed by other moves there.  Both maps record the copy addresses of
-    the real moves they see in `used`."""
+    the real moves they see in `used`, a frozenset each new address replaces,
+    so a shallow copy of the layer plays on independently."""
 
     a: int
-    used: set[str] = field(default_factory=set)
+    used: frozenset[str] = frozenset()
 
     def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
-        if mv.index != self.a:
+        index, slots, inner = mv
+        if index != self.a:
             return [mv]
-        sp = split_address(mv.inner)
+        sp = split_address(inner)
         if sp is None:
             return []
         v, rest = sp
-        self.used.add(v)
+        self.used |= {v}
         if v.strip("0"):
             return []  # outside the focused copy
-        return [mv._replace(inner=rest)]
+        return [CirquentMove(index, slots, rest)]
 
     def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
-        if mv.index != self.a:
+        index, slots, inner = mv
+        if index != self.a:
             return [mv]
         u = ""
         while any(v != u and v.startswith(u) for v in self.used):
             u += "0"
-        self.used.add(u)
-        return [mv._replace(inner=u + "." + mv.inner)]
+        self.used |= {u}
+        return [CirquentMove(index, slots, u + "." + inner)]
 
 
 @dataclass
@@ -359,27 +373,30 @@ class _CorecWeave:
     added: tuple[int, ...]  # 1-based overgroup positions, ascending
 
     def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
-        if mv.index != self.a:
+        index, s, inner = mv
+        if index != self.a:
             return [mv]
-        if any(mv.slots[j - 1] for j in self.added):
+        if any(s[j - 1] for j in self.added):
             return []  # conclusion forbids addressing those dimensions here
-        sp = split_address(mv.inner)
+        sp = split_address(inner)
         if sp is None:
             return []
         u, rest = sp
-        slots = list(mv.slots)
+        slots = list(s)
         for j, part in zip(self.added, defusion(u, len(self.added))):
             slots[j - 1] = part
-        return [mv._replace(slots=tuple(slots), inner=rest)]
+        return [CirquentMove(index, tuple(slots), rest)]
 
     def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
-        if mv.index != self.a:
+        index, s, inner = mv
+        if index != self.a:
             return [mv]
-        slots = list(mv.slots)
+        slots = list(s)
         for j in self.added:
             slots[j - 1] = ""
-        return [mv._replace(slots=tuple(slots), inner=v + "." + mv.inner)
-                for v in fusions([mv.slots[j - 1] for j in self.added])]
+        slots = tuple(slots)
+        return [CirquentMove(index, slots, v + "." + inner)
+                for v in fusions([s[j - 1] for j in self.added])]
 
 
 class FormulaBridge(Translated):

@@ -34,6 +34,8 @@ from cirquent.strategies import (
     Transducer,
     Translated,
     _BinarySplit,
+    _CorecFocus,
+    _OformulaSwap,
     cirquent_strategy_factories,
     compile_proof,
     transform,
@@ -414,3 +416,20 @@ def test_a_fork_answers_as_a_replay_would(subject, data):
         assert step_or_raise(replayed, r) == got, (r, got)
     for r, got in played[split:]:
         assert step_or_raise(original, r) == got, (r, got)
+
+
+def test_a_fork_records_corec_focus_addresses_apart_from_its_original():
+    """A fork shares the core and the layers without play state, and copies
+    each `_CorecFocus`, so the addresses one of the two records after the
+    fork never reach the other's `used`."""
+    swap, focus = _OformulaSwap(1), _CorecFocus(2)  # real oformula 1 is the focus's '?'
+    original = Translated(AxiomCopycat(1), [swap, focus], 1)
+    twin = original.fork()
+    assert twin.core is original.core and twin.layers[0] is swap
+    assert original.advance([CirquentMove(1, ("",), "0.q")]) == [CirquentMove(2, ("",), "q")]
+    assert focus.used == {"0"} and twin.layers[1].used == frozenset()
+    # the machine's move in the '?' dodges only the addresses its own play recorded
+    answer = [CirquentMove(2, ("",), "r")]
+    assert original.advance(answer) == [CirquentMove(1, ("",), "0.r")]
+    assert twin.advance(answer) == [CirquentMove(1, ("",), ".r")]
+    assert focus.used == {"0"} and twin.layers[1].used == {""}
