@@ -21,7 +21,7 @@ from typing import Iterator, Mapping, NamedTuple
 from . import formulas as fm
 from . import games as gm
 from .games import BOT, TOP, Labmove, Player, Run
-from .reader import Reader, is_string
+from .reader import GROUPS, STRING, STRINGS, Reader, int_groups, is_string
 
 
 class CirquentError(ValueError):
@@ -119,6 +119,45 @@ def read_body(r: Reader) -> Cirquent:
     r.close(_FIELDS)
     r.error = outer
     c = Cirquent(ofs, under, over)
+    validate_cirquent(c)
+    return c
+
+
+# A body as one regex piece (see `reader.INT`), its three lists captured.
+BODY = (rf"\{{\s*oformulas\s*:\s*({STRINGS})\s*;\s*under\s*:\s*({GROUPS})\s*;"
+        rf"\s*over\s*:\s*({GROUPS})\s*(?:;\s*)?\}}")
+_STRING = re.compile(STRING)
+
+
+def formula_list(text: str, memo: dict) -> tuple[fm.Formula, ...]:
+    """The formulas of a string `reader.LIST` match, each quoted text looked
+    up in or added to `memo` as `read_formulas` does; ValueError for an
+    integer or a non-list."""
+    out = []
+    for tok in _STRING.findall(text):
+        f = memo.get(tok)
+        if f is None:
+            f = memo[tok] = fm.parse_formula(tok[1:-1])
+        out.append(f)
+    if not out and text[1:].strip() != "]":
+        raise ValueError(f"not a string list: {text!r}")
+    return tuple(out)
+
+
+def body_of(ofs: str, under: str, over: str, memo: dict, lists: dict) -> Cirquent:
+    """The valid cirquent whose lists are the three `BODY` groups, each list
+    and each group looked up in or added to `lists` by its text; ValueError
+    (a CirquentError or FormulaError among them) if there is none."""
+    o = lists.get(ofs)
+    if o is None:
+        o = lists[ofs] = formula_list(ofs, memo)
+    u = lists.get(under)
+    if u is None:
+        u = lists[under] = int_groups(under, lists)
+    v = lists.get(over)
+    if v is None:
+        v = lists[over] = int_groups(over, lists)
+    c = Cirquent(o, u, v)
     validate_cirquent(c)
     return c
 

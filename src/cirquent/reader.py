@@ -12,6 +12,13 @@ fields come in one fixed order.  Each list is read in one loop over the
 token list, and a record's punctuation and field names are compared in
 place; any token that does not fit is handed to `take` or `integer`, which
 raise the error.
+
+Proof text has one more reader in front of this one.  `rules.parse_proof`
+reads each step in one regex match, built from the pieces below, when the
+step has no comment and is written as `docs/grammar.md` says: its fields in
+order, integers of plain ASCII digits, at most `SAFE_DIGITS` of them, and
+values that convert and validate.  From the first step that is not, the
+rest of the text goes to `Reader`, which raises every error.
 """
 
 from __future__ import annotations
@@ -34,6 +41,51 @@ MAX_DEPTH = 100
 # The longest digit run a list reads with int() in place: the lowest limit
 # sys.set_int_max_str_digits accepts, so int() never raises on such a run.
 SAFE_DIGITS = 640
+
+
+# Regex pieces of the one-match step reader (`rules.parse_proof`).  Each
+# matches only text that `_TOKEN` reads as the same tokens, with `\s*`
+# wherever `_TOKEN` skips blanks, and none matches a comment.  Every item
+# is followed by its blanks and every list is delimited, so no quantifier
+# can match one stretch of text two ways and a failed match takes time
+# linear in the text it scanned.
+INT = rf"[0-9]{{1,{SAFE_DIGITS}}}"
+STRING = r'"[^"\n]*"'
+
+
+def _list_of(*items: str) -> str:
+    """`[ item , ... ]`, possibly empty, its items all of one of `items`."""
+    runs = "|".join(rf"{item}\s*(?:,\s*{item}\s*)*" for item in items)
+    return rf"\[\s*(?:{runs})?\]"
+
+
+INTS = _list_of(INT)
+STRINGS = _list_of(STRING)
+LIST = _list_of(INT, STRING)
+GROUPS = _list_of(INTS)
+
+_DIGITS = re.compile("[0-9]+")
+_INNER = re.compile(r"\[([^\[\]]*)\]")
+
+
+def int_set(text: str) -> frozenset[int]:
+    """The integers of a `LIST` match; ValueError for a string list or an
+    integer."""
+    if text[0] != "[" or '"' in text:
+        raise ValueError(f"not an integer list: {text!r}")
+    return frozenset(map(int, _DIGITS.findall(text)))
+
+
+def int_groups(text: str, memo: dict) -> tuple[frozenset[int], ...]:
+    """The integer sets of a `GROUPS` match, each looked up in or added to
+    `memo` by the text between its brackets."""
+    out = []
+    for inner in _INNER.findall(text):
+        group = memo.get(inner)
+        if group is None:
+            group = memo[inner] = frozenset(map(int, _DIGITS.findall(inner)))
+        out.append(group)
+    return tuple(out)
 
 
 def is_name(tok: str) -> bool:

@@ -19,20 +19,24 @@ building direction); each is written independently of the other.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union, get_args, get_type_hints
 
 from . import formulas as fm
 from .cirquents import (
+    BODY,
     Cirquent,
     CirquentError,
+    body_of,
     club,
     format_cirquent,
+    formula_list,
     read_body,
     read_formulas,
     validate_cirquent,
 )
-from .reader import Reader
+from .reader import INT, LIST, Reader, int_set
 
 
 class RuleError(ValueError):
@@ -516,33 +520,38 @@ def _list(items) -> str:
 
 
 # How each type of rule field prints in, and reads back from, the proof
-# format; a reader takes the Reader of `parse_proof`.
+# format: a reader takes the Reader of `parse_proof`, a converter the text of
+# a `reader.INT` or `reader.LIST` match and the per-proof formula memo, and
+# raises ValueError where the reader would raise an error.
 _FIELD_TEXT = {
-    int: (str, Reader.integer),
+    int: (str, Reader.integer, lambda text, memo: int(text)),
     frozenset[int]: (
         lambda s: _list(str(i) for i in sorted(s)),
         lambda r: frozenset(r.integers()),
+        lambda text, memo: int_set(text),
     ),
     tuple[fm.Formula, ...]: (
         lambda fs: _list(f'"{fm.format_formula(f)}"' for f in fs),
         read_formulas,
+        formula_list,
     ),
 }
 
-# Per rule, its params in declaration order: (field name, format, read).
+# Per rule, its params in declaration order: (field name, format, read,
+# convert).
 _PARAMS = {
     cls: [(name, *_FIELD_TEXT[t]) for name, t in get_type_hints(cls).items()]
     for cls in get_args(RuleApp)
 }
 
-_PARAM_NAMES = {cls: tuple(name for name, _, _ in params) for cls, params in _PARAMS.items()}
+_PARAM_NAMES = {cls: tuple(name for name, *_ in params) for cls, params in _PARAMS.items()}
 _STEP_FIELDS = ("rule", "params", "cirquent")
 
 
 def _format_params(app: RuleApp) -> str:
     if type(app) not in _PARAMS:
         raise RuleError(f"unknown rule application {app!r}")
-    fields = (f"{name}: {fmt(getattr(app, name))}" for name, fmt, _ in _PARAMS[type(app)])
+    fields = (f"{name}: {fmt(getattr(app, name))}" for name, fmt, _, _ in _PARAMS[type(app)])
     return "{ " + "; ".join(fields) + " }"
 
 
@@ -555,7 +564,7 @@ def _read_app(r: Reader, name: str) -> RuleApp:
     names = _PARAM_NAMES[cls]
     args = []
     try:
-        for i, (_, _, read) in enumerate(_PARAMS[cls]):
+        for i, (_, _, read, _) in enumerate(_PARAMS[cls]):
             r.field(names, i)
             args.append(read(r))
     except fm.FormulaError as e:
@@ -576,12 +585,57 @@ def format_proof(proof: Proof) -> str:
     return "\n".join(lines) + "\n"
 
 
+# One step record as one regex: its number, rule name, each params field's
+# name and value text (the last fields absent for a rule with fewer), and
+# its body's three lists.  Field names and their order are checked after
+# the match, against `_PARAM_NAMES`.
+_MAX_PARAMS = max(map(len, _PARAMS.values()))
+_PARAM = rf"([A-Za-z_][A-Za-z0-9_]*)\s*:\s*({INT}|{LIST})\s*"
+_STEP = re.compile(
+    rf"\s*step\s+({INT})\s*\{{\s*rule\s*:\s*([A-Za-z_][A-Za-z0-9_]*)\s*;\s*params\s*:\s*\{{\s*"
+    + _PARAM + rf"(?:;\s*{_PARAM}" * (_MAX_PARAMS - 1) + ")?" * (_MAX_PARAMS - 1)
+    + rf"(?:;\s*)?\}}\s*;\s*cirquent\s*:\s*{BODY}\s*(?:;\s*)?\}}\s*"
+)
+
+
+def _step_of(m: re.Match, number: int, memo: dict, lists: dict) -> Step | None:
+    """The step that the token reader reads from the text of `m`, a match
+    of `_STEP` that should be step `number`; None where it would raise."""
+    num, rule, *fields, ofs, under, over = m.groups()
+    cls = RULES_BY_NAME.get(rule)
+    if cls is None or int(num) != number or tuple(filter(None, fields[::2])) != _PARAM_NAMES[cls]:
+        return None
+    try:
+        args = [convert(text, memo) for (_, _, _, convert), text in zip(_PARAMS[cls], fields[1::2])]
+        return Step(cls(*args), body_of(ofs, under, over, memo, lists))
+    except ValueError:  # RuleError, CirquentError and FormulaError among them
+        return None
+
+
 def parse_proof(text: str) -> Proof:
     """Steps in the grammar's order.  Errors in a cirquent body are
     CirquentErrors (FormulaErrors in its oformula text), all others
-    RuleErrors."""
-    r = Reader(text, RuleError)
+    RuleErrors.
+
+    A step is read in one match of `_STEP` when it has no comment, its
+    number is the next one, its rule and field names are right and in
+    order, and its values convert and its cirquent validates; the token
+    reader would read it to the same `Step`.  The text from the first other
+    step on goes to the token reader, which keeps the step count and the
+    formula memo and raises every error."""
     steps: list[Step] = []
+    memo: dict = {}
+    lists: dict = {}
+    pos, end = 0, len(text)
+    while pos < end:
+        m = _STEP.match(text, pos)
+        step = m and _step_of(m, len(steps) + 1, memo, lists)
+        if step is None:
+            break
+        steps.append(step)
+        pos = m.end()
+    r = Reader(text[pos:], RuleError)
+    r.memo = memo
     while r.peek() is not None:
         r.take("step")
         num = r.integer()

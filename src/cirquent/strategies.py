@@ -35,6 +35,10 @@ from .fusion import defusion, fusions
 from .games import BOT, Run, split_address
 from .rules import RuleApp
 
+# `CirquentMove(index, slots, inner)` without the Python-level `__new__` that
+# NamedTuple generates: every layer builds its moves through this.
+_move = partial(tuple.__new__, CirquentMove)
+
 
 class Transducer:
     """Reactive strategy for a cirquent with `n` overgroups.
@@ -91,7 +95,7 @@ class AxiomCopycat(Transducer):
 
     def advance(self, moves: list[CirquentMove]) -> list[CirquentMove]:
         top, up = 2 * self.n, 1 if self.pairing == "standard" else -1
-        return [CirquentMove(a + up if a % 2 == 1 else a - up, slots, inner)
+        return [_move((a + up if a % 2 == 1 else a - up, slots, inner))
                 for a, slots, inner in moves if 1 <= a <= top]
 
 
@@ -153,14 +157,14 @@ class _OformulaSwap(_Swap):
     def _map(self, mv: CirquentMove) -> CirquentMove:
         a = mv.index
         b = self.pos + 1 if a == self.pos else self.pos if a == self.pos + 1 else a
-        return CirquentMove(b, mv.slots, mv.inner)
+        return _move((b, mv.slots, mv.inner))
 
 
 class _OverSwap(_Swap):
     def _map(self, mv: CirquentMove) -> CirquentMove:
         s = list(mv.slots)
         s[self.pos - 1], s[self.pos] = s[self.pos], s[self.pos - 1]
-        return CirquentMove(mv.index, tuple(s), mv.inner)
+        return _move((mv.index, tuple(s), mv.inner))
 
 
 @dataclass
@@ -178,14 +182,14 @@ class _WeakeningDrop:
             return []  # addressed a copy dimension it may not touch
         slots = tuple(s for j, s in enumerate(mv.slots) if j not in self.dropped_slots)
         index = mv.index - 1 if mv.index > self.dropped else mv.index
-        return [CirquentMove(index, slots, mv.inner)]
+        return [_move((index, slots, mv.inner))]
 
     def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
         slots = list(mv.slots)
         for j in self.dropped_slots:
             slots.insert(j, "")
         index = mv.index + 1 if mv.index >= self.dropped else mv.index
-        return [CirquentMove(index, tuple(slots), mv.inner)]
+        return [_move((index, tuple(slots), mv.inner))]
 
 
 @dataclass
@@ -201,25 +205,25 @@ class _ContractionSplit:
         if index < a:
             return [mv]
         if index > a:
-            return [CirquentMove(index + 1, slots, inner)]
+            return [_move((index + 1, slots, inner))]
         sp = split_address(inner)
         if sp is None:
             return []
         v, rest = sp
         if v == "":
-            return [mv, CirquentMove(a + 1, slots, inner)]
-        return [CirquentMove(a if v[0] == "0" else a + 1, slots, v[1:] + "." + rest)]
+            return [mv, _move((a + 1, slots, inner))]
+        return [_move((a if v[0] == "0" else a + 1, slots, v[1:] + "." + rest))]
 
     def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
         a, (index, slots, inner) = self.a, mv
         if index < a:
             return [mv]
         if index > a + 1:
-            return [CirquentMove(index - 1, slots, inner)]
+            return [_move((index - 1, slots, inner))]
         if split_address(inner) is None:
-            return [CirquentMove(a, slots, inner)]
+            return [_move((a, slots, inner))]
         bit = "0" if index == a else "1"
-        return [CirquentMove(a, slots, bit + inner)]
+        return [_move((a, slots, bit + inner))]
 
 
 @dataclass
@@ -231,12 +235,12 @@ class _OverDupJoin:
 
     def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
         p, (index, s, inner) = self.pos - 1, mv
-        return [CirquentMove(index, s[:p] + (v,) + s[p + 2:], inner)
+        return [_move((index, s[:p] + (v,) + s[p + 2:], inner))
                 for v in fusions((s[p], s[p + 1]))]
 
     def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
         p, (index, s, inner) = self.pos - 1, mv
-        return [CirquentMove(index, s[:p] + defusion(s[p], 2) + s[p + 1:], inner)]
+        return [_move((index, s[:p] + defusion(s[p], 2) + s[p + 1:], inner))]
 
 
 @dataclass
@@ -262,7 +266,7 @@ class _MergeSplit:
             if u:
                 return []
             parts = ("", "")
-        return [CirquentMove(index, s[:p] + parts + s[p + 1:], inner)]
+        return [_move((index, s[:p] + parts + s[p + 1:], inner))]
 
     def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
         p, (index, s, inner) = self.pos - 1, mv
@@ -270,9 +274,9 @@ class _MergeSplit:
         head, tail = s[:p], s[p + 2:]
         in_l, in_r = index in self.left, index in self.right
         if in_l and in_r:
-            return [CirquentMove(index, head + (v,) + tail, inner) for v in fusions((u1, u2))]
+            return [_move((index, head + (v,) + tail, inner)) for v in fusions((u1, u2))]
         u = u1 if in_l else u2 if in_r else ""
-        return [CirquentMove(index, head + (u,) + tail, inner)]
+        return [_move((index, head + (u,) + tail, inner))]
 
 
 @dataclass
@@ -286,11 +290,11 @@ class _BinarySplit:
         if index < a:
             return [mv]
         if index > a:
-            return [CirquentMove(index + 1, slots, inner)]
+            return [_move((index + 1, slots, inner))]
         if inner.startswith("0."):
-            return [CirquentMove(a, slots, inner[2:])]
+            return [_move((a, slots, inner[2:]))]
         if inner.startswith("1."):
-            return [CirquentMove(a + 1, slots, inner[2:])]
+            return [_move((a + 1, slots, inner[2:]))]
         return []
 
     def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
@@ -298,10 +302,10 @@ class _BinarySplit:
         if index < a:
             return [mv]
         if index == a:
-            return [CirquentMove(a, slots, "0." + inner)]
+            return [_move((a, slots, "0." + inner))]
         if index == a + 1:
-            return [CirquentMove(a, slots, "1." + inner)]
-        return [CirquentMove(index - 1, slots, inner)]
+            return [_move((a, slots, "1." + inner))]
+        return [_move((index - 1, slots, inner))]
 
 
 @dataclass
@@ -314,19 +318,19 @@ class _RecFold:
     def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
         p, (index, s, inner) = self.j - 1, mv
         if index != self.a:
-            return [CirquentMove(index, s[:p] + ("",) + s[p:], inner)]
+            return [_move((index, s[:p] + ("",) + s[p:], inner))]
         sp = split_address(inner)
         if sp is None:
             return []
         w, rest = sp
-        return [CirquentMove(index, s[:p] + (w,) + s[p:], rest)]
+        return [_move((index, s[:p] + (w,) + s[p:], rest))]
 
     def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
         p, (index, s, inner) = self.j - 1, mv
         slots = s[:p] + s[p + 1:]
         if index != self.a:
-            return [CirquentMove(index, slots, inner)]
-        return [CirquentMove(index, slots, s[p] + "." + inner)]
+            return [_move((index, slots, inner))]
+        return [_move((index, slots, s[p] + "." + inner))]
 
 
 @dataclass
@@ -351,7 +355,7 @@ class _CorecFocus:
         self.used |= {v}
         if v.strip("0"):
             return []  # outside the focused copy
-        return [CirquentMove(index, slots, rest)]
+        return [_move((index, slots, rest))]
 
     def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
         index, slots, inner = mv
@@ -361,7 +365,7 @@ class _CorecFocus:
         while any(v != u and v.startswith(u) for v in self.used):
             u += "0"
         self.used |= {u}
-        return [CirquentMove(index, slots, u + "." + inner)]
+        return [_move((index, slots, u + "." + inner))]
 
 
 @dataclass
@@ -385,7 +389,7 @@ class _CorecWeave:
         slots = list(s)
         for j, part in zip(self.added, defusion(u, len(self.added))):
             slots[j - 1] = part
-        return [CirquentMove(index, tuple(slots), rest)]
+        return [_move((index, tuple(slots), rest))]
 
     def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
         index, s, inner = mv
@@ -395,7 +399,7 @@ class _CorecWeave:
         for j in self.added:
             slots[j - 1] = ""
         slots = tuple(slots)
-        return [CirquentMove(index, slots, v + "." + inner)
+        return [_move((index, slots, v + "." + inner))
                 for v in fusions([s[j - 1] for j in self.added])]
 
 
@@ -405,12 +409,12 @@ class FormulaBridge(Translated):
 
     Only the boundary changes; moves pass through untranslated.  An opponent
     move m is broadcast to every copy of the club's '!' as
-    `CirquentMove(1, ("",), m)`, and a reply surfaces only when it lands in
+    `_move((1, ("",), m))`, and a reply surfaces only when it lands in
     the all-zeros copy.
     """
 
     def read(self, move: str) -> CirquentMove:
-        return CirquentMove(1, ("",), move)
+        return _move((1, ("",), move))
 
     def write(self, mv: CirquentMove) -> str | None:
         if mv.index == 1 and not mv.slots[0].strip("0"):
