@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from math import prod
 from typing import Iterator, Mapping, NamedTuple
 
 from . import formulas as fm
 from . import games as gm
-from .games import BOT, TOP, Labmove, Player, Run
+from .games import BOT, TOP, Labmove, Player, Run, _labmove
 from .reader import GROUPS, STRING, STRINGS, Reader, int_groups, is_string
 
 
@@ -186,6 +187,11 @@ class CirquentMove(NamedTuple):
     inner: str
 
 
+# `CirquentMove(index, slots, inner)` without the Python-level `__new__` that
+# NamedTuple generates: the referee and every strategy layer build their
+# moves through this.
+_move = partial(tuple.__new__, CirquentMove)
+
 _MOVE = re.compile(r"([0-9]+);([01,]*)\.(.*)", re.DOTALL)
 
 
@@ -203,7 +209,7 @@ def parse_move(n_overgroups: int, move: str) -> CirquentMove | None:
     slots = tuple(m.group(2).split(","))
     if len(slots) != n_overgroups:
         return None
-    return CirquentMove(index, slots, m.group(3))
+    return _move((index, slots, m.group(3)))
 
 
 def format_move(mv: CirquentMove) -> str:
@@ -259,7 +265,7 @@ class Position(gm.Copies):
         mv = parse_move(len(self.used), lm.move)
         if mv is None or not respects_membership(self.cirquent, mv):
             return None
-        return self.advance_at(mv.index - 1, mv.slots, Labmove(lm.label, mv.inner))
+        return self.advance_at(mv.index - 1, mv.slots, _labmove((lm.label, mv.inner)))
 
     def _moves(self, player: Player, limit: int) -> Iterator[str]:
         for a, slots, found in self.open_moves(player, limit):

@@ -16,7 +16,9 @@ position that a referee keeps across plays.  A frontier of more than
 `Copies` is the one table of copy classes, each named by the longest used
 address on its copies: Rep and Corep use it with one dimension, and
 `cirquents.Position` with one per overgroup.  A move there first splits the
-classes its new addresses refine, then plays in the classes it reaches.
+classes its new addresses refine, if it has any, then plays in the classes
+it reaches.  Its frontier is computed once per group of addresses that
+reach the same classes, not once per address.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ import random
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import chain, islice, product
 from math import inf, prod
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from . import formulas as fm
 from .reader import MAX_DEPTH, Reader, is_name, is_string
@@ -72,6 +74,10 @@ class Labmove(NamedTuple):
     label: Player
     move: str
 
+
+# `Labmove(label, move)` without the Python-level `__new__` that NamedTuple
+# generates: the referee builds each move it passes down through this.
+_labmove = partial(tuple.__new__, Labmove)
 
 Run = tuple[Labmove, ...]
 
@@ -323,6 +329,8 @@ def _covered(v: str, exts: list[str]) -> bool:
     every copy through v.  The shortest of them are prefix-free, and
     prefix-free addresses cover those copies exactly when their Kraft sum
     relative to v is 1."""
+    if len(exts) == 1:  # one address covers them when it is v itself
+        return exts[0] == v
     tops: list[str] = []
     for u in sorted(exts):  # an address sorts right before its extensions
         if not tops or not u.startswith(tops[-1]):
@@ -376,6 +384,19 @@ def through_classes(used: frozenset[str], classes: Iterable[str | None], w: str
 def addresses(limit: int) -> tuple[str, ...]:
     """Every bitstring of at most `limit` bits, shortest first, built once."""
     return tuple("".join(bits) for n in range(limit + 1) for bits in product("01", repeat=n))
+
+
+def through_groups(used: frozenset[str], classes: tuple[str | None, ...], limit: int
+                   ) -> list[tuple[tuple[str | None, ...], Sequence[str]]]:
+    """The addresses of at most `limit` bits grouped by the keys, among
+    `classes` of `used`, of the classes through them: (keys, addresses) per
+    group, one group when there is one class."""
+    if len(classes) == 1:
+        return [(classes, addresses(limit))]
+    groups: dict[tuple[str | None, ...], list[str]] = {}
+    for w in addresses(limit):
+        groups.setdefault(tuple(through_classes(used, classes, w)), []).append(w)
+    return list(groups.items())
 
 
 # ---------------------------------------------------------------- positions
@@ -451,7 +472,7 @@ class _Parallel(Position):
         if len(m) < 2 or m[1] != "." or m[0] not in "01":
             return None
         i = int(m[0])
-        sub = self.parts[i].advance(Labmove(lm.label, m[2:]))
+        sub = self.parts[i].advance(_labmove((lm.label, m[2:])))
         if sub is None:
             return None
         return _Parallel(self.decisive, (sub, self.parts[1]) if i == 0 else (self.parts[0], sub))
@@ -476,11 +497,14 @@ class Copies(Position):
     new address of w splits its dimension's classes, both parts of a split
     vector keeping its position, and then a's vectors through w take the
     move, which must be legal on each; so the moves open at w are those open
-    on every vector through w.  A subclass parses and formats moves, scores
-    the run in `_winner` and provides `own`, the class attribute `cap` and
-    `_next(used, classes, members)`, the table with those contents.  The
-    members a move leaves alone keep their positions, so they answer
-    `moves` and `winner` from their memos.
+    on every vector through w, and addresses with the same classes through
+    them have the same moves: the frontier intersects them once per group
+    of such addresses.  A move whose addresses are all used splits nothing
+    and leaves the other members' dicts as they are.  A subclass parses and
+    formats moves, scores the run in `_winner` and provides `own`, the
+    class attribute `cap` and `_next(used, classes, members)`, the table
+    with those contents.  The members a move leaves alone keep their
+    positions, so they answer `moves` and `winner` from their memos.
     """
 
     __slots__ = ("used", "classes", "members")
@@ -496,7 +520,8 @@ class Copies(Position):
         dimension; None when the move is illegal on a vector through them.
         The split pass runs first, so CapExceeded fires, legal move or
         not, when it gives a member more than `cap` vectors; a frontier goes
-        through some of a member's vectors only."""
+        through some of a member's vectors only.  A move whose addresses are
+        all used splits nothing, and changes member a's positions alone."""
         own, used, classes = self.own, self.used, self.classes
         members = list(self.members)
         split = {}  # dimension j where w is new: the parent key of each class
@@ -506,14 +531,18 @@ class Copies(Position):
                 keys, split[j] = zip(*split_classes(used[j], classes[j], w))
                 used = (*used[:j], used[j] | {w}, *used[j + 1:])
                 classes = (*classes[:j], keys, *classes[j + 1:])
-        for b, dims in enumerate(own):
-            if split.keys().isdisjoint(dims):
-                continue
-            before = [split.get(j, classes[j]) for j in dims]
-            self._check_cap(prod(map(len, before)))
-            vecs = product(*[classes[j] for j in dims])
-            members[b] = dict(zip(vecs, map(members[b].__getitem__, product(*before))))
-        positions = members[a] = dict(members[a])
+        if split:
+            # a's dimensions split, so its dict is a new one too
+            for b, dims in enumerate(own):
+                if split.keys().isdisjoint(dims):
+                    continue
+                before = [split.get(j, classes[j]) for j in dims]
+                self._check_cap(prod(map(len, before)))
+                vecs = product(*[classes[j] for j in dims])
+                members[b] = dict(zip(vecs, map(members[b].__getitem__, product(*before))))
+            positions = members[a]
+        else:
+            positions = members[a] = dict(members[a])
         for vec in product(*[through_classes(used[j], classes[j], slots[j]) for j in own[a]]):
             pos = positions[vec].advance(inner)
             if pos is None:
@@ -524,36 +553,36 @@ class Copies(Position):
     def open_moves(self, player: Player, limit: int):
         """(member, slots, moves) for each member and slots of at most `limit`
         bits in its dimensions ("" in others) where `player` has moves.
-        CapExceeded fires when one member's slots make more than
-        `FRONTIER_CAP` tuples, moves or none."""
-        used, n = self.used, len(self.used)
-        ws = addresses(limit)
-        named = [[class_of(u, w) for w in ws] for u in used]
-        through: dict[tuple[int, str], list[str | None]] = {}
+        The moves open at slots are those open on every vector of classes
+        through them, so they are computed once per class group: slots
+        whose addresses lie, dimension by dimension, in the same group
+        (`through_groups`) have the same moves.  CapExceeded fires when one
+        member's slots make more than `FRONTIER_CAP` tuples, moves or none."""
+        n, size = len(self.used), len(addresses(limit))
+        groups: dict[int, list] = {}
         for a, dims in enumerate(self.own):
-            tuples = len(ws) ** len(dims)
+            tuples = size ** len(dims)
             if tuples > FRONTIER_CAP:
                 raise CapExceeded(f"{tuples} slot tuples of one member exceed cap {FRONTIER_CAP}")
             positions = self.members[a]
-            for at, vec in zip(product(ws, repeat=len(dims)),
-                               product(*[named[j] for j in dims])):
-                # start from the copy the slots name; the other vectors
-                # through them are looked up only while moves remain
-                found = positions[vec].moves(player, limit)
-                if not found:
-                    continue
-                lines = []
-                for j, w in zip(dims, at):
-                    line = through.get((j, w))
-                    if line is None:
-                        line = through[j, w] = through_classes(used[j], self.classes[j], w)
-                    lines.append(line)
-                for vec in product(*lines):
-                    found = found & positions[vec].moves(player, limit)
+            if not any(p.moves(player, limit) for p in positions.values()):
+                continue  # no moves to intersect, so no groups to build
+            for j in dims:
+                if j not in groups:
+                    groups[j] = through_groups(self.used[j], self.classes[j], limit)
+            for combo in product(*[groups[j] for j in dims]):
+                vecs = product(*[keys for keys, _ in combo])
+                found = positions[next(vecs)].moves(player, limit)
+                for vec in vecs:
                     if not found:
                         break
+                    found = found & positions[vec].moves(player, limit)
                 if found:
-                    yield a, tuple(at[dims.index(j)] if j in dims else "" for j in range(n)), found
+                    spots = [("",)] * n
+                    for j, (_, ws) in zip(dims, combo):
+                        spots[j] = ws
+                    for slots in product(*spots):
+                        yield a, slots, found
 
 
 class _Recurrence(Copies):
@@ -576,7 +605,7 @@ class _Recurrence(Copies):
         parts = split_address(lm.move)
         if parts is None:
             return None
-        return self.advance_at(0, (parts[0],), Labmove(lm.label, parts[1]))
+        return self.advance_at(0, (parts[0],), _labmove((lm.label, parts[1])))
 
     def _moves(self, player: Player, limit: int) -> Iterable[str]:
         return (f"{slots[0]}.{m}" for _, slots, found in self.open_moves(player, limit)

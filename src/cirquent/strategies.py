@@ -30,14 +30,10 @@ from typing import Callable
 
 from . import formulas as fm
 from . import rules as rl
-from .cirquents import Cirquent, CirquentMove, format_move, parse_move
+from .cirquents import Cirquent, CirquentMove, _move, format_move, parse_move
 from .fusion import defusion, fusions
 from .games import BOT, Run, split_address
 from .rules import RuleApp
-
-# `CirquentMove(index, slots, inner)` without the Python-level `__new__` that
-# NamedTuple generates: every layer builds its moves through this.
-_move = partial(tuple.__new__, CirquentMove)
 
 
 class Transducer:
@@ -532,7 +528,7 @@ def compile_proof(proof: rl.Proof) -> CompiledStrategy:
                 }
                 for s in proof
             ],
-            "bridges": ["club-to-rep", "rep-to-plain"],
+            "bridges": ["formula-bridge"],
         },
         sort_keys=True,
         indent=2,

@@ -11,15 +11,20 @@ builds a fresh strategy and replays the whole line at every node, the
 reference for `harness.exhaustive_env_check`.  `is_delay_of`, at the end, is
 the delay relation as a test of two runs, the reference for
 `games._delays`, which builds the delays directly; it moved here from
-`cirquent.games`.
+`cirquent.games`.  `open_moves`, after the whole-run walkers, is the
+frontier of a `games.Copies` table as it was computed before it went by
+class groups: one intersection per slot tuple, the reference for
+`games.Copies.open_moves`.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable
 
 from cirquent.games import (
     BOT,
+    FRONTIER_CAP,
     TOP,
     Conj,
     Corep,
@@ -33,9 +38,11 @@ from cirquent.games import (
     Run,
     Tree,
     addresses,
+    class_of,
     covers,
     split_address,
     thread_classes,
+    through_classes,
 )
 from cirquent.harness import NODE_CAP, QUIESCE_STEPS, CapExceeded
 from cirquent.strategies import Transducer
@@ -220,6 +227,45 @@ def winner(g: Game, run: Run) -> Player:
     if off is not None:
         return off.other
     return _winner_of_legal(g, run)
+
+
+# ---------------------------------------------------------- copy frontier
+
+
+def open_moves(pos, player: Player, limit: int):
+    """`pos.open_moves(player, limit)` for a `games.Copies` table `pos`,
+    one slot tuple at a time: (member, slots, moves) for each member and
+    slots of at most `limit` bits in its dimensions ("" in others) where
+    `player` has moves.  CapExceeded fires when one member's slots make
+    more than `FRONTIER_CAP` tuples, moves or none."""
+    used, n = pos.used, len(pos.used)
+    ws = addresses(limit)
+    named = [[class_of(u, w) for w in ws] for u in used]
+    through: dict[tuple[int, str], list[str | None]] = {}
+    for a, dims in enumerate(pos.own):
+        tuples = len(ws) ** len(dims)
+        if tuples > FRONTIER_CAP:
+            raise CapExceeded(f"{tuples} slot tuples of one member exceed cap {FRONTIER_CAP}")
+        positions = pos.members[a]
+        for at, vec in zip(product(ws, repeat=len(dims)),
+                           product(*[named[j] for j in dims])):
+            # start from the copy the slots name; the other vectors
+            # through them are looked up only while moves remain
+            found = positions[vec].moves(player, limit)
+            if not found:
+                continue
+            lines = []
+            for j, w in zip(dims, at):
+                line = through.get((j, w))
+                if line is None:
+                    line = through[j, w] = through_classes(used[j], pos.classes[j], w)
+                lines.append(line)
+            for vec in product(*lines):
+                found = found & positions[vec].moves(player, limit)
+                if not found:
+                    break
+            if found:
+                yield a, tuple(at[dims.index(j)] if j in dims else "" for j in range(n)), found
 
 
 # ------------------------------------------------------------- winnability

@@ -611,7 +611,7 @@ def compile_proof(proof: rl.Proof) -> CompiledStrategy:
                 }
                 for s in proof
             ],
-            "bridges": ["club-to-rep", "rep-to-plain"],
+            "bridges": ["formula-bridge"],
         },
         sort_keys=True,
         indent=2,

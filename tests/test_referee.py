@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 import referee_oracle as ro
 from cirquent import cirquents as cq
 from cirquent import games as gm
+from cirquent import harness
 from cirquent.games import BOT, TOP, Labmove
-from cirquent.harness import CirquentArena, FormulaArena, RandomEnv, play
+from cirquent.harness import CirquentArena, FormulaArena, RandomEnv, SpoilerEnv, play
 from cirquent.strategies import cirquent_strategy_factories
 from test_acceptance import (
     CASES,
@@ -27,7 +28,9 @@ from test_acceptance import (
     _game_candidates,
     _random_game,
     _random_run,
+    compiled_for,
     load_proof,
+    uniform_interp,
 )
 from test_cirquents import valid_cirquents
 
@@ -413,3 +416,120 @@ def test_an_arena_answers_the_opening_frontier_of_every_play_from_one_computatio
     asked = len(moves)
     assert arena.frontier((), BOT, 2) == opening
     assert len(moves) == asked
+
+
+# ---------------------------------------------------------- copy frontier
+
+
+def _tables_in(pos, out):
+    """Every `games.Copies` table in `pos`, itself included, and in its
+    parts and members, into `out`, keyed by identity."""
+    if isinstance(pos, gm.Copies):
+        if id(pos) in out:
+            return
+        out[id(pos)] = pos
+        for positions in pos.members:
+            for sub in positions.values():
+                _tables_in(sub, out)
+    elif isinstance(pos, gm._Parallel):
+        for sub in pos.parts:
+            _tables_in(sub, out)
+
+
+def _open(moves, pos, player, limit):
+    """The triples `moves(pos, player, limit)` yields, or its CapExceeded
+    message."""
+    try:
+        return list(moves(pos, player, limit))
+    except gm.CapExceeded as e:
+        return str(e)
+
+
+def _same_open_moves(pos):
+    """The grouped frontier yields each (member, slots) once and the same
+    triples as the per-slot-tuple one, for both players at limits 1 and 2;
+    returns how many triples it yielded."""
+    total = 0
+    for player, limit in product((TOP, BOT), (1, 2)):
+        got = _open(gm.Copies.open_moves, pos, player, limit)
+        want = _open(ro.open_moves, pos, player, limit)
+        if isinstance(want, str):
+            assert got == want, (pos, player, limit)
+            continue
+        assert len({(a, slots) for a, slots, _ in got}) == len(got), (pos, player, limit)
+        assert set(got) == set(want), (pos, player, limit)
+        total += len(got)
+    return total
+
+
+@cache
+def _reached_tables():
+    """Every copy table the 345 plays of the benchmark's grid (every proof
+    step, RandomEnv seeds 0-4) and one rollout pass (every corpus case
+    under every standard game, RandomEnv seeds 0-19 and a SpoilerEnv)
+    judge, with the tables nested in them."""
+    judged = {}  # every position on an arena's path, by identity
+    judge = harness.Arena._judge
+
+    def recording(self, run):
+        found = judge(self, run)
+        judged.update((id(pos), pos) for pos in self._path)
+        return found
+
+    harness.Arena._judge = recording
+    try:
+        for name in CASES:
+            for c, factory in cirquent_strategy_factories(load_proof(name)):
+                arena = CirquentArena(c, GRID_INTERP)
+                for seed in range(5):
+                    play(factory(), RandomEnv(seed, max_moves=4), arena, budget=48)
+            compiled = compiled_for(name)
+            for game in sorted(STANDARD):
+                arena = FormulaArena(gm.of_formula(
+                    compiled.formula, uniform_interp(compiled.formula, STANDARD[game])))
+                for env in [RandomEnv(seed) for seed in range(20)] + [SpoilerEnv(depth=2)]:
+                    play(compiled.fresh(), env, arena, budget=64)
+    finally:
+        harness.Arena._judge = judge
+    tables = {}
+    for pos in judged.values():
+        _tables_in(pos, tables)
+    return list(tables.values())
+
+
+def test_grouped_frontier_matches_per_slot_tuples_on_the_grid_and_rollouts():
+    tables = _reached_tables()
+    assert sum(isinstance(t, cq.Position) for t in tables) > 500
+    assert len(tables) > 3000
+    assert sum(map(_same_open_moves, tables)) > 50_000
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_grouped_frontier_matches_per_slot_tuples_on_random_positions(data):
+    """Random cirquents played from their 2-bit frontiers, and random
+    formula games along random runs."""
+    c = data.draw(valid_cirquents())
+    interp = {a: STANDARD[data.draw(st.sampled_from(sorted(STANDARD)))] for a in "EFG"}
+    pos = cq.start(c, interp)
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    g = _random_game(rng, rng.randrange(1, 4))
+    games = [gm.start(g)]
+    for lm in _random_run(rng, g):
+        nxt = games[-1].advance(lm)
+        if nxt is None:
+            break
+        games.append(nxt)
+    tables = {}
+    _tables_in(pos, tables)
+    for _ in range(4):
+        player = data.draw(st.sampled_from((TOP, BOT)))
+        moves = sorted(pos.moves(player, 2))
+        if not moves:
+            break
+        pos = pos.advance(Labmove(player, data.draw(st.sampled_from(moves))))
+        _tables_in(pos, tables)
+    for p in games:
+        _tables_in(p, tables)
+    for table in tables.values():
+        _same_open_moves(table)
