@@ -411,8 +411,10 @@ class Position:
     `winner()` scores the run as it stands.  Both are computed once, by the
     subclass's `_moves`, which yields each move once, and `_winner`, and kept
     in `_memo`, keyed by (player, limit) and by None for the winner; a
-    subclass starts each position with an empty `_memo`.  A `CapExceeded`
-    is raised again on every call, never kept.
+    subclass starts each position with an empty `_memo`.  `sorted_moves`
+    is the same frontier as a sorted tuple, sorted once and kept under
+    (player, limit, "sorted").  A `CapExceeded` is raised again on every
+    call, never kept.
     """
 
     __slots__ = ("_memo",)
@@ -427,6 +429,13 @@ class Position:
             if next(more, None) is not None:
                 raise CapExceeded(f"frontier exceeds cap of {FRONTIER_CAP} moves")
             self._memo[key] = found
+        return found
+
+    def sorted_moves(self, player: Player, limit: int) -> tuple[str, ...]:
+        key = (player, limit, "sorted")
+        found = self._memo.get(key)
+        if found is None:
+            found = self._memo[key] = tuple(sorted(self.moves(player, limit)))
         return found
 
     def winner(self) -> Player:

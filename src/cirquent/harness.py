@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 from . import cirquents as cq
 from . import formulas as fm
 from . import games as gm
-from .games import BOT, TOP, CapExceeded, Labmove, Player, Run
+from .games import BOT, TOP, CapExceeded, Labmove, Player, Run, _labmove
 from .rules import check_formula_proof, conclusion_formula, parse_proof
 from .strategies import CompiledStrategy, Transducer, compile_proof
 
@@ -45,8 +45,8 @@ class Arena:
     runs of one play, one spoiler probe or one sweep extend one another, so
     a query cuts that path where its run leaves the last one and judges only
     the moves after the cut.  A position computes its frontier and its score
-    once, so the kept positions, the start position above all, carry them
-    from one play to the next.
+    once, and sorts the frontier once, so the kept positions, the start
+    position above all, carry them from one play to the next.
     """
 
     _run: Run = ()  # the legal run the path holds the positions of
@@ -87,11 +87,13 @@ class Arena:
 
     def frontier(self, run: Run, player: Player, limit: int) -> list[str]:
         """Sorted legal moves for `player` after `run`, with copy addresses
-        of at most `limit` bits; none if the run is illegal."""
+        of at most `limit` bits; none if the run is illegal.  The position
+        keeps the sorted frontier (`sorted_moves`), and each call hands out a
+        new list of it, which the caller may change."""
         pos, off = self._judge(run)
         if off is not None:
             return []
-        return sorted(pos.moves(player, limit))
+        return list(pos.sorted_moves(player, limit))
 
 
 @dataclass
@@ -159,7 +161,18 @@ class ScriptedEnv(EnvPolicy):
 
 class SpoilerEnv(EnvPolicy):
     """Adversarial opponent: for at most 6 moves, bounded lookahead over the
-    first 48 moves of its 1-bit frontier, toward positions the machine loses."""
+    first 48 moves of its 1-bit frontier, toward positions the machine loses.
+
+    A candidate's probe reads 0 when some line of at most `depth` - 1 more
+    environment moves from it, each among the first 48 of its frontier and
+    the machine silent, reaches a run the machine does not win, and 1
+    otherwise.  The spoiler plays the first
+    candidate whose probe reads 0, or the first candidate when none does.
+    That is the least `(probe, move)` pair over the candidates: they are
+    sorted and distinct and a probe reads 0 or 1, so the least pair is the
+    first one with a 0, or else the least move, and no later probe can
+    change it, so none is run.
+    """
 
     def __init__(self, depth: int = 2):
         self.depth = depth
@@ -170,7 +183,7 @@ class SpoilerEnv(EnvPolicy):
         if score == 0 or d <= 0:
             return score
         for m in arena.frontier(run, BOT, 1)[:48]:
-            score = min(score, self._probe(arena, run + (Labmove(BOT, m),), d - 1))
+            score = min(score, self._probe(arena, run + (_labmove((BOT, m)),), d - 1))
             if score == 0:
                 break
         return score
@@ -182,11 +195,10 @@ class SpoilerEnv(EnvPolicy):
         if not cands:
             return []
         self.left -= 1
-        best = min(
-            cands,
-            key=lambda m: (self._probe(arena, run + (Labmove(BOT, m),), self.depth - 1), m),
-        )
-        return [best]
+        for m in cands:
+            if not self._probe(arena, run + (_labmove((BOT, m)),), self.depth - 1):
+                return [m]
+        return [cands[0]]
 
 
 # ------------------------------------------------------------------- play
@@ -212,11 +224,11 @@ def play(t: Transducer, env: EnvPolicy, arena, budget: int = 64) -> PlayResult:
     while True:
         env_moves = env.next_moves(arena, tuple(run)) if len(run) < budget else []
         for m in env_moves[:budget - len(run)]:
-            run.append(Labmove(BOT, m))
+            run.append(_labmove((BOT, m)))
         block = t.step(tuple(run))
         inconclusive = len(run) + len(block) > budget
         for m in block[:budget - len(run)]:
-            run.append(Labmove(TOP, m))
+            run.append(_labmove((TOP, m)))
         if inconclusive or not (env_moves or block):
             break
     final = tuple(run)
@@ -240,7 +252,7 @@ def exhaustive_env_check(
             block = t.step(run)
             if not block:
                 return run
-            run = run + tuple(Labmove(TOP, m) for m in block)
+            run = run + tuple(_labmove((TOP, m)) for m in block)
             if len(run) > budget:
                 raise CapExceeded(f"machine took the run to {len(run)} labmoves, "
                                   f"over the budget of {budget}")
@@ -256,7 +268,7 @@ def exhaustive_env_check(
             return run
         if depth < env_depth:
             for m in arena.frontier(run, BOT, limit):
-                witness = rec(t.fork(), run + (Labmove(BOT, m),), depth + 1)
+                witness = rec(t.fork(), run + (_labmove((BOT, m)),), depth + 1)
                 if witness is not None:
                     return witness
         return None

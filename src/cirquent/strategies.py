@@ -26,7 +26,7 @@ import copy
 import json
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterable, Union
 
 from . import formulas as fm
 from . import rules as rl
@@ -113,10 +113,8 @@ class Translated(Transducer):
 
     def fork(self) -> Translated:
         """Shares the core, a copycat without play state, and every layer but
-        the `_CorecFocus` ones, the only layers that record the play."""
-        layers = [_CorecFocus(layer.a, layer.used) if type(layer) is _CorecFocus else layer
-                  for layer in self.layers]
-        twin = type(self)(self.core, layers, self.n)
+        the `_CorecFocus` ones, which `_own` copies."""
+        twin = type(self)(self.core, _own(self.layers), self.n)
         twin._observed = self._observed
         return twin
 
@@ -418,8 +416,18 @@ class FormulaBridge(Translated):
         return None
 
 
-# A translation layer's class and the arguments it is built from.
-Layer = tuple[type, tuple]
+# One of the translation layers above.
+Layer = Union[_Swap, _WeakeningDrop, _ContractionSplit, _OverDupJoin, _MergeSplit,
+              _BinarySplit, _RecFold, _CorecFocus, _CorecWeave]
+
+
+def _own(layers: Iterable[Layer]) -> list[Layer]:
+    """`layers` for a strategy of its own: a copy of each `_CorecFocus`, the
+    only layer that records the play, and every other layer itself, since
+    none of them keeps play state.  A fresh strategy and a fork both take
+    their layers through this."""
+    return [_CorecFocus(layer.a, layer.used) if type(layer) is _CorecFocus else layer
+            for layer in layers]
 
 
 def transform(app: RuleApp, conclusion: Cirquent) -> Layer | None:
@@ -432,9 +440,9 @@ def transform(app: RuleApp, conclusion: Cirquent) -> Layer | None:
     if isinstance(app, (rl.UnderExchange, rl.UnderDuplication)):
         return None
     if isinstance(app, rl.OformulaExchange):
-        return _OformulaSwap, (app.pos,)
+        return _OformulaSwap(app.pos)
     if isinstance(app, rl.OverExchange):
-        return _OverSwap, (app.pos,)
+        return _OverSwap(app.pos)
     if isinstance(app, rl.Weakening):
         if premise.width == conclusion.width:
             return None
@@ -442,21 +450,21 @@ def transform(app: RuleApp, conclusion: Cirquent) -> Layer | None:
         dropped_slots = tuple(
             j for j, g in enumerate(conclusion.overgroups) if g == frozenset({a})
         )
-        return _WeakeningDrop, (a, dropped_slots)
+        return _WeakeningDrop(a, dropped_slots)
     if isinstance(app, rl.Contraction):
-        return _ContractionSplit, (app.oformula,)
+        return _ContractionSplit(app.oformula)
     if isinstance(app, rl.OverDuplication):
-        return _OverDupJoin, (app.pos,)
+        return _OverDupJoin(app.pos)
     if isinstance(app, rl.Merging):
-        return _MergeSplit, (app.pos, app.left, app.right)
+        return _MergeSplit(app.pos, app.left, app.right)
     if isinstance(app, (rl.DisjIntro, rl.ConjIntro)):
-        return _BinarySplit, (app.oformula,)
+        return _BinarySplit(app.oformula)
     if isinstance(app, rl.RecIntro):
-        return _RecFold, (app.oformula, app.overgroup)
+        return _RecFold(app.oformula, app.overgroup)
     if isinstance(app, rl.CorecIntro):
         if not app.added:
-            return _CorecFocus, (app.oformula,)
-        return _CorecWeave, (app.oformula, tuple(sorted(app.added)))
+            return _CorecFocus(app.oformula)
+        return _CorecWeave(app.oformula, tuple(sorted(app.added)))
     raise rl.RuleError(f"no transformer for {app!r}")
 
 
@@ -468,7 +476,9 @@ Factory = Callable[[], Transducer]
 
 def _layers(proof: rl.Proof) -> tuple[int, list[Layer | None]]:
     """The axiom's number of diamonds and, per later step, the layer its rule
-    adds (None when it adds none), read once from the checked proof."""
+    adds (None when it adds none), built once from the checked proof.  Every
+    stack of the proof shares these layers but the `_CorecFocus` ones, which
+    each stack copies (`_own`); those it holds here are never played."""
     verdict = rl.check_proof(proof)
     if not verdict:
         raise rl.RuleError(f"proof does not check: step {verdict.step}: {verdict.message}")
@@ -477,23 +487,26 @@ def _layers(proof: rl.Proof) -> tuple[int, list[Layer | None]]:
     return len(first.app.formulas), [transform(s.app, s.cirquent) for s in proof[1:]]
 
 
-def _stack(cls: type[Translated], diamonds: int, specs: list[Layer | None], k: int,
+def _stack(cls: type[Translated], core: AxiomCopycat, layers: list[Layer | None], k: int,
            n: int) -> Translated:
-    """A fresh copycat under the layers of the first k `specs` of `_layers`,
-    for a cirquent with n overgroups."""
-    layers = [spec[0](*spec[1]) for spec in reversed(specs[:k]) if spec is not None]
-    return cls(AxiomCopycat(diamonds), layers, n)
+    """A fresh strategy for a cirquent with n overgroups: `core`, which keeps
+    no play state inside a stack, under the layers that the first k steps
+    after the axiom add (`layers`, from `_layers`), the last one outermost."""
+    return cls(core, _own(layer for layer in reversed(layers[:k]) if layer is not None), n)
 
 
 def cirquent_strategy_factories(proof: rl.Proof) -> list[tuple[Cirquent, Factory]]:
     """One fresh-strategy factory per proof step, for that step's cirquent.
-    A step whose rule adds no layer shares its premise's factory."""
-    diamonds, specs = _layers(proof)
+    A step whose rule adds no layer shares its premise's factory.  Every
+    stack shares one copycat core; the axiom's copycat, played on its own,
+    is a new one each time."""
+    diamonds, layers = _layers(proof)
+    core = AxiomCopycat(diamonds)
     factory: Factory = partial(AxiomCopycat, diamonds)
     out = [(proof[0].cirquent, factory)]
-    for k, (step, spec) in enumerate(zip(proof[1:], specs), 1):
-        if spec is not None:
-            factory = partial(_stack, Translated, diamonds, specs, k,
+    for k, (step, layer) in enumerate(zip(proof[1:], layers), 1):
+        if layer is not None:
+            factory = partial(_stack, Translated, core, layers, k,
                               len(step.cirquent.overgroups))
         out.append((step.cirquent, factory))
     return out
@@ -506,6 +519,9 @@ class CompiledStrategy:
     bundle: str
 
     def fresh(self) -> Transducer:
+        """A new strategy, from nothing played.  It shares the layers that
+        `_layers` built once for the proof, and copies only the
+        `_CorecFocus` ones (`_own`)."""
         return self.factory()
 
 
@@ -515,8 +531,8 @@ def compile_proof(proof: rl.Proof) -> CompiledStrategy:
     The result never inspects an interpretation: the bundle text and the
     move behavior depend only on the proof.
     """
-    diamonds, specs = _layers(proof)
-    factory = partial(_stack, FormulaBridge, diamonds, specs, len(specs), 1)
+    diamonds, layers = _layers(proof)
+    factory = partial(_stack, FormulaBridge, AxiomCopycat(diamonds), layers, len(layers), 1)
     formula = rl.conclusion_formula(proof)
     bundle = json.dumps(
         {

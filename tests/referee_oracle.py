@@ -14,7 +14,10 @@ the delay relation as a test of two runs, the reference for
 `cirquent.games`.  `open_moves`, after the whole-run walkers, is the
 frontier of a `games.Copies` table as it was computed before it went by
 class groups: one intersection per slot tuple, the reference for
-`games.Copies.open_moves`.
+`games.Copies.open_moves`.  `ArgMinSpoilerEnv`, after the sweep, is
+`harness.SpoilerEnv` as it was before it stopped at its first losing
+candidate: it probes every candidate and plays the least `(probe, move)`
+pair, the reference for the spoiler's choice.
 """
 
 from __future__ import annotations
@@ -350,6 +353,38 @@ def replay_env_check(
 
     witness = rec([])
     return witness is None, witness
+
+
+class ArgMinSpoilerEnv:
+    """For at most 6 moves, bounded lookahead over the first 48 moves of its
+    1-bit frontier, toward positions the machine loses."""
+
+    def __init__(self, depth: int = 2):
+        self.depth = depth
+        self.left = 6
+
+    def _probe(self, arena, run: Run, d: int) -> int:
+        score = 1 if arena.winner(run) is TOP else 0
+        if score == 0 or d <= 0:
+            return score
+        for m in arena.frontier(run, BOT, 1)[:48]:
+            score = min(score, self._probe(arena, run + (Labmove(BOT, m),), d - 1))
+            if score == 0:
+                break
+        return score
+
+    def next_moves(self, arena, run: Run) -> list[str]:
+        if self.left <= 0:
+            return []
+        cands = arena.frontier(run, BOT, 1)[:48]
+        if not cands:
+            return []
+        self.left -= 1
+        best = min(
+            cands,
+            key=lambda m: (self._probe(arena, run + (Labmove(BOT, m),), self.depth - 1), m),
+        )
+        return [best]
 
 
 # ------------------------------------------------------------------ delays

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from functools import partial
 from pathlib import Path
 
@@ -265,3 +267,15 @@ def test_compiled_strategy_survives_junk_probes():
     result = play(compiled.fresh(), ScriptedEnv([JUNK_MOVE] * 3), arena)
     assert result.won  # junk makes the environment the first offender
     assert result.offender is BOT
+
+
+def test_the_plays_digest_of_playhash_is_pinned():
+    """`scripts/playhash.py`'s 2,125 plays: the rollout pairs against
+    RandomEnv and SpoilerEnv, and the grid steps against RandomEnv.  A
+    change to the referee, the environments or the strategies that plays
+    any of them differently changes the digest.  Its frontier digest is
+    not pinned: a change may ask for fewer frontiers and play alike."""
+    out = subprocess.run([sys.executable, str(CORPUS.parent / "scripts" / "playhash.py")],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[0] == (
+        "2125 plays 01d5d4ceaba9b216bf39cb06178e7345c7347eb4a4c49e79e7c24e24b1020b33")

@@ -8,7 +8,7 @@ positions and the arenas must agree with.
 """
 
 import random
-from functools import cache
+from functools import cache, partial
 from itertools import product
 
 import pytest
@@ -533,3 +533,75 @@ def test_grouped_frontier_matches_per_slot_tuples_on_random_positions(data):
         _tables_in(p, tables)
     for table in tables.values():
         _same_open_moves(table)
+
+
+def test_a_kept_frontier_answers_as_a_fresh_sort_whatever_its_caller_does():
+    """On every prefix of the 345 grid plays (every proof step, RandomEnv
+    seeds 0-4), `Arena.frontier` is the sorted frontier of a position built
+    apart from the arena, and a caller that changes the list it got leaves
+    the arena's next answer as it was."""
+    checked = 0
+    for _, c, run in _grid_plays(seeds=5):
+        arena = CirquentArena(c, GRID_INTERP)
+        pos = cq.start(c, GRID_INTERP)
+        for i in range(len(run) + 1):
+            if i and pos is not None:
+                pos = pos.advance(run[i - 1])
+            for player, limit in product((TOP, BOT), (1, 2)):
+                want = [] if pos is None else sorted(pos.moves(player, limit))
+                got = arena.frontier(run[:i], player, limit)
+                assert got == want, (c, run[:i], player, limit)
+                got.reverse()
+                got.append("zz")
+                assert arena.frontier(run[:i], player, limit) == want, (c, run[:i])
+                checked += bool(want)
+    assert checked > 3000
+
+
+# ------------------------------------------------------------- spoiler
+
+
+class _AskBoth:
+    """Plays `SpoilerEnv(depth)` after checking, on every turn, that the
+    oracle's arg-min spoiler, on an arena of its own, answers alike."""
+
+    def __init__(self, depth, oracle_arena):
+        self.fast, self.slow = SpoilerEnv(depth), ro.ArgMinSpoilerEnv(depth)
+        self.oracle_arena, self.moves = oracle_arena, 0
+
+    def next_moves(self, arena, run):
+        got = self.fast.next_moves(arena, run)
+        assert got == self.slow.next_moves(self.oracle_arena, run), run
+        self.moves += len(got)
+        return got
+
+
+def _spoiler_plays_as_the_oracle(factory, make_arena, depth, budget) -> int:
+    """Checks that the spoiler and the oracle's answer alike on every turn
+    of a play, and that the whole plays are equal; the spoiler's moves."""
+    env = _AskBoth(depth, make_arena())
+    got = play(factory(), env, make_arena(), budget)
+    assert got == play(factory(), ro.ArgMinSpoilerEnv(depth), make_arena(), budget)
+    return env.moves
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_spoiler_plays_as_the_arg_min_oracle_on_the_corpus(depth):
+    moves = 0
+    for name in CASES:
+        compiled = compiled_for(name)
+        for game in sorted(STANDARD):
+            g = gm.of_formula(compiled.formula,
+                              uniform_interp(compiled.formula, STANDARD[game]))
+            moves += _spoiler_plays_as_the_oracle(
+                compiled.fresh, partial(FormulaArena, g), depth, 64)
+    assert moves > 50
+
+
+def test_spoiler_plays_as_the_arg_min_oracle_on_the_grid():
+    moves = 0
+    for name in CASES:
+        for c, factory in cirquent_strategy_factories(load_proof(name)):
+            moves += _spoiler_plays_as_the_oracle(
+                factory, partial(CirquentArena, c, GRID_INTERP), 2, 48)
+    assert moves > 100

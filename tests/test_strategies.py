@@ -196,8 +196,8 @@ def test_over_swap_and_weakening_drop_keep_winning():
     proof = _swap_weaken_proof()
     assert R.check_proof(proof)
     layers = [transform(step.app, step.cirquent) for step in proof[1:]]
-    assert [cls for cls, _ in layers] == [strategies._OverSwap, strategies._WeakeningDrop]
-    assert layers[1][1][-1] == (2,)  # the singleton overgroup is dropped
+    assert [type(layer) for layer in layers] == [strategies._OverSwap, strategies._WeakeningDrop]
+    assert layers[1].dropped_slots == (2,)  # the singleton overgroup is dropped
     interp = {"F": STANDARD["relay"], "G": STANDARD["choice"], "H": STANDARD["ladder"]}
     for k, (c, factory) in enumerate(cirquent_strategy_factories(proof), 1):
         arena = CirquentArena(c, interp)
@@ -433,3 +433,44 @@ def test_a_fork_records_corec_focus_addresses_apart_from_its_original():
     assert original.advance(answer) == [CirquentMove(1, ("",), "0.r")]
     assert twin.advance(answer) == [CirquentMove(1, ("",), ".r")]
     assert focus.used == {"0"} and twin.layers[1].used == {""}
+
+
+def _rounds(t, env, arena, budget=64):
+    """`play`'s rounds, one per `next`; the run is the generator's value."""
+    run = []
+    while True:
+        env_moves = env.next_moves(arena, tuple(run)) if len(run) < budget else []
+        run += [Labmove(BOT, m) for m in env_moves[:budget - len(run)]]
+        block = t.step(tuple(run))
+        over = len(run) + len(block) > budget
+        run += [Labmove(TOP, m) for m in block[:budget - len(run)]]
+        if over or not (env_moves or block):
+            return tuple(run)
+        yield
+
+
+def test_fresh_strategies_share_every_layer_but_corec_focus_and_play_apart():
+    """Two fresh strategies of `brec_elim` share the core and every layer
+    but the `_CorecFocus` ones; played a round at a time each, turn about,
+    on different seeds, each plays the run it plays alone."""
+    compiled = compile_proof(load("brec_elim"))
+    game = of_formula(compiled.formula, {a: STANDARD["relay"] for a in atoms_of(compiled.formula)})
+    arena = FormulaArena(game)
+    a, b = compiled.fresh(), compiled.fresh()
+    assert a.core is b.core and len(a.layers) == len(b.layers)
+    assert any(type(layer) is _CorecFocus for layer in a.layers)
+    for x, y in zip(a.layers, b.layers):
+        assert (x is y) is (type(x) is not _CorecFocus), x
+    for seeds in [(0, 1), (2, 3), (4, 5), (6, 7)]:
+        alone = [play(compiled.fresh(), RandomEnv(s), arena).run for s in seeds]
+        assert alone[0] != alone[1]
+        plays = [_rounds(compiled.fresh(), RandomEnv(s), arena) for s in seeds]
+        runs = [None, None]
+        while None in runs:
+            for i, g in enumerate(plays):
+                if runs[i] is None:
+                    try:
+                        next(g)
+                    except StopIteration as done:
+                        runs[i] = done.value
+        assert runs == alone, seeds
