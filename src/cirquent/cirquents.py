@@ -76,31 +76,16 @@ def club(f: fm.Formula) -> Cirquent:
 def read_formulas(r: Reader) -> tuple[fm.Formula, ...]:
     """`[ "text", ... ]`, possibly empty, each text looked up in or added to
     `r.memo`."""
-    toks, memo = r.toks, r.memo
-    i = r.pos
-    if toks[i] != "[":
-        r.take("[")
-    i += 1
-    out = []
-    if toks[i] != "]":
-        while True:
-            f = memo.get(toks[i])
-            if f is None:  # not read yet, or no quoted formula
-                r.pos = i
-                tok = r.take()
-                if not is_string(tok):
-                    raise r.error(f"expected a quoted formula, got {tok!r}")
-                f = memo[tok] = fm.parse_formula(tok[1:-1])
-            out.append(f)
-            i += 1
-            if toks[i] != ",":
-                break
-            i += 1
-        if toks[i] != "]":
-            r.pos = i
-            r.take("]")
-    r.pos = i + 1
-    return tuple(out)
+    def one() -> fm.Formula:
+        tok = r.take()
+        if not is_string(tok):
+            raise r.error(f"expected a quoted formula, got {tok!r}")
+        f = r.memo.get(tok)
+        if f is None:
+            f = r.memo[tok] = fm.parse_formula(tok[1:-1])
+        return f
+
+    return tuple(r.items(one))
 
 
 _FIELDS = ("oformulas", "under", "over")
@@ -111,12 +96,16 @@ def read_body(r: Reader) -> Cirquent:
     CirquentErrors (FormulaErrors in oformula text), whatever `r` raises
     elsewhere."""
     outer, r.error = r.error, CirquentError
+
+    def group() -> frozenset[int]:
+        return frozenset(r.items(r.integer))
+
     r.field(_FIELDS, 0)
     ofs = read_formulas(r)
     r.field(_FIELDS, 1)
-    under = r.groups()
+    under = tuple(r.items(group))
     r.field(_FIELDS, 2)
-    over = r.groups()
+    over = tuple(r.items(group))
     r.close(_FIELDS)
     r.error = outer
     c = Cirquent(ofs, under, over)

@@ -6,12 +6,11 @@ single characters; a token is its text.  `#` outside a quoted string starts
 a comment that runs to the end of the line; formula text has no comments.
 Each grammar lives in its own module and reads tokens through `Reader`,
 which raises that module's own error class.  `Reader` also reads the pieces
-that cirquent and proof text share: integer tokens, `[ , ]` lists of
-integers and of integer lists, and `{ name: value; ... }` records whose
-fields come in one fixed order.  Each list is read in one loop over the
-token list, and a record's punctuation and field names are compared in
-place; any token that does not fit is handed to `take` or `integer`, which
-raise the error.
+that cirquent and proof text share: integer tokens, `[ , ]` lists, each item
+read by a function the caller passes, and `{ name: value; ... }` records
+whose fields come in one fixed order.  A `,` between items, or the `;`
+that may end a record, is skipped after `peek`; every other token is read
+through `take`, `integer` or `_expect`, which raise every error.
 
 Proof text has one more reader in front of this one.  `rules.parse_proof`
 reads each step in one regex match, built from the pieces below, when the
@@ -38,7 +37,7 @@ _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 # recursive functions over formulas and games stay far from Python's limit.
 MAX_DEPTH = 100
 
-# The longest digit run a list reads with int() in place: the lowest limit
+# The longest digit run `INT` matches: the lowest limit that
 # sys.set_int_max_str_digits accepts, so int() never raises on such a run.
 SAFE_DIGITS = 640
 
@@ -143,71 +142,27 @@ class Reader:
         except ValueError:  # more digits than int() converts
             raise self.error("integer too long") from None
 
-    def integers(self) -> list[int]:
-        """`[ n , ... ]`, possibly empty."""
-        toks = self.toks
-        i = self.pos
-        if toks[i] != "[":
-            self.take("[")
-        i += 1
-        out = []
-        if toks[i] != "]":
-            while True:
-                tok = toks[i]
-                if tok is not None and "0" <= tok[0] <= "9" and len(tok) <= SAFE_DIGITS:
-                    out.append(int(tok))
-                    i += 1
-                else:  # the error, or a negative integer
-                    self.pos = i
-                    out.append(self.integer())
-                    i = self.pos
-                if toks[i] != ",":
-                    break
-                i += 1
-            if toks[i] != "]":
-                self.pos = i
-                self.take("]")
-        self.pos = i + 1
+    def items(self, item) -> list:
+        """`[ x , ... ]`, possibly empty, each x read by `item()`."""
+        self.take("[")
+        out = [] if self.peek() == "]" else [item()]
+        while self.peek() == ",":
+            self.pos += 1
+            out.append(item())
+        self.take("]")
         return out
-
-    def groups(self) -> tuple[frozenset[int], ...]:
-        """`[ [n , ...] , ... ]`, possibly empty, each inner list a set."""
-        toks = self.toks
-        if toks[self.pos] != "[":
-            self.take("[")
-        self.pos += 1
-        out = []
-        if toks[self.pos] != "]":
-            out.append(frozenset(self.integers()))
-            while toks[self.pos] == ",":
-                self.pos += 1
-                out.append(frozenset(self.integers()))
-            if toks[self.pos] != "]":
-                self.take("]")
-        self.pos += 1
-        return tuple(out)
 
     def field(self, names: tuple[str, ...], i: int) -> None:
         """`{ name :` for i == 0, else `; name :`, with name `names[i]`: the
         start of field i of a record whose fields are `names`, in order."""
-        toks, pos = self.toks, self.pos
-        opener = ";" if i else "{"
-        if toks[pos] == opener and toks[pos + 1] == names[i] and toks[pos + 2] == ":":
-            self.pos = pos + 3
-            return
-        self.take(opener)
+        self.take(";" if i else "{")
         self._expect(names, i)
         self.take(":")
 
     def close(self, names: tuple[str, ...]) -> None:
         """A record's end: one optional `;`, then `}`."""
-        toks, pos = self.toks, self.pos
-        if toks[pos] == ";":
-            pos += 1
-        if toks[pos] == "}":
-            self.pos = pos + 1
-            return
-        self.pos = pos
+        if self.peek() == ";":
+            self.pos += 1
         self._expect(names, len(names))
 
     def _expect(self, names: tuple[str, ...], i: int) -> None:

@@ -219,8 +219,6 @@ def premise_of(conclusion: Cirquent, app: RuleApp) -> Cirquent:
         p = Cirquent(c.oformulas, c.undergroups, _swap(c.overgroups, app.pos, "overgroups"))
     elif isinstance(app, OformulaExchange):
         a = app.pos
-        if not 1 <= a <= c.width - 1:
-            raise RuleError(f"cannot swap oformulas at position {a} of {c.width}")
         perm = {a: a + 1, a + 1: a}
         p = Cirquent(
             _swap(c.oformulas, a, "oformulas"),
@@ -353,8 +351,6 @@ def conclusion_of(premise: Cirquent, app: RuleApp) -> Cirquent:
         c = Cirquent(p.oformulas, p.undergroups, _swap(p.overgroups, app.pos, "overgroups"))
     elif isinstance(app, OformulaExchange):
         a = app.pos
-        if not 1 <= a <= p.width - 1:
-            raise RuleError(f"cannot swap oformulas at position {a} of {p.width}")
         perm = {a: a + 1, a + 1: a}
         c = Cirquent(
             _swap(p.oformulas, a, "oformulas"),
@@ -527,7 +523,7 @@ _FIELD_TEXT = {
     int: (str, Reader.integer, lambda text, memo: int(text)),
     frozenset[int]: (
         lambda s: _list(str(i) for i in sorted(s)),
-        lambda r: frozenset(r.integers()),
+        lambda r: frozenset(r.items(r.integer)),
         lambda text, memo: int_set(text),
     ),
     tuple[fm.Formula, ...]: (

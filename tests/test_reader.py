@@ -1,12 +1,14 @@
 """The shared tokenizer, held to the four-group regex it replaced; the list
-and record readers, held to the item-at-a-time readers they replaced
-(`reader_oracle`); the one-match step reader of `parse_proof`, held to the
-same oracle on well-formed steps with edited values, names and field order;
-and every reader fuzzed with broken text: each returns a value or raises its
-own error class, never another exception.
+and record readers, held to the frozen copy of them in `reader_oracle`; the
+one-match step reader of `parse_proof`, held to the same oracle on
+well-formed steps with edited values, names and field order, and pinned to
+read every text of the benchmark's `check` workload to the same verdicts
+with no step handed over; and every reader fuzzed with broken text: each
+returns a value or raises its own error class, never another exception.
 """
 
 import copy
+import hashlib
 import re
 import sys
 import time
@@ -208,7 +210,7 @@ def test_a_list_index_over_the_lowest_digit_limit_is_too_long():
     try:
         for digits in ("7" * 700, "0" * (SAFE_DIGITS + 1)):
             assert outcome(parse_cirquent, text % digits) == (CirquentError, "integer too long")
-        # a run at the limit is read in place, as int() reads it
+        # a run at the limit is an index, which int() converts
         message = f"undergroup [{'7' * SAFE_DIGITS}] references a bad index"
         assert outcome(parse_cirquent, text % ("7" * SAFE_DIGITS)) == (CirquentError, message)
     finally:
@@ -244,6 +246,26 @@ def test_corpus_proofs_hand_no_step_to_the_token_reader(text, monkeypatch):
     handed = handed_over(monkeypatch)
     assert parse_proof(text) == oracle.parse_proof(text)
     assert not any(handed)
+
+
+# SHA-256 of the verdicts on the benchmark's `check` inputs, one update per
+# input with `repr((ok, step, message))`.
+CHECK_VERDICTS = "4774f819bac582a1d18ceba81a1da27c1e53f1ff25ad631086c91a5e1affa34e"
+
+
+def test_check_inputs_hand_no_step_over_and_keep_their_verdicts(monkeypatch):
+    monkeypatch.syspath_prepend(str(CORPUS.parent / "perfbench"))
+    import workloads
+
+    inputs = workloads.check_inputs()
+    assert len(inputs) == 964
+    handed = handed_over(monkeypatch)
+    digest = hashlib.sha256()
+    for text, _ in inputs:
+        verdict = check_proof(parse_proof(text))
+        digest.update(repr((verdict.ok, verdict.step, verdict.message)).encode())
+    assert not any(handed)
+    assert digest.hexdigest() == CHECK_VERDICTS
 
 
 def spliced(text: str, k: int, edit) -> str:

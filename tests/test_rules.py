@@ -162,6 +162,14 @@ def test_forward_splitting_needs_two_oformulas_of_the_premise():
                     R.conclusion_of(c, rule(a))
 
 
+@pytest.mark.parametrize("direction", [R.premise_of, R.conclusion_of])
+@pytest.mark.parametrize("pos", [0, 2])
+def test_oformula_exchange_names_a_position_out_of_range(direction, pos):
+    c = cq(["~F", "F"], [{1, 2}], [{1, 2}])
+    with pytest.raises(R.RuleError, match=f"^cannot swap oformulas at position {pos} of 2$"):
+        direction(c, R.OformulaExchange(pos))
+
+
 def test_axiom_shape():
     got = R.axiom_conclusion((parse_formula("E"), parse_formula("F")))
     assert got == cq(["~E", "E", "~F", "F"], [{1, 2}, {3, 4}], [{1, 2}, {3, 4}])
@@ -250,6 +258,19 @@ def test_check_rejects_axiom_after_the_first_step():
     proof = load("brec_elim")
     extra = proof + (R.Step(R.Axiom((parse_formula("F"),)), proof[0].cirquent),)
     assert not R.check_proof(extra)
+
+
+def test_check_validates_a_hand_built_step_cirquent():
+    # parse_proof validates every cirquent it reads, but a proof built in
+    # code is checked as given: this step's own cirquent leaves oformula 1
+    # in no overgroup, though its premise is the valid axiom cirquent
+    axiom = R.Step(R.Axiom((parse_formula("F"),)), cq(["~F", "F"], [{1, 2}], [{1, 2}]))
+    app = R.CorecIntro(1, frozenset({1}))
+    broken = Cirquent((parse_formula("?~F"), parse_formula("F")),
+                      (frozenset({1, 2}),), (frozenset({2}),))
+    assert R.premise_of(broken, app) == axiom.cirquent
+    assert R.check_proof((axiom, R.Step(app, broken))) == R.Verdict(
+        False, 2, "oformula 1 is in no overgroup")
 
 
 def test_check_requires_an_axiom_start():
