@@ -3,12 +3,12 @@
 A Transducer is a deterministic block-move strategy.  The axiom cirquent is
 won by a copycat between dual pair members; every rule then lifts a strategy
 for its premise cirquent to one for its conclusion by translating moves back
-and forth.  A checked proof is read once into a list of those translation
-layers, and the strategy for any of its steps is one `Translated` stack: the
-copycat core under the layers of the rules up to that step, driven by one
-loop that passes moves down through the layers and the replies back up.
-`FormulaBridge` is the stack for the whole proof, played on the bare formula
-game.
+and forth.  A checked proof is read once into one layer per rule, and the
+strategy for any of its steps is one `Translated` stack: the copycat core
+under those layers up to that step, adjacent renamings composed into one
+`_Relabel`, driven by one loop that passes moves down through the layers
+and the replies back up.  `FormulaBridge` is the whole proof's stack,
+played on the bare formula game.
 
 Inside a stack, moves are `CirquentMove` values and each call carries only
 what is new: `advance` gets the opponent moves that arrived since the last
@@ -25,7 +25,7 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial, reduce
 from typing import Callable, Iterable, Union
 
 from . import formulas as fm
@@ -97,7 +97,8 @@ class AxiomCopycat(Transducer):
 
 class Translated(Transducer):
     """Plays the conclusion of a proof step by simulating `core`, the axiom's
-    copycat, through one translation layer per rule, `layers` outermost first.
+    copycat, through the layers of the rules up to that step, `layers`
+    outermost first; adjacent renaming rules share one `_Relabel`.
 
     A layer lifts a strategy for its rule's premise to one for the
     conclusion with two maps: `env_to_sim` turns an opponent move on the
@@ -132,58 +133,76 @@ class Translated(Transducer):
 
 
 @dataclass
-class _Swap:
-    """Exchanges two adjacent positions of a move; the exchange is its own
-    inverse, so both directions apply `_map`."""
+class _Relabel:
+    """The lifting through a chain of rules that only rename moves: oformula
+    or overgroup exchange, weakening, '|' or '&' introduction.
 
-    pos: int
+    Premise oformula i plays in real oformula `up[i - 1][0]`, its inner moves
+    prefixed there by `up[i - 1][1]` (`"0."` or `"1."` per '|' or '&' taken
+    apart); premise slot k reads real slot `slots[k]`; `width` and `over`
+    count the real oformulas and overgroups.  A real move that no entry reads
+    is dropped: one in a weakened oformula, without the prefix, or with an
+    address in a real slot that no premise slot reads.  An index past either
+    width shifts by the difference of the widths, as each rule shifted it.
 
-    def _map(self, mv: CirquentMove) -> CirquentMove:
-        raise NotImplementedError
+    `_RecFold` and `_ContractionSplit` rename too, but the first moves a
+    slot's content, not a fixed prefix, into the inner move, and the second
+    sends an unaddressed move to both copies.
+    """
+
+    up: tuple[tuple[int, str], ...]
+    slots: tuple[int, ...]
+    width: int
+    over: int
+
+    @cached_property
+    def _tables(self):
+        """Built on first play, as most layers never play: the (prefix,
+        premise oformula) entries reading each real oformula, the real slots
+        no premise slot reads, and the premise slot reading each real slot."""
+        down = dict.fromkeys(range(1, self.width + 1), ())
+        for i, (r, prefix) in enumerate(self.up, 1):
+            down[r] += ((prefix, i),)
+        hidden = tuple(j for j in range(self.over) if j not in self.slots)
+        if self.slots == tuple(range(self.over)):
+            return down, hidden, None  # the slot tuple passes through
+        place = dict(zip(self.slots, range(len(self.slots))))
+        return down, hidden, tuple(map(place.get, range(self.over)))
+
+    def then(self, inner: _Relabel) -> _Relabel:
+        """One layer that answers as this one over `inner`, the layer below."""
+        up = self.up
+        return _Relabel(tuple((up[m - 1][0], up[m - 1][1] + rest) for m, rest in inner.up),
+                        tuple(self.slots[k] for k in inner.slots), self.width, self.over)
 
     def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
-        return [self._map(mv)]
-
-    sim_to_real = env_to_sim
-
-
-class _OformulaSwap(_Swap):
-    def _map(self, mv: CirquentMove) -> CirquentMove:
-        a = mv.index
-        b = self.pos + 1 if a == self.pos else self.pos if a == self.pos + 1 else a
-        return _move((b, mv.slots, mv.inner))
-
-
-class _OverSwap(_Swap):
-    def _map(self, mv: CirquentMove) -> CirquentMove:
-        s = list(mv.slots)
-        s[self.pos - 1], s[self.pos] = s[self.pos], s[self.pos - 1]
-        return _move((mv.index, tuple(s), mv.inner))
-
-
-@dataclass
-class _WeakeningDrop:
-    """Conclusion has an extra oformula (and maybe extra overgroups) that the
-    premise never heard of; moves there are ignored, other moves reindex."""
-
-    dropped: int
-    dropped_slots: tuple[int, ...]  # ascending 0-based positions in real
-
-    def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
-        if mv.index == self.dropped:
+        (index, s, inner), (down, hidden, place) = mv, self._tables
+        if hidden and any(s[j] for j in hidden):
             return []
-        if any(mv.slots[j] for j in self.dropped_slots):
-            return []  # addressed a copy dimension it may not touch
-        slots = tuple(s for j, s in enumerate(mv.slots) if j not in self.dropped_slots)
-        index = mv.index - 1 if mv.index > self.dropped else mv.index
-        return [_move((index, slots, mv.inner))]
+        reads = down.get(index)
+        if reads is not None:
+            for prefix, i in reads:
+                if inner.startswith(prefix):
+                    index, inner = i, inner[len(prefix):]
+                    break
+            else:
+                return []
+        elif index > self.width:
+            index += len(self.up) - self.width
+        if place is not None:
+            s = tuple([s[j] for j in self.slots])
+        return [_move((index, s, inner))]
 
     def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
-        slots = list(mv.slots)
-        for j in self.dropped_slots:
-            slots.insert(j, "")
-        index = mv.index + 1 if mv.index >= self.dropped else mv.index
-        return [_move((index, tuple(slots), mv.inner))]
+        (index, s, inner), place = mv, self._tables[2]
+        if 1 <= index <= len(self.up):
+            index, prefix = self.up[index - 1]
+            inner = prefix + inner
+        elif index > len(self.up):
+            index -= len(self.up) - self.width
+        if place is not None:
+            s = tuple(["" if k is None else s[k] for k in place])
+        return [_move((index, s, inner))]
 
 
 @dataclass
@@ -271,35 +290,6 @@ class _MergeSplit:
             return [_move((index, head + (v,) + tail, inner)) for v in fusions((u1, u2))]
         u = u1 if in_l else u2 if in_r else ""
         return [_move((index, head + (u,) + tail, inner))]
-
-
-@dataclass
-class _BinarySplit:
-    """A disjunction or conjunction oformula stands for its two halves."""
-
-    a: int
-
-    def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
-        a, (index, slots, inner) = self.a, mv
-        if index < a:
-            return [mv]
-        if index > a:
-            return [_move((index + 1, slots, inner))]
-        if inner.startswith("0."):
-            return [_move((a, slots, inner[2:]))]
-        if inner.startswith("1."):
-            return [_move((a + 1, slots, inner[2:]))]
-        return []
-
-    def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
-        a, (index, slots, inner) = self.a, mv
-        if index < a:
-            return [mv]
-        if index == a:
-            return [_move((a, slots, "0." + inner))]
-        if index == a + 1:
-            return [_move((a, slots, "1." + inner))]
-        return [_move((index - 1, slots, inner))]
 
 
 @dataclass
@@ -417,55 +407,57 @@ class FormulaBridge(Translated):
 
 
 # One of the translation layers above.
-Layer = Union[_Swap, _WeakeningDrop, _ContractionSplit, _OverDupJoin, _MergeSplit,
-              _BinarySplit, _RecFold, _CorecFocus, _CorecWeave]
+Layer = Union[_Relabel, _ContractionSplit, _OverDupJoin, _MergeSplit, _RecFold, _CorecFocus,
+              _CorecWeave]
 
 
 def _own(layers: Iterable[Layer]) -> list[Layer]:
     """`layers` for a strategy of its own: a copy of each `_CorecFocus`, the
     only layer that records the play, and every other layer itself, since
     none of them keeps play state.  A fresh strategy and a fork both take
-    their layers through this."""
+    their layers through this; it composes nothing."""
     return [_CorecFocus(layer.a, layer.used) if type(layer) is _CorecFocus else layer
             for layer in layers]
 
 
-def transform(app: RuleApp, conclusion: Cirquent) -> Layer | None:
-    """The layer that lifts a strategy for the premise of `app` (checked
-    against `conclusion`) to a strategy for the conclusion, or None when the
-    rule leaves overgroups and oformulas alone, so the premise's strategy
-    already plays the conclusion."""
-    premise = rl.premise_of(conclusion, app)
-
+def transform(app: RuleApp, premise: Cirquent, conclusion: Cirquent) -> Layer | None:
+    """The layer that lifts a strategy for `premise` to one for `conclusion`
+    across `app`, a checked proof step, or None when the rule leaves
+    overgroups and oformulas alone, so the premise's strategy already plays
+    the conclusion.  A rule that only renames moves gives a `_Relabel`."""
     if isinstance(app, (rl.UnderExchange, rl.UnderDuplication)):
         return None
-    if isinstance(app, rl.OformulaExchange):
-        return _OformulaSwap(app.pos)
-    if isinstance(app, rl.OverExchange):
-        return _OverSwap(app.pos)
-    if isinstance(app, rl.Weakening):
-        if premise.width == conclusion.width:
-            return None
-        a = app.oformula
-        dropped_slots = tuple(
-            j for j, g in enumerate(conclusion.overgroups) if g == frozenset({a})
-        )
-        return _WeakeningDrop(a, dropped_slots)
     if isinstance(app, rl.Contraction):
         return _ContractionSplit(app.oformula)
     if isinstance(app, rl.OverDuplication):
         return _OverDupJoin(app.pos)
     if isinstance(app, rl.Merging):
         return _MergeSplit(app.pos, app.left, app.right)
-    if isinstance(app, (rl.DisjIntro, rl.ConjIntro)):
-        return _BinarySplit(app.oformula)
     if isinstance(app, rl.RecIntro):
         return _RecFold(app.oformula, app.overgroup)
     if isinstance(app, rl.CorecIntro):
         if not app.added:
             return _CorecFocus(app.oformula)
         return _CorecWeave(app.oformula, tuple(sorted(app.added)))
-    raise rl.RuleError(f"no transformer for {app!r}")
+    if isinstance(app, rl.Weakening) and premise.width == conclusion.width:
+        return None
+    real = list(range(1, premise.width + 1))  # the real oformula of each premise one
+    prefixes = [""] * premise.width
+    slots = list(range(len(conclusion.overgroups)))
+    if isinstance(app, rl.OformulaExchange):
+        real[app.pos - 1], real[app.pos] = app.pos + 1, app.pos
+    elif isinstance(app, rl.OverExchange):
+        slots[app.pos - 1], slots[app.pos] = app.pos, app.pos - 1
+    elif isinstance(app, rl.Weakening):
+        real = [i + (i >= app.oformula) for i in real]
+        slots = [j for j, g in enumerate(conclusion.overgroups) if g != {app.oformula}]
+    elif isinstance(app, (rl.DisjIntro, rl.ConjIntro)):
+        real = [i - (i > app.oformula) for i in real]
+        prefixes[app.oformula - 1:app.oformula + 1] = "0.", "1."
+    else:
+        raise rl.RuleError(f"no transformer for {app!r}")
+    return _Relabel(tuple(zip(real, prefixes)), tuple(slots), conclusion.width,
+                    len(conclusion.overgroups))
 
 
 # ------------------------------------------------------------- compilation
@@ -476,38 +468,43 @@ Factory = Callable[[], Transducer]
 
 def _layers(proof: rl.Proof) -> tuple[int, list[Layer | None]]:
     """The axiom's number of diamonds and, per later step, the layer its rule
-    adds (None when it adds none), built once from the checked proof.  Every
-    stack of the proof shares these layers but the `_CorecFocus` ones, which
-    each stack copies (`_own`); those it holds here are never played."""
+    adds (None when it adds none), built once from the checked proof."""
     verdict = rl.check_proof(proof)
     if not verdict:
         raise rl.RuleError(f"proof does not check: step {verdict.step}: {verdict.message}")
-    first = proof[0]
-    assert isinstance(first.app, rl.Axiom)
-    return len(first.app.formulas), [transform(s.app, s.cirquent) for s in proof[1:]]
+    return len(proof[0].app.formulas), [transform(s.app, prev.cirquent, s.cirquent)
+                                        for prev, s in zip(proof, proof[1:])]
 
 
-def _stack(cls: type[Translated], core: AxiomCopycat, layers: list[Layer | None], k: int,
+def _wrap(stack: tuple[Layer, ...], layer: Layer) -> tuple[Layer, ...]:
+    """`stack`, outermost first, under the layer of one more rule: a
+    `_Relabel` over a `_Relabel` composes into one."""
+    if type(layer) is _Relabel and stack and type(stack[0]) is _Relabel:
+        return (layer.then(stack[0]),) + stack[1:]
+    return (layer,) + stack
+
+
+def _stack(cls: type[Translated], core: AxiomCopycat, stack: tuple[Layer, ...],
            n: int) -> Translated:
     """A fresh strategy for a cirquent with n overgroups: `core`, which keeps
-    no play state inside a stack, under the layers that the first k steps
-    after the axiom add (`layers`, from `_layers`), the last one outermost."""
-    return cls(core, _own(layer for layer in reversed(layers[:k]) if layer is not None), n)
+    no play state inside a stack, under `stack` with its `_CorecFocus` copied."""
+    return cls(core, _own(stack), n)
 
 
 def cirquent_strategy_factories(proof: rl.Proof) -> list[tuple[Cirquent, Factory]]:
-    """One fresh-strategy factory per proof step, for that step's cirquent.
-    A step whose rule adds no layer shares its premise's factory.  Every
-    stack shares one copycat core; the axiom's copycat, played on its own,
-    is a new one each time."""
+    """One fresh-strategy factory per proof step, for that step's cirquent:
+    its premise's stack under the step's layer (`_wrap`), or its premise's
+    factory when the rule adds no layer.  Every stack shares one copycat
+    core; the axiom's copycat, played on its own, is a new one each time."""
     diamonds, layers = _layers(proof)
     core = AxiomCopycat(diamonds)
     factory: Factory = partial(AxiomCopycat, diamonds)
     out = [(proof[0].cirquent, factory)]
-    for k, (step, layer) in enumerate(zip(proof[1:], layers), 1):
+    stack: tuple[Layer, ...] = ()
+    for step, layer in zip(proof[1:], layers):
         if layer is not None:
-            factory = partial(_stack, Translated, core, layers, k,
-                              len(step.cirquent.overgroups))
+            stack = _wrap(stack, layer)
+            factory = partial(_stack, Translated, core, stack, len(step.cirquent.overgroups))
         out.append((step.cirquent, factory))
     return out
 
@@ -519,9 +516,9 @@ class CompiledStrategy:
     bundle: str
 
     def fresh(self) -> Transducer:
-        """A new strategy, from nothing played.  It shares the layers that
-        `_layers` built once for the proof, and copies only the
-        `_CorecFocus` ones (`_own`)."""
+        """A new strategy, from nothing played.  It shares the stack that
+        `compile_proof` built once for the proof, and copies only the
+        `_CorecFocus` layers (`_own`)."""
         return self.factory()
 
 
@@ -532,7 +529,8 @@ def compile_proof(proof: rl.Proof) -> CompiledStrategy:
     move behavior depend only on the proof.
     """
     diamonds, layers = _layers(proof)
-    factory = partial(_stack, FormulaBridge, AxiomCopycat(diamonds), layers, len(layers), 1)
+    stack = reduce(_wrap, filter(None, layers), ())
+    factory = partial(_stack, FormulaBridge, AxiomCopycat(diamonds), stack, 1)
     formula = rl.conclusion_formula(proof)
     bundle = json.dumps(
         {

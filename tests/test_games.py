@@ -432,3 +432,30 @@ def test_plain_trees_are_static():
 def test_the_static_check_takes_atom_games_only():
     with pytest.raises(ValueError):
         is_static_bounded(Rep(Tree(RELAY)), maxlen=2)
+
+
+# Trees that are not static, though every run that shows it is illegal: T
+# wins Γ, whose last B move is illegal, and loses Γ's T-delay, in which T's
+# own move is the illegal one.  The static check samples illegal runs and
+# misses both, so their rows fail until it decides staticity exactly.
+MISSED = [
+    ('node winner=T { T"b" -> node winner=T { B"c" -> node winner=B {} T"c" -> node winner=T '
+     '{ T"b" -> node winner=B {} B"a" -> node winner=B {} } } }', "T:b,T:c,B:c", "T:b,B:c,T:c"),
+    ('node winner=B { T"b" -> node winner=T { B"a" -> node winner=T {} T"c" -> node winner=B '
+     '{ T"c" -> node winner=T {} } } }', "T:b,T:c,B:a", "T:b,B:a,T:c"),
+]
+
+
+@pytest.mark.parametrize("text, gamma, delayed", MISSED, ids=[g for _, g, _ in MISSED])
+def test_the_missed_trees_are_not_static(text, gamma, delayed):
+    g = Tree(parse_game(text))
+    gamma, delayed = parse_run(gamma), parse_run(delayed)
+    assert is_delay_of(TOP, gamma, delayed)
+    assert first_offender(g, gamma) is BOT and winner(g, gamma) is TOP
+    assert first_offender(g, delayed) is TOP and winner(g, delayed) is BOT
+
+
+@pytest.mark.xfail(strict=True, reason="the static check samples illegal runs")
+@pytest.mark.parametrize("text", [text for text, _, _ in MISSED], ids=[g for _, g, _ in MISSED])
+def test_the_static_check_finds_the_missed_trees(text):
+    assert not is_static_bounded(Tree(parse_game(text)), maxlen=4)

@@ -5,19 +5,19 @@ suite; here we pin down the transducer contracts the compiler builds on.
 """
 
 import json
-from functools import partial
+from functools import partial, reduce
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import strategies_oracle as oracle
 from cirquent import rules as R
 from cirquent import strategies
-from cirquent.cirquents import Cirquent, CirquentMove, club
-from cirquent.formulas import atoms_of, parse_formula
+from cirquent.cirquents import Cirquent, CirquentError, CirquentMove, club, format_move
+from cirquent.formulas import And, Or, atoms_of, parse_formula
 from cirquent.fusion import fusions
 from cirquent.games import Labmove, of_formula, parse_run
 from cirquent.games import BOT, TOP
@@ -33,9 +33,8 @@ from cirquent.strategies import (
     FormulaBridge,
     Transducer,
     Translated,
-    _BinarySplit,
     _CorecFocus,
-    _OformulaSwap,
+    _Relabel,
     cirquent_strategy_factories,
     compile_proof,
     transform,
@@ -114,9 +113,14 @@ def test_rep_to_plain_broadcasts_and_filters():
     assert inner.calls[-1] == [mv("", "r")]
 
 
+def layer_of(app: R.RuleApp, conclusion: Cirquent):
+    """The layer `transform` builds for `app` concluding `conclusion`."""
+    return transform(app, R.premise_of(conclusion, app), conclusion)
+
+
 def test_layers_pass_only_new_moves():
     inner = Parrot([CirquentMove(2, ("",), "m")])
-    t = Translated(inner, [_BinarySplit(1)], 1)
+    t = Translated(inner, [layer_of(R.DisjIntro(1), club(parse_formula("F | G")))], 1)
     assert t.step(parse_run("B:1;.0.q,B:junk")) == ["1;.1.m"]
     assert inner.calls[-1] == [CirquentMove(1, ("",), "q")]
     assert t.step(parse_run("B:1;.0.q,B:junk,T:1;.1.m,B:1;.1.x")) == []
@@ -127,17 +131,23 @@ def test_identity_rules_add_no_layer():
     proof = load("blass")
     pairs = cirquent_strategy_factories(proof)
     shared = set()
-    for step, prev, cur in zip(proof[1:], pairs, pairs[1:]):
-        identity = transform(step.app, step.cirquent) is None
+    for premise, step, prev, cur in zip(proof, proof[1:], pairs, pairs[1:]):
+        identity = transform(step.app, premise.cirquent, step.cirquent) is None
         assert (cur[1] is prev[1]) == identity
         if identity:
             shared.add(type(step.app))
     assert shared == {R.UnderExchange, R.Weakening}
 
 
-def test_transform_checks_the_rule_against_the_conclusion():
+def test_compile_checks_each_rule_against_its_conclusion():
+    """`transform` trusts the checked step it gets; a `DisjIntro(1)` step
+    that concludes a conjunction fails the check before any layer is built."""
+    f = parse_formula("F")
+    axiom = R.Step(R.Axiom((f,)), R.axiom_conclusion((f,)))
+    disj = club(parse_formula("~F | F"))
+    assert compile_proof((axiom, R.Step(R.DisjIntro(1), disj))).formula == disj.oformulas[0]
     with pytest.raises(R.RuleError):
-        transform(R.DisjIntro(1), club(parse_formula("F & G")))
+        compile_proof((axiom, R.Step(R.DisjIntro(1), club(parse_formula("~F & F")))))
 
 
 def test_factories_cover_every_step():
@@ -180,8 +190,8 @@ def test_compile_rejects_unchecked_proofs():
 def _swap_weaken_proof() -> R.Proof:
     """Axiom(F, G), OverExchange(1), then a Weakening that adds H to
     undergroup 1 in its own singleton overgroup.  No corpus proof has such
-    steps, and only they build `_OverSwap` and a `_WeakeningDrop` that drops
-    a slot."""
+    steps, and only they build a `_Relabel` that permutes slots and one
+    that hides a slot."""
     f, g, h = (parse_formula(x) for x in "FGH")
     axiom = R.axiom_conclusion((f, g))
     swapped = R.conclusion_of(axiom, R.OverExchange(1))
@@ -195,9 +205,14 @@ def _swap_weaken_proof() -> R.Proof:
 def test_over_swap_and_weakening_drop_keep_winning():
     proof = _swap_weaken_proof()
     assert R.check_proof(proof)
-    layers = [transform(step.app, step.cirquent) for step in proof[1:]]
-    assert [type(layer) for layer in layers] == [strategies._OverSwap, strategies._WeakeningDrop]
-    assert layers[1].dropped_slots == (2,)  # the singleton overgroup is dropped
+    swap, weaken = [transform(step.app, premise.cirquent, step.cirquent)
+                    for premise, step in zip(proof, proof[1:])]
+    [composed] = cirquent_strategy_factories(proof)[2][1]().layers
+    assert composed == weaken.then(swap)
+    assert swap.slots == (1, 0) and swap.over == 2
+    # real slot 2, the singleton overgroup, is the one no premise slot reads
+    assert weaken.slots == (0, 1) and weaken.over == 3
+    assert composed.slots == (1, 0) and composed.over == 3
     interp = {"F": STANDARD["relay"], "G": STANDARD["choice"], "H": STANDARD["ladder"]}
     for k, (c, factory) in enumerate(cirquent_strategy_factories(proof), 1):
         arena = CirquentArena(c, interp)
@@ -223,16 +238,121 @@ def _long_proof(exchanges: int = 1500) -> R.Proof:
 def test_a_long_proof_compiles_and_plays(tmp_path):
     proof = _long_proof()
     assert len(proof) == 1502
-    assert compile_proof(proof).fresh().step(parse_run("B:1.q")) == ["0.q"]
-    pairs = cirquent_strategy_factories(proof)
+    compiled, pairs = compile_proof(proof).fresh(), cirquent_strategy_factories(proof)
+    last = pairs[-1][1]()
+    # the 1,501 renaming layers compose into one
+    assert [type(layer) for layer in compiled.layers] == [_Relabel]
+    assert [type(layer) for layer in last.layers] == [_Relabel]
+    assert compiled.step(parse_run("B:1.q")) == ["0.q"]
     assert [c for c, _ in pairs] == [step.cirquent for step in proof]
-    assert pairs[-1][1]().step(parse_run("B:1;.1.q")) == ["1;.0.q"]
+    assert last.step(parse_run("B:1;.1.q")) == ["1;.0.q"]
     path = tmp_path / "long.cl15"
     path.write_text(R.format_proof(proof))
     r = cli("play", str(path), "--atoms", str(CORPUS / "brec_elim" / "atoms.game"),
             "--moves", "1.q")
     assert r.returncode == 0, r.stderr
     assert "winner: T" in r.stdout
+
+
+# ------------------------------------------------ composing renaming layers
+
+# A small conclusion to take apart: nested '|' and '&', and oformulas that
+# weakening can delete, oformula 4 with its own overgroup, which it hides.
+RENAMED = Cirquent(
+    tuple(map(parse_formula, ["(E | F) & G", "G & H", "E", "F | (G & E)"])),
+    (frozenset({1, 2, 3}), frozenset({3, 4})),
+    (frozenset({1, 2}), frozenset({3}), frozenset({4}), frozenset({2, 4})),
+)
+PREFIXED = st.builds(lambda prefixes, leaf: "".join(prefixes) + leaf,
+                     st.lists(st.sampled_from(["0.", "1."]), max_size=4),
+                     st.sampled_from(["q", "", "x.y", "0", "1"]))
+
+
+def renaming_chain(data, conclusion: Cirquent):
+    """Two to six renaming rules read backwards from `conclusion`, those that
+    apply: (rule, conclusion, premise, layer) for each that adds a layer,
+    outermost first, and the last premise."""
+    steps = []
+    for _ in range(data.draw(st.integers(2, 6))):
+        c = conclusion
+        rule = data.draw(st.sampled_from(["oformula", "over", "weaken", "disj", "conj"]))
+        if rule == "oformula":
+            app = R.OformulaExchange(data.draw(st.integers(1, max(c.width - 1, 1))))
+        elif rule == "over":
+            app = R.OverExchange(data.draw(st.integers(1, max(len(c.overgroups) - 1, 1))))
+        elif rule == "weaken":
+            i = data.draw(st.integers(1, len(c.undergroups)))
+            app = R.Weakening(i, data.draw(st.sampled_from(sorted(c.undergroups[i - 1]))))
+        else:
+            kind, cls = (Or, R.DisjIntro) if rule == "disj" else (And, R.ConjIntro)
+            apart = [a for a, f in enumerate(c.oformulas, 1) if isinstance(f, kind)]
+            if not apart:
+                continue
+            app = cls(data.draw(st.sampled_from(apart)))
+        try:
+            premise = R.premise_of(c, app)
+        except (R.RuleError, CirquentError):
+            continue
+        layer = transform(app, premise, c)
+        if layer is not None:
+            steps.append((app, c, premise, layer))
+        conclusion = premise
+    return steps, conclusion
+
+
+def moves_on(data, c: Cirquent, lowest: int = 0) -> list[CirquentMove]:
+    """Moves on `c` with indices from `lowest` to two past its width,
+    addresses in any slot, prefixed inner moves and junk."""
+    move = st.builds(CirquentMove, st.integers(lowest, c.width + 2),
+                     st.tuples(*[st.sampled_from(["", "", "0", "1", "01"])] * len(c.overgroups)),
+                     st.one_of(PREFIXED, JUNK))
+    return data.draw(st.lists(move, min_size=1, max_size=8))
+
+
+def through(layers, mv: CirquentMove, down: bool) -> list[CirquentMove]:
+    moves = [mv]
+    for layer in layers if down else reversed(layers):
+        moves = [m for x in moves for m in (layer.env_to_sim(x) if down else layer.sim_to_real(x))]
+    return moves
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_composed_relabel_answers_as_its_chain(data):
+    """`a.then(b)` answers every move, down and up, as `a` then `b` do, and
+    as the per-rule layers they compose do one after another."""
+    steps, premise = renaming_chain(data, RENAMED)
+    layers = [layer for *_, layer in steps]
+    assume(len(layers) >= 2)
+    k = data.draw(st.integers(1, len(layers) - 1))
+    a, b = reduce(_Relabel.then, layers[:k]), reduce(_Relabel.then, layers[k:])
+    composed = a.then(b)
+    for mv in moves_on(data, RENAMED):
+        want = through(layers, mv, down=True)
+        assert through([a, b], mv, down=True) == want, mv
+        assert composed.env_to_sim(mv) == want, mv
+    for mv in moves_on(data, premise):
+        want = through(layers, mv, down=False)
+        assert through([a, b], mv, down=False) == want, mv
+        assert composed.sim_to_real(mv) == want, mv
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_each_relabel_answers_as_the_oracle_rule(data):
+    """Each rule's `_Relabel` maps every move, down and up, to the string
+    the oracle's own layer for that rule gives (indices from 1: the oracle
+    reads strings, and index 0 does not parse)."""
+    steps, _ = renaming_chain(data, RENAMED)
+    for app, conclusion, premise, layer in steps:
+        cls, args = oracle.transform(app, conclusion)
+        old = cls(None, *args)
+        for mv in moves_on(data, conclusion, lowest=1):
+            got = [format_move(m) for m in layer.env_to_sim(mv)]
+            assert got == old.env_to_sim(format_move(mv)), (app, mv)
+        for mv in moves_on(data, premise, lowest=1):
+            got = [format_move(m) for m in layer.sim_to_real(mv)]
+            assert got == old.sim_to_real(format_move(mv)), (app, mv)
 
 
 # ------------------------------------------- the string-protocol stack as oracle
@@ -422,7 +542,9 @@ def test_a_fork_records_corec_focus_addresses_apart_from_its_original():
     """A fork shares the core and the layers without play state, and copies
     each `_CorecFocus`, so the addresses one of the two records after the
     fork never reach the other's `used`."""
-    swap, focus = _OformulaSwap(1), _CorecFocus(2)  # real oformula 1 is the focus's '?'
+    axiom = R.axiom_conclusion((parse_formula("F"),))
+    swap = layer_of(R.OformulaExchange(1), R.conclusion_of(axiom, R.OformulaExchange(1)))
+    focus = _CorecFocus(2)  # real oformula 1 is the focus's '?'
     original = Translated(AxiomCopycat(1), [swap, focus], 1)
     twin = original.fork()
     assert twin.core is original.core and twin.layers[0] is swap
