@@ -2,7 +2,9 @@
 
 Each derivation is constructed forward from its axiom, checked, and written
 out; expect.json records the conclusion, which `cirquent corpus` checks.
-Run from the repository root: python3 scripts/build_corpus.py
+Every atom library tree it writes must be a static game, or it stops.
+Run from the repository root, with the package installed or on the path:
+PYTHONPATH=src python3 scripts/build_corpus.py
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from pathlib import Path
 from cirquent import rules as R
 from cirquent.cirquents import Cirquent
 from cirquent.formulas import format_formula, parse_formula
+from cirquent.games import Tree, format_game, format_run, is_static, parse_game_library
 from cirquent.rules import (
     Axiom,
     ConjIntro,
@@ -269,26 +272,36 @@ CASES: dict[str, tuple] = {
 
 
 def atom_file(assignment: dict[str, str]) -> str:
-    from cirquent.games import format_game, parse_game_library
-
     lib = parse_game_library(STANDARD_LIB)
     parts = [f"game {atom} = {format_game(lib[game_name])}"
              for atom, game_name in sorted(assignment.items())]
     return "\n\n".join(parts) + "\n"
 
 
+def write_library(path: Path, text: str) -> None:
+    """Write an atom library, once every tree in it is a static game: the
+    paper's guarantee covers static atoms only."""
+    for name, node in parse_game_library(text).items():
+        report = is_static(Tree(node))
+        if not report:
+            raise AssertionError(f"{path}: game {name} is not static: "
+                                 f"{format_run(report.delayed)} is a {report.player}-delay "
+                                 f"of {format_run(report.original)}")
+    path.write_text(text)
+
+
 def main() -> None:
     atoms_dir = CORPUS / "atoms"
     atoms_dir.mkdir(parents=True, exist_ok=True)
-    (atoms_dir / "standard.game").write_text(STANDARD_LIB)
-    (atoms_dir / "alt.game").write_text(ALT_LIB)
+    write_library(atoms_dir / "standard.game", STANDARD_LIB)
+    write_library(atoms_dir / "alt.game", ALT_LIB)
 
     for name, (build, assignment) in CASES.items():
         proof = build()
         case_dir = CORPUS / name
         case_dir.mkdir(parents=True, exist_ok=True)
         (case_dir / "proof.cl15").write_text(R.format_proof(proof))
-        (case_dir / "atoms.game").write_text(atom_file(assignment))
+        write_library(case_dir / "atoms.game", atom_file(assignment))
         formula = format_formula(R.conclusion_formula(proof))
         expect = json.dumps({"formula": formula}, indent=2)
         (case_dir / "expect.json").write_text(expect + "\n")

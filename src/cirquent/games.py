@@ -19,16 +19,18 @@ address on its copies: Rep and Corep use it with one dimension, and
 classes its new addresses refine, if it has any, then plays in the classes
 it reaches.  Its frontier is computed once per group of addresses that
 reach the same classes, not once per address.
+`is_static(g)` decides whether an atom tree is a static game, the paper's
+condition on the atoms: one exact search over a run and its delays.
 """
 
 from __future__ import annotations
 
-import random
 import re
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property, partial
-from itertools import chain, islice, product
+from itertools import accumulate, islice, product
 from math import inf, prod
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
@@ -679,73 +681,67 @@ def winner(g: Game, run: Run) -> Player:
 
 @dataclass
 class StaticReport:
-    ok: bool
+    """The verdict of `is_static`: true, or a breach by `player`."""
+
     player: Player | None = None
     original: Run = ()
     delayed: Run = ()
 
     def __bool__(self) -> bool:
-        return self.ok
+        return self.player is None
 
 
-def _delays(pi: Player, gamma: Run) -> list[Run]:
-    """Every pi-delay of gamma: each merge of its pi moves and its opponent
-    moves, both in order, that keeps every pi move after the opponent moves
-    it follows in gamma; merges placing pi's moves earlier come first."""
-    mine = [lm for lm in gamma if lm.label is pi]
-    theirs = [lm for lm in gamma if lm.label is not pi]
-    # the i'th pi move, at place k in gamma, follows k - i opponent moves
-    need = [k - i for i, k in enumerate(k for k, lm in enumerate(gamma) if lm.label is pi)]
-    out: list[Run] = []
-
-    def build(acc: Run, i: int, j: int) -> None:
-        if i == len(mine) and j == len(theirs):
-            out.append(acc)
-            return
-        if i < len(mine) and j >= need[i]:
-            build(acc + (mine[i],), i + 1, j)
-        if j < len(theirs):
-            build(acc + (theirs[j],), i, j + 1)
-
-    build((), 0, 0)
-    return out
+def _then(state: Position | Player, lm: Labmove) -> Position | Player:
+    """A run's state once lm is added: its position, or its offender once
+    the run is decided, which no later move changes."""
+    nxt = state if isinstance(state, Player) else state.advance(lm)
+    return lm.label if nxt is None else nxt
 
 
-def _legal_runs(root: GameNode, maxlen: int) -> list[Run]:
-    """The runs of at most maxlen moves down the tree at root, shortest
-    first, those of one length ordered by move, T before B."""
-    out: list[Run] = [()]
-    frontier: list[tuple[Run, GameNode]] = [((), root)]
-    for _ in range(maxlen):
-        frontier = [(run + (Labmove(lab, m),), child)
-                    for run, node in frontier
-                    for lab, m, child in sorted(node.edges, key=lambda e: (e[1], e[0] is BOT))]
-        out.extend(run for run, _ in frontier)
-    return out
+def _won(state: Position | Player) -> Player:
+    return state.other if isinstance(state, Player) else state.winner()
 
 
-def is_static_bounded(g: Game, maxlen: int) -> StaticReport:
-    """Check the delay conditions over all legal runs of atom game g up to
-    maxlen, plus 300 seeded runs wandering into illegal territory."""
+def is_static(g: Game) -> StaticReport:
+    """Decide whether the atom game g is static; if not, report a breach of
+    least length: a run Γ and a pi-delay Δ, which postpones some pi moves
+    past later opponent moves, where Γ is legal and pi is Δ's offender, or
+    pi wins Γ and not Δ.
+
+    The search runs breadth first over states (pi, Γ's state, Δ's state,
+    owed): a run's state is its position, or its offender once it is
+    decided, and `owed` the pi moves Γ has played and Δ not yet.  Γ adds a
+    move of the tree or one junk move, which stands for every move not in
+    it.  A pi move joins `owed`; before an opponent move Δ plays a prefix of
+    `owed`; where Γ ends Δ plays the rest.  That gives exactly the delays.
+    It ends, as a state keeps only Δ's states along `owed` up to the first
+    decided one: a decided run keeps its outcome, and Δ is decided by its
+    first illegal move, at most one more than the height of Δ's node.
+    """
     if not isinstance(g, Tree):
         raise ValueError("the static check takes an atom game")
-
-    def outcome(run: Run) -> tuple[Player | None, Player]:
-        pos, off = judge(start(g), run)
-        return off, pos.winner() if off is None else off.other
-
-    alphabet = sorted(g.root.moves()) + ["zz"]
-    rng = random.Random(0)
-    wandering = (tuple(Labmove(rng.choice((TOP, BOT)), rng.choice(alphabet))
-                       for _ in range(rng.randint(1, maxlen)))
-                 for _ in range(300))
-    for gamma in chain(_legal_runs(g.root, maxlen), wandering):
-        off, won = outcome(gamma)
-        for pi in (TOP, BOT):
-            if off is pi:
-                continue  # gamma is not pi-legal; nothing to preserve
-            for ups in _delays(pi, gamma):
-                off_u, won_u = outcome(ups)
-                if (off is None and off_u is pi) or (won is pi and won_u is not pi):
-                    return StaticReport(False, pi, gamma, ups)
-    return StaticReport(True)
+    moves = sorted(g.root.moves())
+    moves.append(max(moves, default="") + "_")  # sorts after, so differs from, every move
+    labmoves = [Labmove(label, m) for m in moves for label in (TOP, BOT)]
+    seen = set()
+    queue = deque((pi, start(g), start(g), (), (), ()) for pi in (TOP, BOT))
+    while queue:
+        pi, gs, ds, owed, gamma, delta = queue.popleft()
+        # Δ's state once it plays each prefix of owed; a decided one repeats
+        # to the end, and is kept once
+        path = tuple(dict.fromkeys(accumulate(owed, _then, initial=ds)))
+        if (pi, gs, path) in seen:
+            continue
+        seen.add((pi, gs, path))
+        if (not isinstance(gs, Player) and path[-1] is pi
+                or _won(gs) is pi and _won(path[-1]) is not pi):
+            return StaticReport(pi, gamma, delta + owed)
+        for lm in labmoves:
+            after = _then(gs, lm)
+            if lm.label is pi:
+                queue.append((pi, after, ds, owed + (lm,), gamma + (lm,), delta))
+                continue
+            for k, played in enumerate(path):  # Δ plays owed[:k], then lm
+                queue.append((pi, after, _then(played, lm), owed[k:], gamma + (lm,),
+                              delta + owed[:k] + (lm,)))
+    return StaticReport()

@@ -8,20 +8,26 @@ must give the same answers.  Do not edit.
 use; it moved here from `cirquent.harness`.  `replay_env_check` is the
 exhaustive environment sweep as it was before strategies could fork: it
 builds a fresh strategy and replays the whole line at every node, the
-reference for `harness.exhaustive_env_check`.  `is_delay_of`, at the end, is
-the delay relation as a test of two runs, the reference for
-`games._delays`, which builds the delays directly; it moved here from
-`cirquent.games`.  `open_moves`, after the whole-run walkers, is the
-frontier of a `games.Copies` table as it was computed before it went by
-class groups: one intersection per slot tuple, the reference for
-`games.Copies.open_moves`.  `ArgMinSpoilerEnv`, after the sweep, is
-`harness.SpoilerEnv` as it was before it stopped at its first losing
-candidate: it probes every candidate and plays the least `(probe, move)`
-pair, the reference for the spoiler's choice.
+reference for `harness.exhaustive_env_check`.  `open_moves`, after the
+whole-run walkers, is the frontier of a `games.Copies` table as it was
+computed before it went by class groups: one intersection per slot tuple,
+the reference for `games.Copies.open_moves`.  `ArgMinSpoilerEnv`, after
+the sweep, is `harness.SpoilerEnv` as it was before it stopped at its
+first losing candidate: it probes every candidate and plays the least
+`(probe, move)` pair, the reference for the spoiler's choice.
+
+At the end, `is_delay_of` is the delay relation as a test of two runs, the
+reference for `_delays`, which builds the delays directly.  `_delays` and
+`_legal_runs` are the walkers of the bounded static check that
+`games.is_static` replaced; they and `is_delay_of` moved here from
+`cirquent.games`.  `first_breach`, built on `_delays`, is the static check
+by brute force over the runs up to a length, the reference for
+`games.is_static`.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from typing import Iterable
 
@@ -416,3 +422,72 @@ def is_delay_of(pi: Player, gamma: Run, upsilon: Run) -> bool:
         k_u >= k_g
         for k_g, k_u in zip(opponents_before(gamma), opponents_before(upsilon))
     )
+
+
+def _delays(pi: Player, gamma: Run) -> list[Run]:
+    """Every pi-delay of gamma: each merge of its pi moves and its opponent
+    moves, both in order, that keeps every pi move after the opponent moves
+    it follows in gamma; merges placing pi's moves earlier come first."""
+    mine = [lm for lm in gamma if lm.label is pi]
+    theirs = [lm for lm in gamma if lm.label is not pi]
+    # the i'th pi move, at place k in gamma, follows k - i opponent moves
+    need = [k - i for i, k in enumerate(k for k, lm in enumerate(gamma) if lm.label is pi)]
+    out: list[Run] = []
+
+    def build(acc: Run, i: int, j: int) -> None:
+        if i == len(mine) and j == len(theirs):
+            out.append(acc)
+            return
+        if i < len(mine) and j >= need[i]:
+            build(acc + (mine[i],), i + 1, j)
+        if j < len(theirs):
+            build(acc + (theirs[j],), i, j + 1)
+
+    build((), 0, 0)
+    return out
+
+
+def _legal_runs(root: GameNode, maxlen: int) -> list[Run]:
+    """The runs of at most maxlen moves down the tree at root, shortest
+    first, those of one length ordered by move, T before B."""
+    out: list[Run] = [()]
+    frontier: list[tuple[Run, GameNode]] = [((), root)]
+    for _ in range(maxlen):
+        frontier = [(run + (Labmove(lab, m),), child)
+                    for run, node in frontier
+                    for lab, m, child in sorted(node.edges, key=lambda e: (e[1], e[0] is BOT))]
+        out.extend(run for run, _ in frontier)
+    return out
+
+
+def first_breach(node: GameNode, maxlen: int) -> tuple[Player, Run, Run] | None:
+    """The first (pi, gamma, delta) that shows the tree at node is not
+    static, over every run gamma of at most maxlen moves, shortest first,
+    on the tree's moves and one junk move, and every pi-delay delta of it:
+    gamma legal and pi delta's offender, or pi winning gamma and not delta.
+    None when there is none."""
+    moves = sorted(node.moves())
+    junk = "#" * (1 + max(map(len, moves), default=0))  # longer than every move
+    labmoves = [Labmove(label, m) for m in moves + [junk] for label in (TOP, BOT)]
+
+    @cache
+    def outcome(run: Run) -> tuple[Player | None, Player]:
+        """(first offender, winner) of run."""
+        at = node
+        for lm in run:
+            at = at.child(lm.label, lm.move)
+            if at is None:
+                return lm.label, lm.label.other
+        return None, at.winner
+
+    for n in range(maxlen + 1):
+        for gamma in product(labmoves, repeat=n):
+            off, won = outcome(gamma)
+            for pi in (TOP, BOT):
+                if off is pi:
+                    continue  # gamma is not pi-legal; nothing to preserve
+                for delta in _delays(pi, gamma):
+                    off_d, won_d = outcome(delta)
+                    if (off is None and off_d is pi) or (won is pi and won_d is not pi):
+                        return pi, gamma, delta
+    return None

@@ -34,7 +34,7 @@ from cirquent.games import (
     Run,
     Tree,
     first_offender,
-    is_static_bounded,
+    is_static,
     legal,
     of_formula,
     parse_game,
@@ -444,12 +444,14 @@ node winner=B {
 
 
 def test_criterion_09_static_validator():
-    for lib in (STANDARD, ALT):
-        for name, node in sorted(lib.items()):
-            report = is_static_bounded(Tree(node), maxlen=4)
-            assert report, f"{name}: {report.player} {report.original}"
+    libraries = sorted(CORPUS.glob("**/*.game"))
+    assert len(libraries) == 9
+    for path in libraries:
+        for name, node in sorted(parse_game_library(path.read_text()).items()):
+            report = is_static(Tree(node))
+            assert report, f"{path.relative_to(CORPUS)} {name}: {report}"
 
-    report = is_static_bounded(Tree(parse_game(RACE_TEXT)), maxlen=3)
+    report = is_static(Tree(parse_game(RACE_TEXT)))
     assert not report
     assert report.player is TOP
     assert report.original == parse_run("B:a,T:b,B:d")

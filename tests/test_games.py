@@ -5,6 +5,7 @@ from the address semantics (every move in a replicated component carries a
 bitstring naming the copies it acts in) before the implementation existed.
 """
 
+import time
 from itertools import combinations, product
 
 import pytest
@@ -24,8 +25,6 @@ from cirquent.games import (
     GameError,
     GameNode,
     Labmove,
-    _delays,
-    _legal_runs,
     Neg,
     Rep,
     Tree,
@@ -34,7 +33,7 @@ from cirquent.games import (
     first_offender,
     format_game,
     format_run,
-    is_static_bounded,
+    is_static,
     legal,
     of_formula,
     parse_game,
@@ -48,7 +47,16 @@ from cirquent.games import (
 )
 from cirquent.harness import CirquentArena
 from cirquent.reader import MAX_DEPTH
-from referee_oracle import is_delay_of, negate_run, project_prefix, project_thread, walk
+from referee_oracle import (
+    _delays,
+    _legal_runs,
+    first_breach,
+    is_delay_of,
+    negate_run,
+    project_prefix,
+    project_thread,
+    walk,
+)
 
 
 def run(*items: str):
@@ -417,7 +425,7 @@ RACE = parse_game(
 
 
 def test_race_for_the_second_move_is_not_static():
-    report = is_static_bounded(Tree(RACE), maxlen=3)
+    report = is_static(Tree(RACE))
     assert not report
     assert report.player is TOP
     assert report.original == run("B:a", "T:b", "B:d")
@@ -425,19 +433,20 @@ def test_race_for_the_second_move_is_not_static():
 
 
 def test_plain_trees_are_static():
-    assert is_static_bounded(Tree(RELAY), maxlen=4)
-    assert is_static_bounded(Tree(BEACON), maxlen=3)
+    assert is_static(Tree(RELAY))
+    assert is_static(Tree(BEACON))
+    assert is_static(Tree(PITFALL))
 
 
 def test_the_static_check_takes_atom_games_only():
     with pytest.raises(ValueError):
-        is_static_bounded(Rep(Tree(RELAY)), maxlen=2)
+        is_static(Rep(Tree(RELAY)))
 
 
 # Trees that are not static, though every run that shows it is illegal: T
 # wins Γ, whose last B move is illegal, and loses Γ's T-delay, in which T's
-# own move is the illegal one.  The static check samples illegal runs and
-# misses both, so their rows fail until it decides staticity exactly.
+# own move is the illegal one.  A check that walks the legal runs and
+# samples illegal ones misses both.
 MISSED = [
     ('node winner=T { T"b" -> node winner=T { B"c" -> node winner=B {} T"c" -> node winner=T '
      '{ T"b" -> node winner=B {} B"a" -> node winner=B {} } } }', "T:b,T:c,B:c", "T:b,B:c,T:c"),
@@ -455,7 +464,38 @@ def test_the_missed_trees_are_not_static(text, gamma, delayed):
     assert first_offender(g, delayed) is TOP and winner(g, delayed) is BOT
 
 
-@pytest.mark.xfail(strict=True, reason="the static check samples illegal runs")
-@pytest.mark.parametrize("text", [text for text, _, _ in MISSED], ids=[g for _, g, _ in MISSED])
-def test_the_static_check_finds_the_missed_trees(text):
-    assert not is_static_bounded(Tree(parse_game(text)), maxlen=4)
+@pytest.mark.parametrize("text, gamma, delayed", MISSED, ids=[g for _, g, _ in MISSED])
+def test_the_static_check_finds_the_missed_trees(text, gamma, delayed):
+    report = is_static(Tree(parse_game(text)))
+    assert not report
+    assert (report.player, report.original, report.delayed) == (
+        TOP, parse_run(gamma), parse_run(delayed))
+
+
+def height(node: GameNode) -> int:
+    return max((1 + height(child) for _, _, child in node.edges), default=0)
+
+
+shallow_trees = trees.filter(lambda node: height(node) <= 3)
+
+
+@given(shallow_trees)
+@settings(max_examples=300, deadline=None)
+def test_the_static_check_agrees_with_brute_force(node):
+    """The search reports a breach of least length, so one of at most 5
+    moves exactly when brute force over the runs of at most 5 moves finds
+    one, as long; each breach is a delay whose outcome the run-level
+    referee shows flipped.  A tree takes the search milliseconds."""
+    g = Tree(node)
+    t0 = time.process_time()
+    report = is_static(g)
+    assert time.process_time() - t0 < 0.1
+    found = first_breach(node, 5)
+    if report:
+        assert found is None, found
+        return
+    pi, gamma, delta = report.player, report.original, report.delayed
+    assert len(found[1]) == len(gamma) if found else len(gamma) > 5
+    assert is_delay_of(pi, gamma, delta)
+    assert ((first_offender(g, gamma) is None and first_offender(g, delta) is pi)
+            or (winner(g, gamma) is pi and winner(g, delta) is not pi))

@@ -4,11 +4,13 @@ from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import find, given, settings
+from hypothesis import strategies as st
 
 from cirquent import harness
 from cirquent import rules as R
-from cirquent.formulas import parse_formula
-from cirquent.games import BOT, TOP, Labmove, Tree, of_formula, parse_game
+from cirquent.formulas import atoms_of, parse_formula
+from cirquent.games import BOT, TOP, Labmove, Tree, is_static, of_formula, parse_game
 from cirquent.harness import (
     JUNK_MOVE,
     CapExceeded,
@@ -29,7 +31,8 @@ from cirquent.strategies import (
     compile_proof,
 )
 from referee_oracle import replay_env_check, winnability
-from test_acceptance import STANDARD
+from test_acceptance import CASES, STANDARD, compiled_for
+from test_games import shallow_trees
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 RELAY = parse_game('node winner=T { B"q" -> node winner=B { T"a" -> node winner=T {} } }')
@@ -279,3 +282,38 @@ def test_the_plays_digest_of_playhash_is_pinned():
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines()[0] == (
         "2125 plays 01d5d4ceaba9b216bf39cb06178e7345c7347eb4a4c49e79e7c24e24b1020b33")
+
+
+# ------------------------------------------- random static interpretations
+
+# the paper's guarantee: a compiled strategy wins whatever static games the
+# atoms are, each atom its own
+static_trees = shallow_trees.filter(lambda node: is_static(Tree(node)))
+COMPILED = {name: compiled_for(name) for name in CASES}
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_corpus_strategies_win_under_random_static_interpretations(data):
+    for name, compiled in COMPILED.items():
+        interp = {a: data.draw(static_trees, label=a) for a in sorted(atoms_of(compiled.formula))}
+        arena = FormulaArena(of_formula(compiled.formula, interp))
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        res = play(compiled.fresh(), RandomEnv(seed=seed), arena, budget=64)
+        assert res.won and not res.inconclusive, (name, res.run)
+
+
+def test_the_swapped_copycat_loses_under_a_drawn_static_tree():
+    """The negative control of criterion 8 under the same generator: a
+    generator too weak to catch the swapped copycat could not catch a
+    broken strategy either."""
+    axiom = R.axiom_conclusion((parse_formula("F"),))
+
+    def sweep(pairing, node):
+        arena = CirquentArena(axiom, {"F": node})
+        return exhaustive_env_check(lambda: AxiomCopycat(1, pairing=pairing), arena,
+                                    env_depth=1, limit=2)
+
+    node = find(static_trees, lambda node: not sweep("swapped", node)[0],
+                settings=settings(database=None))
+    assert sweep("standard", node)[0]
