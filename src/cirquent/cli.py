@@ -60,11 +60,11 @@ def _compile_checked(path: str) -> CompiledStrategy | None:
     """The strategy of the proof at `path`, or None, with the failing step
     on stderr, when the proof does not check."""
     proof = _load(path, rl.parse_proof)
-    verdict = rl.check_formula_proof(proof)
-    if not verdict:
-        print(f"step {verdict.step}: {verdict.message}", file=sys.stderr)
+    try:
+        return compile_proof(proof)
+    except rl.RuleError as e:  # a failed check, not malformed input
+        print(e, file=sys.stderr)
         return None
-    return compile_proof(proof)
 
 
 def cmd_check(args) -> int:

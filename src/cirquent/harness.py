@@ -19,7 +19,7 @@ from . import cirquents as cq
 from . import formulas as fm
 from . import games as gm
 from .games import BOT, TOP, CapExceeded, Labmove, Player, Run, _labmove
-from .rules import check_formula_proof, conclusion_formula, parse_proof
+from .rules import RuleError, parse_proof
 from .strategies import CompiledStrategy, Transducer, compile_proof
 
 JUNK_MOVE = "?!junk"
@@ -328,18 +328,17 @@ def run_case(case_dir: Path, budget: int = 64) -> CaseReport:
     name = case_dir.name
     recorded, want = _read(case_dir / "expect.json", _recorded)
     proof = _read(case_dir / "proof.cl15", parse_proof)
-    verdict = check_formula_proof(proof)
-    if not verdict:
-        return CaseReport(name, False, message=f"step {verdict.step}: {verdict.message}")
-    formula = conclusion_formula(proof)
-    shown = fm.format_formula(formula)
-    if formula != want:
+    try:
+        compiled = compile_proof(proof)
+    except RuleError as e:
+        return CaseReport(name, False, message=str(e))
+    shown = fm.format_formula(compiled.formula)
+    if compiled.formula != want:
         return CaseReport(name, False, shown, message=(
             f"concludes {shown}, but expect.json records {recorded}"))
 
-    compiled = compile_proof(proof)
     arena = FormulaArena(_read(case_dir / "atoms.game",
-                               lambda t: gm.of_formula(formula, gm.parse_game_library(t))))
+                               lambda t: gm.of_formula(compiled.formula, gm.parse_game_library(t))))
     wins = losses = inconclusive = 0
     for seed in range(CORPUS_SEEDS):
         result = play(compiled.fresh(), RandomEnv(seed, CORPUS_ENV_MOVES), arena, budget)

@@ -479,32 +479,30 @@ class Verdict:
 
 
 def check_proof(proof: Proof) -> Verdict:
+    """The verdict on `proof`, naming the first step that breaks it.
+
+    Only the last step's cirquent is validated: every earlier one must
+    equal the next step's premise, which `premise_of` validates (step 1's
+    also equals `axiom_conclusion(...)`), so an invalid one fails at its
+    step or later.  The last is validated before its rule is read back, so
+    its verdict is the one a check of every step's cirquent would give."""
     if not proof:
         return Verdict(False, None, "empty proof")
-    first = proof[0]
-    if not isinstance(first.app, Axiom):
-        return Verdict(False, 1, "step 1 must be an axiom")
-    try:
-        validate_cirquent(first.cirquent)
-        if first.cirquent != axiom_conclusion(first.app.formulas):
-            return Verdict(False, 1, "step 1 does not match its axiom")
-    except (CirquentError, RuleError) as e:
-        return Verdict(False, 1, str(e))
-    for idx in range(1, len(proof)):
-        step = proof[idx]
-        if isinstance(step.app, Axiom):
-            return Verdict(False, idx + 1, "axiom allowed only at step 1")
+    for idx, step in enumerate(proof):
+        if isinstance(step.app, Axiom) != (idx == 0):
+            return Verdict(False, idx + 1, "axiom allowed only at step 1" if idx
+                           else "step 1 must be an axiom")
         try:
-            validate_cirquent(step.cirquent)
-            premise = premise_of(step.cirquent, step.app)
+            if idx == len(proof) - 1:
+                validate_cirquent(step.cirquent)
+            if idx == 0:
+                if step.cirquent != axiom_conclusion(step.app.formulas):
+                    return Verdict(False, 1, "step 1 does not match its axiom")
+            elif premise_of(step.cirquent, step.app) != proof[idx - 1].cirquent:
+                return Verdict(False, idx + 1,
+                               f"premise of step {idx + 1} is not the step {idx} cirquent")
         except (CirquentError, RuleError) as e:
             return Verdict(False, idx + 1, str(e))
-        if premise != proof[idx - 1].cirquent:
-            return Verdict(
-                False,
-                idx + 1,
-                f"premise of step {idx + 1} is not the step {idx} cirquent",
-            )
     return Verdict(True, None, f"{len(proof)} steps check")
 
 

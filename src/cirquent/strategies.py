@@ -25,7 +25,7 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cached_property, partial
 from typing import Callable, Iterable, Union
 
 from . import formulas as fm
@@ -466,22 +466,26 @@ def transform(app: RuleApp, premise: Cirquent, conclusion: Cirquent) -> Layer | 
 Factory = Callable[[], Transducer]
 
 
-def _layers(proof: rl.Proof) -> tuple[int, list[Layer | None]]:
-    """The axiom's number of diamonds and, per later step, the layer its rule
-    adds (None when it adds none), built once from the checked proof."""
-    verdict = rl.check_proof(proof)
-    if not verdict:
-        raise rl.RuleError(f"proof does not check: step {verdict.step}: {verdict.message}")
-    return len(proof[0].app.formulas), [transform(s.app, prev.cirquent, s.cirquent)
-                                        for prev, s in zip(proof, proof[1:])]
-
-
 def _wrap(stack: tuple[Layer, ...], layer: Layer) -> tuple[Layer, ...]:
     """`stack`, outermost first, under the layer of one more rule: a
     `_Relabel` over a `_Relabel` composes into one."""
     if type(layer) is _Relabel and stack and type(stack[0]) is _Relabel:
         return (layer.then(stack[0]),) + stack[1:]
     return (layer,) + stack
+
+
+def _stacks(proof: rl.Proof, check: Callable[[rl.Proof], rl.Verdict]) -> list[tuple[Layer, ...]]:
+    """Each step's stack over the axiom's copycat, once `check` passes the
+    proof (else `RuleError("step N: ...")`); a rule that adds no layer keeps
+    its premise's stack, the same tuple object."""
+    verdict = check(proof)
+    if not verdict:
+        raise rl.RuleError(f"step {verdict.step}: {verdict.message}")
+    stacks: list[tuple[Layer, ...]] = [()]
+    for prev, step in zip(proof, proof[1:]):
+        layer = transform(step.app, prev.cirquent, step.cirquent)
+        stacks.append(stacks[-1] if layer is None else _wrap(stacks[-1], layer))
+    return stacks
 
 
 def _stack(cls: type[Translated], core: AxiomCopycat, stack: tuple[Layer, ...],
@@ -492,18 +496,16 @@ def _stack(cls: type[Translated], core: AxiomCopycat, stack: tuple[Layer, ...],
 
 
 def cirquent_strategy_factories(proof: rl.Proof) -> list[tuple[Cirquent, Factory]]:
-    """One fresh-strategy factory per proof step, for that step's cirquent:
-    its premise's stack under the step's layer (`_wrap`), or its premise's
-    factory when the rule adds no layer.  Every stack shares one copycat
-    core; the axiom's copycat, played on its own, is a new one each time."""
-    diamonds, layers = _layers(proof)
-    core = AxiomCopycat(diamonds)
-    factory: Factory = partial(AxiomCopycat, diamonds)
-    out = [(proof[0].cirquent, factory)]
-    stack: tuple[Layer, ...] = ()
-    for step, layer in zip(proof[1:], layers):
-        if layer is not None:
-            stack = _wrap(stack, layer)
+    """One fresh-strategy factory per step of a proof that `check_proof`
+    passes, for that step's cirquent; a step whose rule adds no layer shares
+    its premise's factory.  Every stack shares one copycat core; the axiom's
+    copycat, played on its own, is a new one each time."""
+    stacks = _stacks(proof, rl.check_proof)
+    core = AxiomCopycat(len(proof[0].app.formulas))
+    factory: Factory = partial(AxiomCopycat, core.n)
+    out = []
+    for step, stack, prev in zip(proof, stacks, stacks[:1] + stacks):
+        if stack is not prev:
             factory = partial(_stack, Translated, core, stack, len(step.cirquent.overgroups))
         out.append((step.cirquent, factory))
     return out
@@ -523,14 +525,14 @@ class CompiledStrategy:
 
 
 def compile_proof(proof: rl.Proof) -> CompiledStrategy:
-    """Fold a checked proof into a strategy for its conclusion formula's game.
+    """Check a proof (`check_formula_proof`; `RuleError("step N: ...")` if
+    it fails) and play its last stack on its conclusion formula's game.
 
     The result never inspects an interpretation: the bundle text and the
     move behavior depend only on the proof.
     """
-    diamonds, layers = _layers(proof)
-    stack = reduce(_wrap, filter(None, layers), ())
-    factory = partial(_stack, FormulaBridge, AxiomCopycat(diamonds), stack, 1)
+    stack = _stacks(proof, rl.check_formula_proof)[-1]
+    factory = partial(_stack, FormulaBridge, AxiomCopycat(len(proof[0].app.formulas)), stack, 1)
     formula = rl.conclusion_formula(proof)
     bundle = json.dumps(
         {

@@ -1,11 +1,16 @@
+import io
 import json
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from cirquent import rules
+from cirquent.cli import main as cli_main
 from cirquent.reader import MAX_DEPTH
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -90,6 +95,27 @@ def test_corpus_fails_a_case_of_no_single_formula_and_goes_on(tmp_path, one_step
         "FAIL one_step: " + NOT_A_FORMULA.rstrip("\n"),
         "1/2 cases pass",
     ]
+
+
+# `compile_proof` is the one check on the compile paths: the CLI and the
+# corpus harness do not check before it
+@pytest.mark.parametrize("args, checks", [
+    (("check", str(PROOF)), 1),
+    (("compile", str(PROOF)), 1),
+    (("play", str(PROOF), "--atoms", str(ATOMS)), 1),
+    (("corpus", str(CORPUS)), 7),
+], ids=["check", "compile", "play", "corpus"])
+def test_each_command_checks_a_proof_once(args, checks, monkeypatch, capsys):
+    proofs = []
+    real = rules.check_proof
+
+    def counted(proof):
+        proofs.append(proof)
+        return real(proof)
+
+    monkeypatch.setattr(rules, "check_proof", counted)
+    assert cli_main(list(args)) == 0, capsys.readouterr().err
+    assert len(proofs) == checks
 
 
 def test_missing_file_exits_2():
@@ -541,3 +567,23 @@ def test_repl_lists_a_frontier_up_to_the_cap(k, code):
         assert len(frontier.removeprefix("B can play: ").split(", ")) == 7 ** k
     else:
         assert r.stderr == "error: frontier exceeds cap of 200000 moves\n"
+
+
+def readme_commands() -> list[list[str]]:
+    """The `cirquent ...` lines of the sh block under README's "Command
+    line" heading, split as a shell splits them."""
+    text = (ROOT / "README.md").read_text().split("\n## Command line\n", 1)[1]
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.splitlines() if line.startswith("cirquent ")]
+
+
+def test_readme_commands_exit_0(tmp_path, monkeypatch, capsys):
+    """Every command README shows runs as shown, from a directory that holds
+    the corpus, and exits 0; the repl reads `quit`."""
+    commands = readme_commands()
+    assert len(commands) == 9
+    shutil.copytree(CORPUS, tmp_path / "corpus")
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        monkeypatch.setattr(sys, "stdin", io.StringIO("quit\n"))
+        assert cli_main(command[1:]) == 0, (command, capsys.readouterr().err)

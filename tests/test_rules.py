@@ -7,6 +7,7 @@ the corpus proofs and over generated cirquents cross-validate them.
 """
 
 import importlib.util
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 from typing import get_type_hints
@@ -19,6 +20,7 @@ from cirquent import rules as R
 from cirquent.cirquents import Cirquent, CirquentError, club, validate_cirquent
 from cirquent.formulas import Formula, FormulaError, parse_formula
 from cirquent.reader import Reader
+import rules_oracle
 from test_acceptance import _perturbed_apps, _toggled_cirquents
 from test_cirquents import FORMULA_POOL, valid_cirquents
 
@@ -271,6 +273,61 @@ def test_check_validates_a_hand_built_step_cirquent():
     assert R.premise_of(broken, app) == axiom.cirquent
     assert R.check_proof((axiom, R.Step(app, broken))) == R.Verdict(
         False, 2, "oformula 1 is in no overgroup")
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_check_gives_the_oracle_verdict_on_every_criterion_1_mutant(name):
+    for mutant in _criterion_1_mutants(load(name)):
+        assert R.check_proof(mutant) == rules_oracle.check_proof(mutant)
+
+
+def is_valid(c: Cirquent) -> bool:
+    try:
+        validate_cirquent(c)
+    except CirquentError:
+        return False
+    return True
+
+
+@st.composite
+def broken_cirquents(draw, c: Cirquent):
+    """`c` with one group emptied, one group given the index past the width,
+    or one oformula taken out of every group of one kind."""
+    kind = draw(st.sampled_from(("undergroups", "overgroups")))
+    groups = getattr(c, kind)
+    how = draw(st.sampled_from(("emptied", "past the width", "in no group")))
+    if how == "in no group":
+        a = draw(st.integers(1, c.width))
+        groups = tuple(g - {a} for g in groups)
+    else:
+        j = draw(st.integers(0, len(groups) - 1))
+        g = frozenset() if how == "emptied" else groups[j] | {c.width + 1}
+        groups = groups[:j] + (g,) + groups[j + 1:]
+    return replace(c, **{kind: groups})
+
+
+PROOFS = [load(name) for name in CASES]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_check_agrees_with_the_oracle_on_a_replaced_step_cirquent(data):
+    """The check validates only the last step's cirquent; an invalid one
+    before it fails the check at its step or later, as the argument in
+    `check_proof`'s docstring says.  A prefix of a corpus proof is a proof
+    too, so any step, the axiom among them, can be the last."""
+    proof = data.draw(st.sampled_from(PROOFS))
+    proof = proof[:data.draw(st.integers(1, len(proof)), label="steps")]
+    k = data.draw(st.integers(0, len(proof) - 1), label="step index")
+    c = data.draw(st.one_of(valid_cirquents(), broken_cirquents(proof[k].cirquent)))
+    mutant = proof[:k] + (R.Step(proof[k].app, c),) + proof[k + 1:]
+    verdict = R.check_proof(mutant)
+    want = rules_oracle.check_proof(mutant)
+    if is_valid(c) or k == len(proof) - 1:
+        assert verdict == want
+    else:
+        assert not want and want.step == k + 1
+        assert not verdict and verdict.step >= want.step
 
 
 def test_check_requires_an_axiom_start():
