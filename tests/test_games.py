@@ -57,6 +57,7 @@ from referee_oracle import (
     project_thread,
     walk,
 )
+from test_reader import gaps, spaced
 
 
 def run(*items: str):
@@ -499,3 +500,35 @@ def test_the_static_check_agrees_with_brute_force(node):
     assert is_delay_of(pi, gamma, delta)
     assert ((first_offender(g, gamma) is None and first_offender(g, delta) is pi)
             or (winner(g, gamma) is pi and winner(g, delta) is not pi))
+
+
+# ------------------------------------------------ text drawn from the grammar
+
+# the label and the glyph of each player, which the grammar reads alike
+PLAYER = {TOP: ["T", "⊤"], BOT: ["B", "⊥"]}
+
+
+def node_tokens(node: GameNode, draw) -> list[str]:
+    """`node` as the grammar writes it, each player one of its names."""
+    toks = ["node", "winner", "=", draw(st.sampled_from(PLAYER[node.winner])), "{"]
+    for label, move, child in node.edges:
+        toks += [draw(st.sampled_from(PLAYER[label])), f'"{move}"', "->",
+                 *node_tokens(child, draw)]
+    return toks + ["}"]
+
+
+@given(st.dictionaries(st.sampled_from(["F", "G", "p0", "long_name"]), trees, max_size=3),
+       st.data())
+@settings(max_examples=100)
+def test_a_library_as_the_grammar_writes_it_reads_as_drawn(library, data):
+    toks = [tok for name, node in library.items()
+            for tok in ["game", name, "=", *node_tokens(node, data.draw)]]
+    assert parse_game_library(spaced(toks, gaps(data, len(toks) + 1))) == library
+
+
+@given(st.lists(st.tuples(st.sampled_from([TOP, BOT]), st.text("01.;,abq", max_size=5)),
+                max_size=6), st.data())
+@settings(max_examples=100)
+def test_a_run_literal_with_either_name_of_each_player_reads_as_drawn(run, data):
+    text = ",".join(data.draw(st.sampled_from(PLAYER[p])) + ":" + m for p, m in run)
+    assert parse_run(text) == tuple(Labmove(p, m) for p, m in run)

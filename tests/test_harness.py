@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cirquent import harness
 from cirquent import rules as R
-from cirquent.formulas import atoms_of, parse_formula
+from cirquent.formulas import And, Brec, Cobrec, Or, atoms_of, parse_formula
 from cirquent.games import BOT, TOP, Labmove, Tree, is_static, of_formula, parse_game
 from cirquent.harness import (
     JUNK_MOVE,
@@ -370,3 +370,37 @@ def test_corpus_strategies_pass_a_depth_1_sweep_under_random_static_interpretati
         ok, witness = exhaustive_env_check(compiled.fresh, arena, env_depth=1, limit=2,
                                            budget=64)
         assert ok, (name, witness)
+
+
+def leaf_addresses(f) -> list[str]:
+    """The move prefix of each literal of `f`'s game, each recurrence entered
+    at the copy addresses `0` and `1`."""
+    if isinstance(f, (And, Or)):
+        return [f"{i}.{a}" for i, sub in enumerate((f.left, f.right)) for a in leaf_addresses(sub)]
+    if isinstance(f, (Brec, Cobrec)):
+        return [f"{w}.{a}" for w in "01" for a in leaf_addresses(f.body)]
+    return [""]
+
+
+# per case, the environment's moves `a` then `b` at each literal of its game
+SCRIPTS = {name: [a + m for a in leaf_addresses(compiled.formula) for m in "ab"]
+           for name, compiled in COMPILED.items()}
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_corpus_strategies_answer_a_script_alike_under_two_static_interpretations(data):
+    """A compiled strategy never looks at the atoms' games: compiled once per
+    drawn per-atom interpretation, each corpus strategy has the same bundle
+    bytes and answers one move script with the same moves."""
+    for name in CASES:
+        seen = []
+        for copy in ("first", "second"):
+            compiled = compile_proof(load_proof(name))
+            interp = {a: data.draw(static_trees, label=f"{copy} {a}")
+                      for a in sorted(atoms_of(compiled.formula))}
+            arena = FormulaArena(of_formula(compiled.formula, interp))
+            res = play(compiled.fresh(), ScriptedEnv(SCRIPTS[name]), arena)
+            seen.append((compiled.bundle.encode(), res.run))
+        assert seen[0] == seen[1], name
+        assert any(lm.label is TOP for lm in seen[0][1]), name

@@ -1,10 +1,11 @@
-"""The shared tokenizer, held to the four-group regex it replaced; the list
-and record readers, held to the frozen copy of them in `reader_oracle`; the
-one-match step reader of `parse_proof`, held to the same oracle on
-well-formed steps with edited values, names and field order, and pinned to
-read every text of the benchmark's `check` workload to the same verdicts
-with no step handed over; and every reader fuzzed with broken text: each
-returns a value or raises its own error class, never another exception.
+"""The shared tokenizer, held to the four-group regex it replaced; the token
+reader, held to `docs/grammar.md` on drawn values and on edits whose error
+the grammar fixes; the one-match step reader of `parse_proof`, held to the
+token reader on mutated proofs and on well-formed steps with edited values,
+names and field order, and pinned to read every text of the benchmark's
+`check` workload to the same verdicts with no step handed over; and every
+reader fuzzed with broken text: each returns a value or raises its own
+error class, never another exception.
 """
 
 import copy
@@ -12,15 +13,15 @@ import hashlib
 import re
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import reader_oracle as oracle
 from cirquent import rules
-from cirquent.cirquents import CirquentError, format_cirquent, parse_cirquent
+from cirquent.cirquents import Cirquent, CirquentError, parse_cirquent
 from cirquent.formulas import FormulaError, format_formula, parse_formula
 from cirquent.games import GameError, parse_game_library
 from cirquent.reader import SAFE_DIGITS, Reader, is_name, is_string
@@ -29,21 +30,20 @@ from cirquent.rules import (
     _PARAMS,
     RULES_BY_NAME,
     RuleError,
-    _format_params,
     _list,
     _read_app,
     check_proof,
     format_proof,
     parse_proof,
 )
+from test_cirquents import valid_cirquents
+from test_formulas import formulas
+from test_rules import rule_apps
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 PROOFS = [p.read_text() for p in sorted(CORPUS.glob("*/proof.cl15"))]
 LIBRARIES = [p.read_text() for p in sorted(CORPUS.glob("**/*.game"))]
 STEPS = [step for text in PROOFS for step in parse_proof(text)]
-CIRQUENTS = sorted({format_cirquent(step.cirquent) for step in STEPS})
-# a rule name and its params record, as a proof step writes them
-PARAMS = sorted({f"{type(step.app).__name__} {_format_params(step.app)}" for step in STEPS})
 
 # The tokenizer when a token was a (text, name, integer, string) tuple with
 # at most one of the last three set.
@@ -144,38 +144,16 @@ def outcome(parse, text: str):
         return type(e), str(e)
 
 
-def params_reader(reader: type[Reader], read_app):
-    """A reader of a rule name and its params record, as a step writes them."""
-    def read(text: str):
-        r = reader(text, RuleError)
-        app = read_app(r, r.take())
-        r.end()
-        return app
-
-    return read
+def token_only(text: str):
+    """`parse_proof` with every step read by the token reader: `rules._STEP`
+    never matches a comment, so all the text after one goes to it."""
+    return parse_proof("#\n" + text)
 
 
-# Per kind of text: the package's reader, the oracle's, the originals that
-# the fuzzed texts mutate, and one text whose records end in the optional `;`.
-KINDS = {
-    "proof": (parse_proof, oracle.parse_proof, PROOFS,
-              'step 1 { rule: Axiom; params: { formulas: ["F"]; }; '
-              'cirquent: { oformulas: ["~F", "F"]; under: [[1, 2]]; over: [[1, 2]]; }; }'),
-    "cirquent": (parse_cirquent, oracle.parse_cirquent, CIRQUENTS,
-                 'cirquent { oformulas: ["~F", "F"]; under: [[1, 2]]; over: [[1, 2], [2]]; }'),
-    "params": (params_reader(Reader, _read_app),
-               params_reader(oracle.OracleReader, oracle.read_app), PARAMS,
-               "Merging { pos: 1; left: [1, 2]; right: [3]; }"),
-}
-
-
-@pytest.mark.parametrize("kind", list(KINDS))
-@given(data=st.data())
+@given(mutated(PROOFS))
 @settings(max_examples=300)
-def test_lists_read_as_the_oracle_reads_them(kind, data):
-    new, old, originals, _ = KINDS[kind]
-    text = data.draw(mutated(originals))
-    assert outcome(new, text) == outcome(old, text)
+def test_mutated_proofs_read_as_the_token_reader_reads_them(text):
+    assert outcome(parse_proof, text) == outcome(token_only, text)
 
 
 # What the neighbours of a text put in place of, or next to, one token.
@@ -193,12 +171,13 @@ def neighbours(text: str):
             yield toks[:k] + [tok] + toks[k + 1:]
 
 
-@pytest.mark.parametrize("kind", list(KINDS))
-def test_one_token_edits_read_as_the_oracle_reads_them(kind):
-    new, old, _, text = KINDS[kind]
+def test_one_token_edits_of_a_step_read_as_the_token_reader_reads_them():
+    # a step whose records all end in the optional `;`
+    text = ('step 1 { rule: Axiom; params: { formulas: ["F"]; }; '
+            'cirquent: { oformulas: ["~F", "F"]; under: [[1, 2]]; over: [[1, 2]]; }; }')
     for toks in neighbours(text):
         edited = " ".join(toks)
-        assert outcome(new, edited) == outcome(old, edited), edited
+        assert outcome(parse_proof, edited) == outcome(token_only, edited), edited
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
@@ -222,7 +201,7 @@ def test_a_list_index_over_the_lowest_digit_limit_is_too_long():
 # `parse_proof` reads each well-formed step in one regex match and hands the
 # text from the first other step on to the token reader.  The tests below
 # reach that hand-off: texts made of steps that are well formed apart from
-# their values, names and field order, each read as the oracle reads it.
+# their values, names and field order, each read as `token_only` reads it.
 
 def handed_over(monkeypatch) -> list[list[str]]:
     """The tokens of each text that `parse_proof` hands to the token reader
@@ -243,8 +222,9 @@ FORMATTED = [format_proof(parse_proof(text)) for text in PROOFS]
 
 @pytest.mark.parametrize("text", PROOFS + FORMATTED)
 def test_corpus_proofs_hand_no_step_to_the_token_reader(text, monkeypatch):
+    want = token_only(text)
     handed = handed_over(monkeypatch)
-    assert parse_proof(text) == oracle.parse_proof(text)
+    assert parse_proof(text) == want
     assert not any(handed)
 
 
@@ -286,8 +266,9 @@ def test_a_comment_or_an_error_in_step_k_hands_off_there(text, kind, monkeypatch
     handed = handed_over(monkeypatch)
     for k in range(1, len(parse_proof(text)) + 1):
         edited = spliced(text, k, HAND_OFFS[kind])
+        want = outcome(token_only, edited)
         handed.clear()
-        assert outcome(parse_proof, edited) == outcome(oracle.parse_proof, edited), (k, edited)
+        assert outcome(parse_proof, edited) == want, (k, edited)
         assert handed[0][:2] == ["step", str(k)]
 
 
@@ -380,7 +361,7 @@ ONE_OF_EACH = list({type(step.app): [step] for step in STEPS}.values())
 
 
 @pytest.mark.parametrize("proof", ONE_OF_EACH, ids=lambda p: type(p[0].app).__name__)
-def test_each_edge_case_in_each_place_reads_as_the_oracle_reads_it(proof):
+def test_each_edge_case_in_each_place_reads_as_the_token_reader_reads_it(proof):
     [[_, fields]] = records(proof)
     texts = [render([[num, fields]], " ", False) for num in INTS]
     for path, cases in edge_cases(fields):
@@ -392,13 +373,13 @@ def test_each_edge_case_in_each_place_reads_as_the_oracle_reads_it(proof):
             place[path[-1]] = case
             texts.append(render([["1", edited]], " ", False))
     for text in texts:
-        assert outcome(parse_proof, text) == outcome(oracle.parse_proof, text), text
+        assert outcome(parse_proof, text) == outcome(token_only, text), text
 
 
 @given(well_formed_steps())
 @settings(max_examples=300)
-def test_well_formed_steps_read_as_the_oracle_reads_them(text):
-    assert outcome(parse_proof, text) == outcome(oracle.parse_proof, text)
+def test_well_formed_steps_read_as_the_token_reader_reads_them(text):
+    assert outcome(parse_proof, text) == outcome(token_only, text)
 
 
 def test_a_long_broken_step_is_rejected_in_linear_time():
@@ -411,5 +392,166 @@ def test_a_long_broken_step_is_rejected_in_linear_time():
         start = time.perf_counter()
         got = outcome(parse_proof, text)
         assert time.perf_counter() - start < 1.0
-        assert got == outcome(oracle.parse_proof, text)
+        assert got == outcome(token_only, text)
         assert got[0] is CirquentError
+
+
+# --------------------------------------------------- text drawn from the grammar
+#
+# A value is drawn first and written token by token, a gap (nothing, a blank
+# or a comment) drawn at each boundary; the writers list one-token edits too.
+
+COMMENTS = ["# note\n", "#\n", '# "a", [1 2]; { x: } -1\n', "#\r\n"]
+WORD = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
+
+
+def gaps(data, n: int) -> list[str]:
+    """`n` gaps, blanks only in half the texts so that proofs reach `_STEP`."""
+    pool = data.draw(st.sampled_from([BLANKS, BLANKS + COMMENTS]))
+    return data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+
+
+def spaced(toks: list[str], gaps: list[str]) -> str:
+    """gaps[i] before toks[i]; an empty gap that would join two tokens is a blank."""
+    out, prev = [], ""
+    for tok, gap in zip(toks + [""], gaps):
+        out += [gap or (" " if prev[-1:] in WORD and tok[:1] in WORD else ""), tok]
+        prev = tok
+    return "".join(out)
+
+
+class Written(list):
+    """Tokens, and `edits`: (k, the tokens put in place of token k, the error
+    class and message they raise)."""
+
+    def __init__(self, error: type[Exception], draw):
+        super().__init__()
+        self.edits, self.error, self.draw = [], error, draw
+
+    def put(self, tok: str | None, *edits, at: int | None = None) -> None:
+        """`tok` unless None, and each (tokens, message) edit of token `at`."""
+        at = len(self) if at is None else at
+        self.edits += [(at, new, self.error, message) for new, message in edits]
+        if tok is not None:
+            self.append(tok)
+
+
+def write(w: Written, v) -> None:
+    """`v` as the grammar writes it: an integer, a rule name, a `[ ]` list
+    of a tuple or of a frozenset in order, a `{ }` record of a cirquent's or
+    a rule's fields, or a quoted formula."""
+    if isinstance(v, int):
+        quoted = f'"{v}"'
+        w.put(str(v), ([quoted], f"expected an integer, got {quoted!r}"))
+    elif isinstance(v, str):
+        w.put(v, (["zz"], "unknown rule name 'zz'"))
+    elif isinstance(v, (tuple, frozenset)):
+        items(w, sorted(v) if isinstance(v, frozenset) else v)
+    elif isinstance(v, Cirquent):
+        outer, w.error = w.error, CirquentError
+        record(w, {"oformulas": v.oformulas, "under": v.undergroups, "over": v.overgroups})
+        w.error = outer
+    elif type(v) in RULES_BY_NAME.values():
+        record(w, vars(v))
+    else:
+        w.put(f'"{format_formula(v)}"', (["F"], "expected a quoted formula, got 'F'"))
+
+
+# what reading an item of a nonempty list says when it finds `]`
+AT_CLOSE = {int: "expected an integer, got ']'", frozenset: "expected '[', got ']'"}
+
+
+def items(w: Written, values) -> None:
+    """`[ x , ... ]`: a `,` dropped, or one more before `]`, is an error."""
+    w.put("[")
+    for k, v in enumerate(values):
+        at = len(w)
+        if k:
+            w.put(",")
+        write(w, v)
+        if k:
+            w.put(None, ([], f"expected ']', got {w[at + 1]!r}"), at=at)
+    if values:
+        at_close = AT_CLOSE.get(type(values[0]), "expected a quoted formula, got ']'")
+        w.put(None, ([",", "]"], at_close))
+    w.put("]")
+
+
+def record(w: Written, fields: dict) -> None:
+    """`{ name: value; ... }` in the order of `fields`, and a drawn choice of
+    the optional `;` before `}`."""
+    names = list(fields)
+    for i, name in enumerate(names):
+        if i:
+            w.put(";", ([], f"expected ';', got {name!r}"))
+        else:
+            w.put("{")
+        w.put(name, (["zz"], "unknown field 'zz'"),
+              *(([other], f"field {other!r} given twice" if j < i
+                 else f"expected {name!r}, got {other!r}")
+                for j, other in enumerate(names) if j != i))
+        w.put(":")
+        write(w, fields[name])
+    if w.draw(st.booleans()):
+        w.put(";")
+    w.put("}", ([names[0], "}"], f"field {names[0]!r} given twice"))
+
+
+def write_cirquent(w: Written, c) -> None:
+    w.put("cirquent", (["zz"], "expected 'cirquent', got 'zz'"))
+    write(w, c)
+
+
+def write_params(w: Written, app) -> None:
+    write(w, type(app).__name__)
+    write(w, app)
+
+
+def write_proof(w: Written, proof) -> None:
+    for k, step in enumerate(proof, start=1):
+        w.put("step", (["zz"], "expected 'step', got 'zz'"))
+        w.put(str(k), ([str(k + 1)], f"expected step {k}, found {k + 1}"))
+        record(w, {"rule": type(step.app).__name__, "params": step.app,
+                   "cirquent": step.cirquent})
+
+
+def read_params(text: str):
+    """A rule name and its params record, as a step writes them."""
+    r = Reader(text, RuleError)
+    app = _read_app(r, r.take())
+    r.end()
+    return app
+
+
+# `valid_cirquents` with each oformula one of `formulas`
+cirquents = valid_cirquents().flatmap(lambda c: st.lists(
+    formulas, min_size=c.width, max_size=c.width).map(lambda fs: replace(c, oformulas=tuple(fs))))
+
+
+# Per kind of text: the values drawn, their writer, the readers that must
+# read them, the error class of the text, and what a trailing name raises.
+GRAMMAR = {
+    "cirquent": (cirquents, write_cirquent, [parse_cirquent], CirquentError,
+                 "trailing tokens: 'zz'"),
+    "params": (rule_apps(), write_params, [read_params], RuleError, "trailing tokens: 'zz'"),
+    "proof": (st.lists(st.builds(rules.Step, rule_apps(), cirquents), min_size=1,
+                       max_size=3).map(tuple),
+              write_proof, [parse_proof, token_only], RuleError, "expected 'step', got 'zz'"),
+}
+
+
+@pytest.mark.parametrize("kind", list(GRAMMAR))
+@given(data=st.data())
+@settings(max_examples=100)
+def test_text_as_the_grammar_writes_it_reads_as_drawn_and_each_edit_raises(kind, data):
+    values, write_text, readers, error, trailing = GRAMMAR[kind]
+    value = data.draw(values)
+    w = Written(error, data.draw)
+    write_text(w, value)
+    w.put(None, ([], "unexpected end of input"), ([w[-1], "zz"], trailing), at=len(w) - 1)
+    spaces = gaps(data, len(w) + 2)
+    for read in readers:
+        assert read(spaced(w, spaces)) == value
+        for k, new, cls, message in w.edits:
+            text = spaced(w[:k] + new + w[k + 1:], spaces)
+            assert outcome(read, text) == (cls, message), text
