@@ -1,5 +1,5 @@
-"""Same-answers check: SHA-256 digests of 2,125 plays and of every frontier
-they ask for.
+"""Same-answers check: SHA-256 digests of 2,125 plays, of every frontier
+they ask for, and of every run the depth-2 sweeps judge.
 
     python3 scripts/playhash.py
 
@@ -14,6 +14,13 @@ offender, inconclusive)`, each frontier an arena returns during the plays
 as `(run, player, limit, sorted moves)`, both as the `repr` of the tuple.
 The script prints the play count and the plays' digest, then the frontier
 count and the digest of the plays and the frontiers together.
+
+The third line covers the 35 depth-2 sweeps of the set-up, one per rollout
+(case, game) pair in sorted order, each `exhaustive_env_check(factory,
+arena, 2, 2, 64)` as `perfbench/workloads.py`'s `sweep_clean` runs it.  It
+prints the number of `Arena.winner` calls the sweeps make and one digest
+over `(run, winner)` for each call and `(case, game, ok, witness)` after
+each sweep, again as the `repr` of the tuple.
 """
 
 from __future__ import annotations
@@ -65,6 +72,32 @@ def main() -> None:
         harness.Arena.frontier = frontier
     print(counts["plays"], "plays", plays.hexdigest())
     print(counts["frontiers"], "frontiers", both.hexdigest())
+    judged, runs = sweep_digest(setup)
+    print(runs, "sweep runs", judged.hexdigest())
+
+
+def sweep_digest(setup):
+    """The digest of the 35 sweeps and the number of runs they judge."""
+    judged = hashlib.sha256()
+    runs = 0
+    winner = harness.Arena.winner
+
+    def recorded(self, run):
+        nonlocal runs
+        who = winner(self, run)
+        runs += 1
+        judged.update(repr((run, who)).encode())
+        return who
+
+    harness.Arena.winner = recorded
+    try:
+        for (case, game), arena in sorted(setup.formula_arenas.items()):
+            ok, witness = harness.exhaustive_env_check(setup.compiled[case].factory, arena,
+                                                       env_depth=2, limit=2, budget=64)
+            judged.update(repr((case, game, ok, witness)).encode())
+    finally:
+        harness.Arena.winner = winner
+    return judged, runs
 
 
 if __name__ == "__main__":

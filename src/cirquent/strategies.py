@@ -16,6 +16,20 @@ call and returns the reply block.  Strings appear at one boundary,
 `Transducer.step`, run on the stack as a whole.  It parses the new opponent
 moves of the observed run, drops malformed ones, and formats the replies.
 
+A move at copy address w is made in every copy whose address extends w, so
+a layer that weaves two addresses into one (`fusion.weave`) sends one move
+whose free positions hold numbered placeholders (`fusion.Marks`), not one
+move per fusion word.  The move stays one move down to the copycat and back
+up, and `step` expands it only where a reply is written.  That is enough
+because no layer branches on the value of a free bit: a layer reads the
+index, whether a slot is empty, and the inner move, which holds no
+placeholder on the way down.  A layer that would copy a move
+(`_ContractionSplit`) or drop a slot holding placeholders (`_MergeSplit`,
+`_RecFold`) expands it first (`_expanded`), so each placeholder lives in
+one move and reaches the boundary.  Expanding moves in list order, the
+lowest-numbered placeholder most significant and `0` before `1`, gives the
+words in the order a fan-out per word would give them.
+
 Move translation is interpretation-blind: only move shapes are inspected, so
 the compiled strategy is the same whatever games the atoms denote.
 """
@@ -31,7 +45,7 @@ from typing import Callable, Iterable, Union
 from . import formulas as fm
 from . import rules as rl
 from .cirquents import Cirquent, CirquentMove, _move, format_move, parse_move
-from .fusion import defusion, fusions
+from .fusion import Marks, weave
 from .games import BOT, Run, split_address
 from .rules import RuleApp
 
@@ -45,7 +59,10 @@ class Transducer:
     `step` is the string boundary, run on a whole strategy.  It sees the
     whole run so far; calls must present runs that extend one another by
     the previously returned block plus opponent moves.  It reads the new
-    opponent moves, hands them to `advance` and writes the replies.
+    opponent moves, hands them to `advance` and writes the replies, each
+    expanded into the words its placeholders stand for.  The placeholders
+    of one step skip every code point of its opponent moves, so a written
+    reply never confuses the opponent's text with a free bit.
     """
 
     n: int
@@ -57,13 +74,16 @@ class Transducer:
     def write(self, mv: CirquentMove) -> str | None:
         return format_move(mv)
 
-    def advance(self, moves: list[CirquentMove]) -> list[CirquentMove]:
+    def advance(self, moves: list[CirquentMove], marks: Marks) -> list[CirquentMove]:
         raise NotImplementedError
 
     def step(self, observed: Run) -> list[str]:
-        new = [self.read(lm.move) for lm in observed[self._observed:] if lm.label is BOT]
-        block = self.advance([mv for mv in new if mv is not None])
-        out = [m for m in map(self.write, block) if m is not None]
+        moves = [lm.move for lm in observed[self._observed:] if lm.label is BOT]
+        marks = Marks(moves)
+        new = [mv for mv in map(self.read, moves) if mv is not None]
+        out = [m for m in map(self.write, self.advance(new, marks)) if m is not None]
+        if marks.drawn:
+            out = [w for m in out for w in marks.expand(m)]
         self._observed = len(observed) + len(out)
         return out
 
@@ -89,7 +109,7 @@ class AxiomCopycat(Transducer):
         self.n = diamonds
         self.pairing = pairing
 
-    def advance(self, moves: list[CirquentMove]) -> list[CirquentMove]:
+    def advance(self, moves: list[CirquentMove], marks: Marks) -> list[CirquentMove]:
         top, up = 2 * self.n, 1 if self.pairing == "standard" else -1
         return [_move((a + up if a % 2 == 1 else a - up, slots, inner))
                 for a, slots, inner in moves if 1 <= a <= top]
@@ -103,10 +123,13 @@ class Translated(Transducer):
     A layer lifts a strategy for its rule's premise to one for the
     conclusion with two maps: `env_to_sim` turns an opponent move on the
     conclusion into moves on the premise, dropping a move that was already
-    illegal, and `sim_to_real` turns a premise move back.  Either may fan
-    one move out into several.  `advance` passes the new opponent moves down
-    through every layer, asks the core, and passes its replies back up, so
-    each layer sees its moves in the order they are played.
+    illegal, and `sim_to_real` turns a premise move back.  Both take the
+    step's `Marks`.  A map that weaves addresses returns one move with
+    placeholders for the words of the fusion; only a map that copies a
+    move or drops a slot holding placeholders expands it into its words.
+    `advance` passes the new opponent moves down through every layer, asks
+    the core, and passes its replies back up, so each layer sees its moves
+    in the order they are played.
     """
 
     def __init__(self, core: Transducer, layers: list, n: int):
@@ -119,17 +142,32 @@ class Translated(Transducer):
         twin._observed = self._observed
         return twin
 
-    def advance(self, moves: list[CirquentMove]) -> list[CirquentMove]:
+    def advance(self, moves: list[CirquentMove], marks: Marks) -> list[CirquentMove]:
         for layer in self.layers:
             if not moves:
                 break  # no layer below sees a move
-            moves = [s for mv in moves for s in layer.env_to_sim(mv)]
-        moves = self.core.advance(moves)
+            moves = [s for mv in moves for s in layer.env_to_sim(mv, marks)]
+        moves = self.core.advance(moves, marks)
         for layer in reversed(self.layers):
             if not moves:
                 break
-            moves = [r for mv in moves for r in layer.sim_to_real(mv)]
+            moves = [r for mv in moves for r in layer.sim_to_real(mv, marks)]
         return moves
+
+
+def _expanded(mv: CirquentMove, marks: Marks) -> list[CirquentMove]:
+    """The moves `mv` stands for, one per word of its placeholders, in
+    expansion order; `mv` itself when it holds none.  A slot holds neither
+    `,` nor `.`, so the slots and the inner move expand as one text."""
+    index, slots, inner = mv
+    words = marks.expand(",".join(slots) + "." + inner)
+    if len(words) == 1:
+        return [mv]
+    out = []
+    for word in words:
+        head, inner = word.split(".", 1)
+        out.append(_move((index, tuple(head.split(",")) if slots else (), inner)))
+    return out
 
 
 @dataclass
@@ -175,7 +213,7 @@ class _Relabel:
         return _Relabel(tuple((up[m - 1][0], up[m - 1][1] + rest) for m, rest in inner.up),
                         tuple(self.slots[k] for k in inner.slots), self.width, self.over)
 
-    def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
+    def env_to_sim(self, mv: CirquentMove, marks: Marks) -> list[CirquentMove]:
         (index, s, inner), (down, hidden, place) = mv, self._tables
         if hidden and any(s[j] for j in hidden):
             return []
@@ -193,7 +231,7 @@ class _Relabel:
             s = tuple([s[j] for j in self.slots])
         return [_move((index, s, inner))]
 
-    def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
+    def sim_to_real(self, mv: CirquentMove, marks: Marks) -> list[CirquentMove]:
         (index, s, inner), place = mv, self._tables[2]
         if 1 <= index <= len(self.up):
             index, prefix = self.up[index - 1]
@@ -209,11 +247,12 @@ class _Relabel:
 class _ContractionSplit:
     """One '?' oformula stands for two premise copies: address bit 0 routes
     to the first copy, bit 1 to the second, and an unaddressed move goes to
-    both."""
+    both, each word of its placeholders in turn.  On the way up a
+    placeholder is an address bit."""
 
     a: int
 
-    def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
+    def env_to_sim(self, mv: CirquentMove, marks: Marks) -> list[CirquentMove]:
         a, (index, slots, inner) = self.a, mv
         if index < a:
             return [mv]
@@ -224,16 +263,17 @@ class _ContractionSplit:
             return []
         v, rest = sp
         if v == "":
-            return [mv, _move((a + 1, slots, inner))]
+            return [m for w in _expanded(mv, marks) for m in (w, _move((a + 1, w.slots, inner)))]
         return [_move((a if v[0] == "0" else a + 1, slots, v[1:] + "." + rest))]
 
-    def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
+    def sim_to_real(self, mv: CirquentMove, marks: Marks) -> list[CirquentMove]:
         a, (index, slots, inner) = self.a, mv
         if index < a:
             return [mv]
         if index > a + 1:
             return [_move((index - 1, slots, inner))]
-        if split_address(inner) is None:
+        dot = inner.find(".")
+        if dot < 0 or not marks.is_address(inner[:dot]):
             return [_move((a, slots, inner))]
         bit = "0" if index == a else "1"
         return [_move((a, slots, bit + inner))]
@@ -242,35 +282,37 @@ class _ContractionSplit:
 @dataclass
 class _OverDupJoin:
     """Two identical conclusion overgroups collapse to one premise overgroup;
-    address pairs are woven together by fusion and unwoven by defusion."""
+    address pairs are woven together by fusion and unwoven by slicing."""
 
     pos: int  # 1-based; real slots pos-1 and pos merge
 
-    def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
+    def env_to_sim(self, mv: CirquentMove, marks: Marks) -> list[CirquentMove]:
         p, (index, s, inner) = self.pos - 1, mv
-        return [_move((index, s[:p] + (v,) + s[p + 2:], inner))
-                for v in fusions((s[p], s[p + 1]))]
+        return [_move((index, s[:p] + (weave((s[p], s[p + 1]), marks),) + s[p + 2:], inner))]
 
-    def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
+    def sim_to_real(self, mv: CirquentMove, marks: Marks) -> list[CirquentMove]:
         p, (index, s, inner) = self.pos - 1, mv
-        return [_move((index, s[:p] + defusion(s[p], 2) + s[p + 1:], inner))]
+        u = s[p]
+        return [_move((index, s[:p] + (u[0::2], u[1::2]) + s[p + 1:], inner))]
 
 
 @dataclass
 class _MergeSplit:
     """A merged overgroup covers members of both halves; a member of both
-    plays one address woven from its two premise addresses."""
+    plays one address woven from its two premise addresses.  A member of one
+    half or of neither drops the other address on the way up, so a move
+    whose dropped address holds placeholders is expanded first."""
 
     pos: int
     left: frozenset[int]
     right: frozenset[int]
 
-    def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
+    def env_to_sim(self, mv: CirquentMove, marks: Marks) -> list[CirquentMove]:
         p, (index, s, inner) = self.pos - 1, mv
         u = s[p]
         in_l, in_r = index in self.left, index in self.right
         if in_l and in_r:
-            parts = defusion(u, 2)
+            parts = (u[0::2], u[1::2])
         elif in_l:
             parts = (u, "")
         elif in_r:
@@ -281,25 +323,29 @@ class _MergeSplit:
             parts = ("", "")
         return [_move((index, s[:p] + parts + s[p + 1:], inner))]
 
-    def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
+    def sim_to_real(self, mv: CirquentMove, marks: Marks) -> list[CirquentMove]:
         p, (index, s, inner) = self.pos - 1, mv
-        u1, u2 = s[p], s[p + 1]
-        head, tail = s[:p], s[p + 2:]
         in_l, in_r = index in self.left, index in self.right
         if in_l and in_r:
-            return [_move((index, head + (v,) + tail, inner)) for v in fusions((u1, u2))]
-        u = u1 if in_l else u2 if in_r else ""
-        return [_move((index, head + (u,) + tail, inner))]
+            return [_move((index, s[:p] + (weave(s[p:p + 2], marks),) + s[p + 2:], inner))]
+        dropped = ("" if in_l else s[p]) + ("" if in_r else s[p + 1])
+        out = []
+        for index, s, inner in _expanded(mv, marks) if dropped else [mv]:
+            u = s[p] if in_l else s[p + 1] if in_r else ""
+            out.append(_move((index, s[:p] + (u,) + s[p + 2:], inner)))
+        return out
 
 
 @dataclass
 class _RecFold:
-    """The premise's fresh copy dimension folds into the '!' move address."""
+    """The premise's fresh copy dimension folds into the '!' move address.
+    Another oformula's move drops that dimension's address on the way up,
+    so a move whose dropped address holds placeholders is expanded first."""
 
     a: int
     j: int
 
-    def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
+    def env_to_sim(self, mv: CirquentMove, marks: Marks) -> list[CirquentMove]:
         p, (index, s, inner) = self.j - 1, mv
         if index != self.a:
             return [_move((index, s[:p] + ("",) + s[p:], inner))]
@@ -309,12 +355,12 @@ class _RecFold:
         w, rest = sp
         return [_move((index, s[:p] + (w,) + s[p:], rest))]
 
-    def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
+    def sim_to_real(self, mv: CirquentMove, marks: Marks) -> list[CirquentMove]:
         p, (index, s, inner) = self.j - 1, mv
-        slots = s[:p] + s[p + 1:]
         if index != self.a:
-            return [_move((index, slots, inner))]
-        return [_move((index, slots, s[p] + "." + inner))]
+            return [_move((index, s[:p] + s[p + 1:], inner))
+                    for index, s, inner in (_expanded(mv, marks) if s[p] else [mv])]
+        return [_move((index, s[:p] + s[p + 1:], s[p] + "." + inner))]
 
 
 @dataclass
@@ -323,12 +369,18 @@ class _CorecFocus:
     single all-zeros copy, padded just enough to dodge addresses already
     committed by other moves there.  Both maps record the copy addresses of
     the real moves they see in `used`, a frozenset each new address replaces,
-    so a shallow copy of the layer plays on independently."""
+    so a shallow copy of the layer plays on independently.
+
+    It sees a fused move once, where a fan-out per word would show it each
+    word in turn, and either way it answers alike.  Down, every word carries
+    the same inner move, so it records the same address.  Up, it pads every
+    word alike: once it records u, the next call picks u again, because the
+    only address that recording u adds is u itself, which `v != u` skips."""
 
     a: int
     used: frozenset[str] = frozenset()
 
-    def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
+    def env_to_sim(self, mv: CirquentMove, marks: Marks) -> list[CirquentMove]:
         index, slots, inner = mv
         if index != self.a:
             return [mv]
@@ -341,7 +393,7 @@ class _CorecFocus:
             return []  # outside the focused copy
         return [_move((index, slots, rest))]
 
-    def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
+    def sim_to_real(self, mv: CirquentMove, marks: Marks) -> list[CirquentMove]:
         index, slots, inner = mv
         if index != self.a:
             return [mv]
@@ -360,7 +412,7 @@ class _CorecWeave:
     a: int
     added: tuple[int, ...]  # 1-based overgroup positions, ascending
 
-    def env_to_sim(self, mv: CirquentMove) -> list[CirquentMove]:
+    def env_to_sim(self, mv: CirquentMove, marks: Marks) -> list[CirquentMove]:
         index, s, inner = mv
         if index != self.a:
             return [mv]
@@ -370,21 +422,20 @@ class _CorecWeave:
         if sp is None:
             return []
         u, rest = sp
-        slots = list(s)
-        for j, part in zip(self.added, defusion(u, len(self.added))):
-            slots[j - 1] = part
+        slots, n = list(s), len(self.added)
+        for i, j in enumerate(self.added):
+            slots[j - 1] = u[i::n]
         return [_move((index, tuple(slots), rest))]
 
-    def sim_to_real(self, mv: CirquentMove) -> list[CirquentMove]:
+    def sim_to_real(self, mv: CirquentMove, marks: Marks) -> list[CirquentMove]:
         index, s, inner = mv
         if index != self.a:
             return [mv]
         slots = list(s)
         for j in self.added:
             slots[j - 1] = ""
-        slots = tuple(slots)
-        return [_move((index, slots, v + "." + inner))
-                for v in fusions([s[j - 1] for j in self.added])]
+        v = weave([s[j - 1] for j in self.added], marks)
+        return [_move((index, tuple(slots), v + "." + inner))]
 
 
 class FormulaBridge(Translated):
@@ -394,14 +445,16 @@ class FormulaBridge(Translated):
     Only the boundary changes; moves pass through untranslated.  An opponent
     move m is broadcast to every copy of the club's '!' as
     `_move((1, ("",), m))`, and a reply surfaces only when it lands in
-    the all-zeros copy.
+    the all-zeros copy.  So `write` fixes every placeholder of the club's
+    slot to `0`, and `step` expands only those that reach the inner move.
     """
 
     def read(self, move: str) -> CirquentMove:
         return _move((1, ("",), move))
 
     def write(self, mv: CirquentMove) -> str | None:
-        if mv.index == 1 and not mv.slots[0].strip("0"):
+        # a slot holds bits and placeholders only
+        if mv.index == 1 and "1" not in mv.slots[0]:
             return mv.inner
         return None
 

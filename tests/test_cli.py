@@ -5,13 +5,16 @@ import shlex
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from cirquent import rules
 from cirquent.cli import main as cli_main
+from cirquent.games import BOT, Labmove
 from cirquent.reader import MAX_DEPTH
+from cirquent.strategies import compile_proof
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -404,8 +407,6 @@ MALFORMED = [
     (["play", ELIM[0], "--atoms", "{bin}"], 2),
     (["play", ELIM[0], "--atoms", "{bad_lib}"], 2),
     (["play", *ELIM, "--budget", "-3"], 2),
-    (["play", "corpus/brec_nest/proof.cl15", "--atoms", "corpus/brec_nest/atoms.game",
-      "--moves", "0.00000000000000000000.q"], 3),
     (["eval", "--formula", "F &", *ELIM[1:]], 2),
     (["eval", "--formula", "Q", *ELIM[1:]], 2),
     (["eval", "--formula", "F", *ELIM[1:], "--run", "X:1"], 2),
@@ -534,6 +535,32 @@ def test_a_formula_error_quotes_a_short_excerpt(malformed_files):
     assert "Traceback" not in r.stderr
     [line] = r.stderr.splitlines()
     assert line.startswith("error: ") and len(line.encode()) < 200
+
+
+NEST = ["corpus/brec_nest/proof.cl15", "--atoms", "corpus/brec_nest/atoms.game"]
+
+
+@pytest.mark.parametrize("k", [14, 20, 64])
+def test_play_answers_a_long_copy_address_with_one_reply(k):
+    """The environment's move in `?~F` at a k-bit address is answered in
+    `!!F` by one move, whose addresses weave the k bits apart; the k
+    address bits are no longer a fan-out of 2**k words."""
+    r = cli("play", *NEST, "--moves", f"0.{'0' * k}.q")
+    assert r.returncode == 0, r.stderr
+    half = "0" * (k // 2)
+    assert r.stdout.splitlines() == [f"  B: 0.{'0' * k}.q", f"  T: 1.{half}.{half}.q", "winner: T"]
+
+
+def test_one_bridge_step_answers_a_64_bit_copy_address_within_10_ms():
+    compiled = compile_proof(rules.parse_proof((ROOT / NEST[0]).read_text()))
+    run = (Labmove(BOT, f"0.{'0' * 64}.q"),)
+    took = []
+    for _ in range(5):
+        t = compiled.fresh()
+        start = time.perf_counter()
+        t.step(run)
+        took.append(time.perf_counter() - start)
+    assert min(took) < 0.010, took
 
 
 # Formulas exactly at the depth bound: MAX_DEPTH parentheses, and a

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cirquent.fusion import WORD_CAP, defusion, fusions
+from cirquent.fusion import WORD_CAP, Marks, defusion, fusions, weave
 from cirquent.games import CapExceeded, GameError
 
 
@@ -172,3 +172,59 @@ def test_defusion_cap():
     assert len(defusion("0101", WORD_CAP)) == WORD_CAP
     with pytest.raises(CapExceeded, match=f"{WORD_CAP + 1} defusion parts exceed cap {WORD_CAP}"):
         defusion("0101", WORD_CAP + 1)
+
+
+# ------------------------------------------------ woven words with placeholders
+
+P0, P1, P2, P3, P4 = map(chr, range(0xF0000, 0xF0005))
+
+
+def test_weave_numbers_free_positions_left_to_right():
+    marks = Marks()
+    assert weave(("000", "1111"), marks) == "010101" + P0 + "1"
+    assert weave(("", "0", ""), marks) == P1 + "0"
+    assert weave(("11", "00", "111"), marks) == "101101" + P2 + P3 + "1"
+    assert marks.drawn == {P0, P1, P2, P3}
+    assert weave((), marks) == "" and weave(("", ""), marks) == ""
+
+
+def test_marks_skip_every_code_point_of_the_moves_they_are_taken_from():
+    marks = Marks(["q" + P0 + P2, "", "\U0010ffff\ud800"])
+    assert marks.draw(3) == [P1, P3, P4]
+    assert marks.expand("0" + P0 + P3 + P1) == [
+        "0" + P0 + "00", "0" + P0 + "10", "0" + P0 + "01", "0" + P0 + "11"]
+
+
+def test_an_expansion_past_the_cap_raises():
+    marks = Marks()
+    word = weave(("", "0" * 13), marks)
+    assert len(marks.expand(word[:-2])) == WORD_CAP
+    with pytest.raises(CapExceeded, match=f"2\\*\\*13 fusion words exceed cap {WORD_CAP}"):
+        marks.expand(word)
+
+
+def test_placeholders_are_address_bits_and_nothing_else_is():
+    marks = Marks()
+    [p] = marks.draw(1)
+    assert marks.is_address("") and marks.is_address("01" + p + "0" + p)
+    assert not marks.is_address("0x") and not marks.is_address(P1)
+
+
+@given(st.lists(st.lists(bits, min_size=1, max_size=3), min_size=1, max_size=3))
+@settings(max_examples=200)
+def test_a_weave_of_woven_words_expands_as_the_fan_out_per_word(families):
+    """Weaving woven words expands to the words that a fusion per word
+    gives, in the same order: the first family's words are the most
+    significant, the outer weave's free bits the least.  Slicing a woven
+    word unweaves each of its words as defusion does."""
+    marks = Marks()
+    word = weave([weave(parts, marks) for parts in families], marks)
+    try:
+        got = marks.expand(word)
+        want = [z for ws in itertools.product(*map(fusions, families)) for z in fusions(ws)]
+    except CapExceeded:
+        return
+    assert got == want
+    n = len(families)
+    sliced = marks.expand(",".join(word[i::n] for i in range(n)))
+    assert [defusion(z, n) for z in got] == [tuple(w.split(",")) for w in sliced]

@@ -274,14 +274,17 @@ def test_compiled_strategy_survives_junk_probes():
 
 def test_the_plays_digest_of_playhash_is_pinned():
     """`scripts/playhash.py`'s 2,125 plays: the rollout pairs against
-    RandomEnv and SpoilerEnv, and the grid steps against RandomEnv.  A
-    change to the referee, the environments or the strategies that plays
-    any of them differently changes the digest.  Its frontier digest is
-    not pinned: a change may ask for fewer frontiers and play alike."""
+    RandomEnv and SpoilerEnv, and the grid steps against RandomEnv; and the
+    14,909 runs its 35 depth-2 sweeps judge.  A change to the referee, the
+    environments or the strategies that plays any of them differently
+    changes a digest.  Its frontier digest is not pinned: a change may ask
+    for fewer frontiers and play alike."""
     out = subprocess.run([sys.executable, str(CORPUS.parent / "scripts" / "playhash.py")],
                          capture_output=True, text=True, check=True).stdout
-    assert out.splitlines()[0] == (
-        "2125 plays 01d5d4ceaba9b216bf39cb06178e7345c7347eb4a4c49e79e7c24e24b1020b33")
+    plays, _frontiers, sweeps = out.splitlines()
+    assert plays == "2125 plays 01d5d4ceaba9b216bf39cb06178e7345c7347eb4a4c49e79e7c24e24b1020b33"
+    assert sweeps == (
+        "14909 sweep runs b2a8a752a2edcf2115a4040dc51415a3bc8ffe6c8d7b9ad022c450df00719ccc")
 
 
 # ------------------------------------------- random static interpretations

@@ -5,8 +5,11 @@ suite; here we pin down the transducer contracts the compiler builds on.
 """
 
 import json
+from collections import Counter
 from functools import partial, reduce
+from itertools import product
 from pathlib import Path
+from typing import get_args
 from unittest import mock
 
 import pytest
@@ -18,8 +21,8 @@ from cirquent import rules as R
 from cirquent import strategies
 from cirquent.cirquents import Cirquent, CirquentError, CirquentMove, club, format_move
 from cirquent.formulas import And, Or, atoms_of, parse_formula
-from cirquent.fusion import fusions
-from cirquent.games import Labmove, of_formula, parse_run
+from cirquent.fusion import WORD_CAP, Marks, fusions
+from cirquent.games import CapExceeded, Labmove, of_formula, parse_run
 from cirquent.games import BOT, TOP
 from cirquent.harness import (
     CirquentArena,
@@ -35,6 +38,7 @@ from cirquent.strategies import (
     Translated,
     _CorecFocus,
     _Relabel,
+    _own,
     cirquent_strategy_factories,
     compile_proof,
     transform,
@@ -56,7 +60,7 @@ class Parrot(Transducer):
         self.blocks = list(blocks)
         self.calls: list[list[CirquentMove]] = []
 
-    def advance(self, moves):
+    def advance(self, moves, marks):
         self.calls.append(moves)
         return self.blocks.pop(0) if self.blocks else []
 
@@ -310,9 +314,10 @@ def moves_on(data, c: Cirquent, lowest: int = 0) -> list[CirquentMove]:
 
 
 def through(layers, mv: CirquentMove, down: bool) -> list[CirquentMove]:
-    moves = [mv]
+    moves, marks = [mv], Marks()
     for layer in layers if down else reversed(layers):
-        moves = [m for x in moves for m in (layer.env_to_sim(x) if down else layer.sim_to_real(x))]
+        moves = [m for x in moves
+                 for m in (layer.env_to_sim(x, marks) if down else layer.sim_to_real(x, marks))]
     return moves
 
 
@@ -330,11 +335,11 @@ def test_a_composed_relabel_answers_as_its_chain(data):
     for mv in moves_on(data, RENAMED):
         want = through(layers, mv, down=True)
         assert through([a, b], mv, down=True) == want, mv
-        assert composed.env_to_sim(mv) == want, mv
+        assert composed.env_to_sim(mv, Marks()) == want, mv
     for mv in moves_on(data, premise):
         want = through(layers, mv, down=False)
         assert through([a, b], mv, down=False) == want, mv
-        assert composed.sim_to_real(mv) == want, mv
+        assert composed.sim_to_real(mv, Marks()) == want, mv
 
 
 @settings(max_examples=200, deadline=None)
@@ -348,11 +353,83 @@ def test_each_relabel_answers_as_the_oracle_rule(data):
         cls, args = oracle.transform(app, conclusion)
         old = cls(None, *args)
         for mv in moves_on(data, conclusion, lowest=1):
-            got = [format_move(m) for m in layer.env_to_sim(mv)]
+            got = [format_move(m) for m in layer.env_to_sim(mv, Marks())]
             assert got == old.env_to_sim(format_move(mv)), (app, mv)
         for mv in moves_on(data, premise, lowest=1):
-            got = [format_move(m) for m in layer.sim_to_real(mv)]
+            got = [format_move(m) for m in layer.sim_to_real(mv, Marks())]
             assert got == old.sim_to_real(format_move(mv)), (app, mv)
+
+
+# ------------------------------------ a fused move against the words it stands for
+
+# every layer `transform` builds for a step of a corpus proof, with the
+# cirquents it lifts between: (layer, conclusion, premise)
+CORPUS_LAYERS = [
+    (layer, step.cirquent, prev.cirquent)
+    for name in CASES
+    for prev, step in zip(load(name), load(name)[1:])
+    if (layer := transform(step.app, prev.cirquent, step.cirquent)) is not None
+]
+LAYER_KINDS = sorted({type(layer).__name__ for layer, _, _ in CORPUS_LAYERS})
+# address shapes; each "*" becomes a placeholder of its own
+PATTERNS = st.sampled_from(["", "0", "1", "01", "*", "0*", "*1", "**", "*0*", "1*0*", "*1*0"])
+
+
+def placed(marks, text: str) -> str:
+    """`text` with each "*" a new placeholder drawn from `marks`."""
+    return "".join(marks.draw(1)[0] if c == "*" else c for c in text)
+
+
+def words(mv: CirquentMove, marks) -> list[CirquentMove]:
+    """The words `mv` stands for, spelled out here apart from the package:
+    the lowest-numbered placeholder most significant, `0` before `1`."""
+    held = sorted(marks.drawn.intersection("".join(mv.slots) + mv.inner))
+    out = []
+    for bits in product("01", repeat=len(held)):
+        table = dict(zip(map(ord, held), bits))
+        out.append(CirquentMove(mv.index, tuple(s.translate(table) for s in mv.slots),
+                                mv.inner.translate(table)))
+    return out
+
+
+@pytest.mark.parametrize("kind", LAYER_KINDS)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_each_layer_answers_a_fused_move_as_the_words_it_stands_for(kind, data):
+    """Why one move may carry a fusion through the stack: a layer maps a move
+    with placeholders to moves whose words, in order, are what it maps the
+    move's words to, one after another.  Down, placeholders sit in the slots
+    and the inner move is concrete; up, the inner move's first address may
+    hold some too.  A `_CorecFocus` plays each side from one drawn record."""
+    layer, conclusion, premise = data.draw(
+        st.sampled_from([x for x in CORPUS_LAYERS if type(x[0]).__name__ == kind]))
+    down = data.draw(st.booleans())
+    c = conclusion if down else premise
+    marks = Marks()
+    # the slots' address patterns, then the inner move's address, if any
+    texts = [data.draw(PATTERNS) for _ in c.overgroups]
+    addressed = data.draw(st.sampled_from([True, True, True, False]))
+    if addressed:
+        texts.append(data.draw(BITS) if down else data.draw(PATTERNS))
+    # placeholders numbered in a drawn order of the places
+    for i in data.draw(st.permutations(range(len(texts)))):
+        texts[i] = placed(marks, texts[i])
+    slots = tuple(texts[:len(c.overgroups)])
+    inner = data.draw(st.one_of(SHAPED, PREFIXED, JUNK))
+    if addressed:
+        inner = texts[-1] + "." + inner
+    # any index, and often the layer's own oformula or the one after it
+    near = [layer.a, layer.a + 1] if hasattr(layer, "a") else [1]
+    index = data.draw(st.one_of(st.integers(0, c.width + 2), st.sampled_from(near)))
+    mv = CirquentMove(index, slots, inner)
+    if type(layer) is _CorecFocus:
+        layer = _CorecFocus(layer.a, frozenset(data.draw(st.lists(BITS, max_size=3))))
+    fused, each = _own([layer]) + _own([layer])
+    apply = (lambda lay, m: lay.env_to_sim(m, marks)) if down else \
+        (lambda lay, m: lay.sim_to_real(m, marks))
+    got = [w for out in apply(fused, mv) for w in words(out, marks)]
+    want = [w for word in words(mv, marks) for out in apply(each, word) for w in words(out, marks)]
+    assert got == want, (layer, mv)
 
 
 # ------------------------------------------- the string-protocol stack as oracle
@@ -370,30 +447,40 @@ JUNK = st.one_of(
     st.sampled_from(["zz", "0.zz", ".q", "1.", "x.q", "", "é.q", "0;.q", "١;.q"]),
     st.text(max_size=6),
 )
-# formula-game moves: up to four address or choice components and a leaf
-SHAPED = st.builds(
-    lambda parts, leaf: ".".join(parts + [leaf]),
-    st.lists(st.one_of(BITS, st.sampled_from(["0", "1"])), max_size=4),
-    LEAVES,
-)
 
 
-def cirquent_moves(width: int, n: int):
+def shaped(bits, leaves):
+    """Formula-game moves: up to four address or choice components and a leaf."""
+    return st.builds(
+        lambda parts, leaf: ".".join(parts + [leaf]),
+        st.lists(st.one_of(bits, st.sampled_from(["0", "1"])), max_size=4),
+        leaves,
+    )
+
+
+SHAPED = shaped(BITS, LEAVES)
+# code points a placeholder could be, and others that no reader expects:
+# the first private-use ones a step draws, U+10FFFF and lone surrogates
+ODD = st.sampled_from(["\U000f0000", "\U000f0001", "\U000f0002", "\U000f0003", "\U00100000",
+                       "\U0010ffff", "\ue000", "\ud800", "\udfff"])
+ODD_SHAPED = shaped(BITS, st.lists(st.one_of(ODD, LEAVES), min_size=1, max_size=3).map("".join))
+
+
+def cirquent_moves(width: int, n: int, inner=st.one_of(SHAPED, JUNK)):
     """`a;u1,...,un.rest` with index 0 and out-of-range indices, the wrong
     arity either way, and addresses up to 10 bits."""
     return st.builds(
         lambda a, slots, inner: f"{a};{','.join(slots)}.{inner}",
         st.integers(0, width + 2),
         st.lists(BITS, min_size=max(n - 1, 0), max_size=n + 1),
-        st.one_of(SHAPED, JUNK),
+        inner,
     )
 
 
-# Address words one `step` call may fuse, summed over its layers.  Long
-# addresses fan out through nested recurrences (the fusion fan-out defect):
-# without a bound, one move of 10-bit addresses keeps either stack busy for
-# minutes.  Both stacks fuse the same words in the same order, so both reach
-# the bound on the same call.
+# Address words one oracle `step` call may fuse, summed over its layers.
+# The oracle sends one move per fusion word through every layer left: one
+# move of 10-bit addresses keeps it busy for minutes.  The stack under test
+# carries a fusion as one move and is not budgeted.
 FANOUT_BUDGET = 4096
 
 
@@ -401,8 +488,9 @@ class FanoutBudget(Exception):
     pass
 
 
-def step_or_raise(t, run):
-    """`t.step(run)`, or the class of what it raised."""
+def oracle_step(t, run):
+    """The oracle's `t.step(run)`, or None when it raises: past its fan-out
+    budget or a cap."""
     fused = 0
 
     def budgeted(parts):
@@ -414,9 +502,16 @@ def step_or_raise(t, run):
         return words
 
     try:
-        with mock.patch.object(strategies, "fusions", budgeted), \
-                mock.patch.object(oracle, "fusions", budgeted):
+        with mock.patch.object(oracle, "fusions", budgeted):
             return t.step(run)
+    except (FanoutBudget, CapExceeded):
+        return None
+
+
+def step_or_raise(t, run):
+    """`t.step(run)`, or the class of what it raised."""
+    try:
+        return t.step(run)
     except Exception as e:  # noqa: BLE001 - the class is what gets compared
         return type(e)
 
@@ -430,15 +525,19 @@ def draw_block(data, offered, synthetic):
 def assert_same_blocks(data, new, old, candidates, synthetic, rounds=6):
     """Feed both stacks the same opponent moves, round by round: a move the
     position offers (`candidates(run)`) or a synthetic string.  Each round
-    must give the same real block, or raise the same exception class."""
+    the oracle answers must give the same real block byte for byte; the
+    first round the oracle raises on ends the comparison, as the two would
+    go on from different runs.  Returns the rounds compared."""
     run = ()
-    for _ in range(rounds):
+    for r in range(rounds):
         run += draw_block(data, candidates(run), synthetic)
-        got, want = step_or_raise(new, run), step_or_raise(old, run)
+        want = oracle_step(old, run)
+        if want is None:
+            return r
+        got = new.step(run)
         assert got == want, (run, got, want)
-        if not isinstance(got, list):
-            return
         run += tuple(Labmove(TOP, m) for m in got)
+    return rounds
 
 
 def test_bundles_match_the_oracle():
@@ -473,6 +572,96 @@ def test_step_strategies_match_the_oracle(name, data):
         lambda run: arena.frontier(run, BOT, 2),
         st.one_of(cirquent_moves(c.width, len(c.overgroups)), JUNK),
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(CASES), st.sampled_from(sorted(STANDARD)), st.data())
+def test_every_stack_answers_odd_code_points_as_the_oracle(name, game_name, data):
+    """Opponent moves whose text holds private-use code points, among them
+    the placeholders a step draws first, U+10FFFF or lone surrogates: the
+    compiled stack and one step strategy answer them as the oracle does,
+    since a step's placeholders skip every code point of its moves."""
+    proof = PROOFS[name]
+    new, old = compile_proof(proof), oracle.compile_proof(proof)
+    formula = new.formula
+    game = of_formula(formula, {a: STANDARD[game_name] for a in atoms_of(formula)})
+    assert_same_blocks(
+        data, new.fresh(), old.fresh(),
+        lambda run: sorted(_game_candidates(game, run, BOT, 2)),
+        ODD_SHAPED,
+    )
+    i = data.draw(st.integers(0, len(proof) - 1))
+    c, factory = cirquent_strategy_factories(proof)[i]
+    arena = CirquentArena(c, GRID_INTERP)
+    assert_same_blocks(
+        data, factory(), oracle.cirquent_strategy_factories(proof)[i][1](),
+        lambda run: arena.frontier(run, BOT, 2),
+        cirquent_moves(c.width, len(c.overgroups), ODD_SHAPED),
+    )
+
+
+# the bridges whose stacks weave copy addresses
+WOVEN = ["brec_nest", "brec_or_merge", "cobrec_swap"]
+LONG = shaped(st.text("01", max_size=64), LEAVES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(WOVEN), st.sampled_from(sorted(STANDARD)), st.data())
+def test_woven_bridges_answer_long_addresses_as_the_oracle(name, game_name, data):
+    """Addresses of up to 64 bits: every round the oracle answers, the stack
+    gives the same block; it plays on after the oracle gives up.  No layer
+    raises.  `step` raises CapExceeded only where a reply that surfaces in
+    the bare game holds more than 12 free bits in its inner move, so that
+    the reply itself is more than WORD_CAP moves of the bare game."""
+    new, old = compile_proof(PROOFS[name]), oracle.compile_proof(PROOFS[name])
+    formula = new.formula
+    game = of_formula(formula, {a: STANDARD[game_name] for a in atoms_of(formula)})
+    t, blocks, advance = new.fresh(), [], FormulaBridge.advance
+
+    def recorded(self, moves, marks):
+        block = advance(self, moves, marks)
+        blocks.append((block, marks))
+        return block
+
+    run, asking = (), old.fresh()
+    with mock.patch.object(FormulaBridge, "advance", recorded):
+        for _ in range(6):
+            run += draw_block(data, sorted(_game_candidates(game, run, BOT, 2)),
+                              st.one_of(LONG, JUNK))
+            want = oracle_step(asking, run) if asking else None
+            asking = asking if want is not None else None
+            blocks.clear()
+            try:
+                got = t.step(run)
+            except CapExceeded:
+                [(block, marks)] = blocks  # every layer answered
+                assert any(2 ** len(marks.drawn.intersection(mv.inner)) > WORD_CAP
+                           for mv in block if t.write(mv) is not None), run
+                return
+            if want is not None:
+                assert got == want, (run, got, want)
+            run += tuple(Labmove(TOP, m) for m in got)
+
+
+def test_a_long_address_makes_as_many_layer_calls_as_a_short_one(monkeypatch):
+    """Answering `0.<k zeros>.q` on a woven bridge sends one move through
+    each layer whatever k is; on `brec_nest` it is one reply."""
+    calls = Counter()
+    for cls in get_args(strategies.Layer):
+        for name in ("env_to_sim", "sim_to_real"):
+            def counted(self, mv, marks, _f=getattr(cls, name)):
+                calls[type(self)] += 1
+                return _f(self, mv, marks)
+            monkeypatch.setattr(cls, name, counted)
+    for name in WOVEN:
+        compiled, counts = compile_proof(PROOFS[name]), []
+        for k in (4, 64):
+            calls.clear()
+            out = compiled.fresh().step((Labmove(BOT, f"0.{'0' * k}.q"),))
+            counts.append(dict(calls))
+            if name == "brec_nest":
+                assert out == [f"1.{'0' * (k // 2)}.{'0' * (k // 2)}.q"]
+        assert counts[0] == counts[1] and counts[0], name
 
 
 # --------------------------------------------------- a fork against a replay
@@ -548,12 +737,13 @@ def test_a_fork_records_corec_focus_addresses_apart_from_its_original():
     original = Translated(AxiomCopycat(1), [swap, focus], 1)
     twin = original.fork()
     assert twin.core is original.core and twin.layers[0] is swap
-    assert original.advance([CirquentMove(1, ("",), "0.q")]) == [CirquentMove(2, ("",), "q")]
+    asked = [CirquentMove(1, ("",), "0.q")]
+    assert original.advance(asked, Marks()) == [CirquentMove(2, ("",), "q")]
     assert focus.used == {"0"} and twin.layers[1].used == frozenset()
     # the machine's move in the '?' dodges only the addresses its own play recorded
     answer = [CirquentMove(2, ("",), "r")]
-    assert original.advance(answer) == [CirquentMove(1, ("",), "0.r")]
-    assert twin.advance(answer) == [CirquentMove(1, ("",), ".r")]
+    assert original.advance(answer, Marks()) == [CirquentMove(1, ("",), "0.r")]
+    assert twin.advance(answer, Marks()) == [CirquentMove(1, ("",), ".r")]
     assert focus.used == {"0"} and twin.layers[1].used == {""}
 
 
