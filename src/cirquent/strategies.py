@@ -328,12 +328,14 @@ class _MergeSplit:
         in_l, in_r = index in self.left, index in self.right
         if in_l and in_r:
             return [_move((index, s[:p] + (weave(s[p:p + 2], marks),) + s[p + 2:], inner))]
-        dropped = ("" if in_l else s[p]) + ("" if in_r else s[p + 1])
-        out = []
-        for index, s, inner in _expanded(mv, marks) if dropped else [mv]:
+
+        def kept(index, s, inner):
             u = s[p] if in_l else s[p + 1] if in_r else ""
-            out.append(_move((index, s[:p] + (u,) + s[p + 2:], inner)))
-        return out
+            return _move((index, s[:p] + (u,) + s[p + 2:], inner))
+
+        if ("" if in_l else s[p]) or ("" if in_r else s[p + 1]):  # an address is dropped
+            return [kept(*w) for w in _expanded(mv, marks)]
+        return [kept(index, s, inner)]
 
 
 @dataclass
@@ -357,10 +359,11 @@ class _RecFold:
 
     def sim_to_real(self, mv: CirquentMove, marks: Marks) -> list[CirquentMove]:
         p, (index, s, inner) = self.j - 1, mv
-        if index != self.a:
-            return [_move((index, s[:p] + s[p + 1:], inner))
-                    for index, s, inner in (_expanded(mv, marks) if s[p] else [mv])]
-        return [_move((index, s[:p] + s[p + 1:], s[p] + "." + inner))]
+        if index == self.a:
+            return [_move((index, s[:p] + s[p + 1:], s[p] + "." + inner))]
+        if s[p]:  # the address is dropped
+            return [_move((index, w[:p] + w[p + 1:], rest)) for index, w, rest in _expanded(mv, marks)]
+        return [_move((index, s[:p] + s[p + 1:], inner))]
 
 
 @dataclass
